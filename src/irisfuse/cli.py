@@ -62,12 +62,6 @@ def _atomic_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _save_gallery_atomic(gallery, path: Path) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    store.save(gallery, tmp)
-    os.replace(tmp, path)
-
-
 def cmd_synth(args) -> int:
     cfg = _apply_seed(_resolve_config(args), args)
     if args.identities < 1 or args.samples < 1:
@@ -121,7 +115,7 @@ def cmd_enroll(args) -> int:
     except SegmentationError as exc:
         print(f"enrollment failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _save_gallery_atomic(gallery, path)
+    _atomic_write(path, store.to_bytes(gallery))
     print(f"enrolled {args.id!r}; gallery now holds {len(gallery.records)} identities")
     return EXIT_OK
 
@@ -176,7 +170,7 @@ def cmd_train_ga(args) -> int:
     from dataclasses import replace as dc_replace
 
     gallery = dc_replace(gallery, pool=pool, chromosome=result.best)
-    _save_gallery_atomic(gallery, gallery_path)
+    _atomic_write(gallery_path, store.to_bytes(gallery))
 
     out_dir = Path(args.out) if args.out else gallery_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)

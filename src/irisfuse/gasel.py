@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris
 
@@ -236,21 +235,14 @@ def rank_rfe(X, y) -> np.ndarray:
     sd = X.std(axis=0)
     Z = (X - mu) / np.where(sd > 0, sd, 1.0)
 
-    targets = []
-    if len(classes) == 2:
-        targets.append(np.where(y == classes[0], 1.0, -1.0))
-    else:
-        for c in classes:
-            targets.append(np.where(y == c, 1.0, -1.0))
+    # one +/-1 target column per class; a binary problem needs only the first
+    targets = classes[:1] if len(classes) == 2 else classes
+    T = np.where(y[:, None] == targets[None, :], 1.0, -1.0)
 
     def weights(cols: np.ndarray) -> np.ndarray:
         Zc = Z[:, cols]
         gram = Zc @ Zc.T + _RIDGE_LAMBDA * np.eye(len(Zc))
-        best = np.zeros(len(cols))
-        for t in targets:
-            alpha = np.linalg.solve(gram, t)
-            best = np.maximum(best, np.abs(Zc.T @ alpha))
-        return best
+        return np.abs(Zc.T @ np.linalg.solve(gram, T)).max(axis=1)
 
     active = list(range(X.shape[1]))
     eliminated: list[int] = []
@@ -333,59 +325,105 @@ class GaResult:
     evaluations: int
 
 
+# Bound, in bytes, on each of the two stores that GA fitness scoring adds: the
+# cached |dx| pair blocks, and the distances of one chromosome batch
+_FITNESS_BYTES = 1 << 26
+_CACHED_BLOCKS = 8
+
+
 class _SubsetTrial:
-    """Leave-one-out verification trial used as the GA's fitness oracle."""
+    """Leave-one-out verification trial used as the GA's fitness oracle.
+
+    Scores a generation at a time: the city-block distances of all its fresh
+    chromosomes come from one matmul of their gene matrix with the pool
+    features' |dx| over every sample pair (in pdist order).
+    """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, pool: FeaturePool, weights):
-        self.X = np.asarray(X, dtype=np.float64)
+        self.X = np.asarray(X, dtype=np.float64)[:, np.asarray(pool.indices, dtype=np.intp)]
         self.y = np.asarray(y)
-        self.pool = np.asarray(pool.indices, dtype=np.intp)
         self.total = len(pool)
         self.weights = weights
-        same = self.y[:, None] == self.y[None, :]
-        iu = np.triu_indices(len(self.y), k=1)
-        self._pair_same = same[iu]
-        self._square_same = same
+        n = len(self.y)
+        self._pairs = np.triu_indices(n, k=1)
+        i, j = self._pairs
+        self._upper, self._lower = i * n + j, j * n + i  # pair positions in an n x n matrix
+        self._pair_same = (self.y[:, None] == self.y[None, :])[self._pairs]
+        self._genuine = int(np.count_nonzero(self._pair_same))
+        self._imposter = len(self._pair_same) - self._genuine
+        # |dx| in pair blocks of 1/_CACHED_BLOCKS of the bound: that many stay
+        # cached, and any further ones (large sample counts) are rebuilt per batch
+        rows = max(1, _FITNESS_BYTES // (_CACHED_BLOCKS * 8 * self.total))
+        self._blocks = [slice(s, s + rows) for s in range(0, len(i), rows)]
+        self._cached = [self._deltas(block) for block in self._blocks[:_CACHED_BLOCKS]]
+        self._batch = max(1, _FITNESS_BYTES // (8 * len(i)))
         self._cache: dict[bytes, float] = {}
         self.evaluations = 0
 
-    def cost(self, genes: np.ndarray) -> float:
-        key = genes.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        self.evaluations += 1
-        sel = self.pool[genes.astype(bool)]
-        if len(sel) == 0:
-            value = fitness_cost(0.0, 1.0, 1.0, 0, self.total, self.weights)
-        else:
-            dist = pdist(self.X[:, sel], "cityblock") / (len(sel) * 255.0)
-            sims = 1.0 - dist
-            rr = self._recognition_rate(squareform(dist))
-            far, frr = self._rates_at_eer(sims)
-            value = fitness_cost(rr, far, frr, int(len(sel)), self.total, self.weights)
-        self._cache[key] = value
-        return value
+    def _deltas(self, block: slice) -> np.ndarray:
+        """|dx| over the pool features of the sample pairs in ``block``."""
+        i, j = self._pairs
+        return np.abs(self.X[i[block]] - self.X[j[block]])
 
-    def _recognition_rate(self, dmat: np.ndarray) -> float:
-        np.fill_diagonal(dmat, np.inf)
-        nn = np.argmin(dmat, axis=1)
-        return float(np.mean(self.y[nn] == self.y))
+    def costs(self, pop: np.ndarray) -> np.ndarray:
+        """Cost of each row of ``pop``; the uncached ones are scored together."""
+        keys = [g.tobytes() for g in pop]
+        fresh: dict[bytes, np.ndarray] = {}
+        for key, genes in zip(keys, pop):
+            if key not in self._cache:
+                fresh.setdefault(key, genes)
+        self.evaluations += len(fresh)
+        fresh_keys, fresh_genes = list(fresh), np.array(list(fresh.values()))
+        for start in range(0, len(fresh_keys), self._batch):
+            stop = start + self._batch
+            self._cache.update(zip(fresh_keys[start:stop], self._score(fresh_genes[start:stop])))
+        return np.array([self._cache[k] for k in keys])
+
+    def _score(self, genes: np.ndarray) -> list[float]:
+        sizes = genes.sum(axis=1, dtype=np.intp)
+        G = genes.astype(np.float64)
+        dist = np.empty((len(genes), len(self._pair_same)))
+        for b, block in enumerate(self._blocks):
+            deltas = self._cached[b] if b < len(self._cached) else self._deltas(block)
+            dist[:, block] = G @ deltas.T
+        values = []
+        for d, size in zip(dist, sizes):
+            if size == 0:
+                values.append(fitness_cost(0.0, 1.0, 1.0, 0, self.total, self.weights))
+                continue
+            d /= size * 255.0
+            far, frr = self._rates_at_eer(1.0 - d)
+            values.append(fitness_cost(self._recognition_rate(d), far, frr,
+                                       int(size), self.total, self.weights))
+        return values
+
+    def _recognition_rate(self, dist: np.ndarray) -> float:
+        n = len(self.y)
+        square = np.full(n * n, np.inf)
+        square[self._upper] = dist
+        square[self._lower] = dist
+        nearest = np.argmin(square.reshape(n, n), axis=1)
+        return np.count_nonzero(self.y[nearest] == self.y) / n
 
     def _rates_at_eer(self, sims: np.ndarray) -> tuple[float, float]:
-        genuine = np.sort(sims[self._pair_same])
-        imposter = np.sort(sims[~self._pair_same])
-        if len(genuine) == 0 or len(imposter) == 0:
-            return 1.0, 1.0
-        thresholds = np.unique(sims)
-        far = 1.0 - np.searchsorted(imposter, thresholds, side="left") / len(imposter)
-        frr = np.searchsorted(genuine, thresholds, side="left") / len(genuine)
-        i = int(np.argmin(np.abs(far - frr)))
+        """FAR and FRR at the first distinct threshold minimising |FAR - FRR|.
+
+        The thresholds are the distinct similarities in sorted order.  Below
+        the one first at sorted index k lie k pairs; the genuine ones among
+        them are those whose similarity first occurs before k.
+        """
+        ranked = np.sort(sims)
+        first = np.searchsorted(ranked, sims[self._pair_same])
+        genuine_below = np.cumsum(np.bincount(first + 1, minlength=len(ranked))[:len(ranked)])
+        far = 1.0 - (np.arange(len(ranked)) - genuine_below) / self._imposter
+        frr = genuine_below / self._genuine
+        gap = np.abs(far - frr)
+        np.copyto(gap[1:], np.inf, where=ranked[1:] == ranked[:-1])
+        i = int(np.argmin(gap))
         return float(far[i]), float(frr[i])
 
 
-def ga_select(pool: FeaturePool, X, y, cfg: GaConfig,
-              validity: np.ndarray | None = None) -> GaResult:
+def ga_select(pool: FeaturePool, X, y, cfg: GaConfig) -> GaResult:
     """Evolve a feature-subset bitmask over the pool.
 
     Each generation: roulette selection over F = 1/(1 + cost), single-point
@@ -407,7 +445,7 @@ def ga_select(pool: FeaturePool, X, y, cfg: GaConfig,
     trial = _SubsetTrial(X, y, pool, cfg.weights)
     length = len(pool)
     pop = rng.integers(0, 2, size=(cfg.population_size, length), dtype=np.uint8)
-    costs = np.array([trial.cost(g) for g in pop])
+    costs = trial.costs(pop)
 
     best_idx = int(np.argmin(costs))
     best_genes = pop[best_idx].copy()
@@ -442,7 +480,7 @@ def ga_select(pool: FeaturePool, X, y, cfg: GaConfig,
                     child[flips] ^= 1
                 children.append(child)
         pop = np.asarray(children, dtype=np.uint8)
-        costs = np.array([trial.cost(g) for g in pop])
+        costs = trial.costs(pop)
 
         gen_best = int(np.argmin(costs))
         if float(costs[gen_best]) < best_cost:

@@ -245,7 +245,7 @@ def _unpack_bits(data: bytes, count: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
 
 
-def save(gallery: Gallery, path) -> None:
+def to_bytes(gallery: Gallery) -> bytes:
     """Serialize to the canonical byte layout (same gallery, same bytes)."""
     out = bytearray()
     out += MAGIC
@@ -272,8 +272,13 @@ def save(gallery: Gallery, path) -> None:
         out += _pack_bits(rec.features.valid)
 
     out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
+    return bytes(out)
+
+
+def save(gallery: Gallery, path) -> None:
+    """Write the gallery's canonical bytes to ``path``."""
     with open(path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(to_bytes(gallery))
 
 
 class _Reader:
@@ -318,9 +323,12 @@ def load(path) -> Gallery:
 
     (pool_size,) = r.unpack("<H")
     indices = np.frombuffer(r.take(pool_size * 2), dtype="<u2")
-    pool = FeaturePool(tuple(int(i) for i in indices))
-    chromo_bytes = (pool_size + 7) // 8
-    chromosome = Chromosome(_unpack_bits(r.take(chromo_bytes), pool_size))
+    genes = _unpack_bits(r.take((pool_size + 7) // 8), pool_size)
+    try:
+        pool = FeaturePool(tuple(int(i) for i in indices))
+        chromosome = Chromosome(genes)
+    except ValueError as exc:
+        raise GalleryFormatError(f"invalid feature selection: {exc}") from None
 
     ranges = {}
     for _ in ALGORITHMS:

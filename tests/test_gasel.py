@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from irisfuse import gasel
 from irisfuse.gasel import (
     Chromosome,
     FEATURE_COUNT,
@@ -21,7 +22,7 @@ from irisfuse.gasel import (
 from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris
 
-from oracles import planted_problem
+from oracles import ScalarSubsetTrial, planted_problem, rank_rfe_per_target
 
 
 def polar_of(values, mask=None):
@@ -408,3 +409,96 @@ class TestRankingsArePermutations:
             ranking = ranker(X, y)
             assert set(int(i) for i in ranking) == expect
             assert len(ranking) == 12
+
+
+class TestRfeMatchesPerTargetOracle:
+    @pytest.mark.parametrize("classes", [2, 6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_rankings_identical(self, seed, classes):
+        X, y, _ = planted_problem(seed, n_features=60, n_informative=6,
+                                  classes=classes, per_class=6)
+        assert np.array_equal(rank_rfe(X, y), rank_rfe_per_target(X, y))
+
+    def test_constant_features_identical(self):
+        X, y, _ = planted_problem(9, n_features=30, n_informative=4, classes=3, per_class=5)
+        X[:, ::3] = 7.0
+        assert np.array_equal(rank_rfe(X, y), rank_rfe_per_target(X, y))
+
+
+def ga_against_oracle(monkeypatch, pool, X, y, cfg):
+    """Run ga_select with the batched fitness and with the scalar oracle's."""
+    fast = ga_select(pool, X, y, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(gasel, "_SubsetTrial", ScalarSubsetTrial)
+        slow = ga_select(pool, X, y, cfg)
+    assert np.array_equal(fast.best.genes, slow.best.genes)
+    assert fast.history == slow.history
+    assert fast.evaluations == slow.evaluations
+    return fast
+
+
+class TestGaFitnessMatchesScalarOracle:
+    @pytest.mark.parametrize("classes,per_class", [(2, 12), (6, 6)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_runs_identical(self, monkeypatch, seed, classes, per_class):
+        X, y, _ = planted_problem(seed, classes=classes, per_class=per_class)
+        cfg = GaConfig(population_size=20, max_generations=40, rng_seed=seed)
+        ga_against_oracle(monkeypatch, FeaturePool(tuple(range(100))), X, y, cfg)
+
+    def test_constant_features_identical(self, monkeypatch):
+        X = np.full((24, 40), 90.0)
+        y = np.repeat(np.arange(4), 6)
+        cfg = GaConfig(population_size=12, max_generations=10, rng_seed=2)
+        ga_against_oracle(monkeypatch, FeaturePool(tuple(range(40))), X, y, cfg)
+
+    def test_empty_chromosome_identical(self, monkeypatch):
+        X, y, _ = planted_problem(5)
+        cfg = GaConfig(population_size=20, max_generations=150, weights=(0, 0, 0, 1.0),
+                       p_n=0.4, rng_seed=1, fitness_goal=0.0)
+        res = ga_against_oracle(monkeypatch, FeaturePool(tuple(range(30))), X, y, cfg)
+        assert int(res.best.genes.sum()) == 0
+
+    def test_full_width_pool_identical(self, monkeypatch):
+        # k = 672 spans more than one BLAS panel of the distance matmul
+        X, y, _ = planted_problem(6, n_features=FEATURE_COUNT, n_informative=10)
+        cfg = GaConfig(population_size=16, max_generations=8, rng_seed=6)
+        ga_against_oracle(monkeypatch, FeaturePool(tuple(range(FEATURE_COUNT))), X, y, cfg)
+
+    def test_evaluation_budget_stop_identical(self, monkeypatch):
+        X, y, _ = planted_problem(3)
+        cfg = GaConfig(population_size=10, max_generations=50, max_evaluations=25, rng_seed=5)
+        res = ga_against_oracle(monkeypatch, FeaturePool(tuple(range(100))), X, y, cfg)
+        assert len(res.history) < 51
+
+    def test_duplicates_within_a_generation(self):
+        X, y, _ = planted_problem(7)
+        pool = FeaturePool(tuple(range(100)))
+        rng = np.random.default_rng(7)
+        pop = rng.integers(0, 2, size=(12, 100), dtype=np.uint8)
+        pop[[3, 7, 11]] = pop[0]
+        pop[5] = 0
+        fast = gasel._SubsetTrial(X, y, pool, (1.0, 0.5, 0.5, 0.05))
+        slow = ScalarSubsetTrial(X, y, pool, (1.0, 0.5, 0.5, 0.05))
+        for generation in (pop, pop[::-1], np.roll(pop, 1, axis=1)):
+            assert np.array_equal(fast.costs(generation), slow.costs(generation))
+            assert fast.evaluations == slow.evaluations
+        assert fast.evaluations == 9 + 8
+
+    def test_many_samples_span_several_blocks(self, monkeypatch):
+        X, y, _ = planted_problem(8, classes=30, per_class=5)
+        pool = FeaturePool(tuple(range(100)))
+        assert len(gasel._SubsetTrial(X, y, pool, (1.0, 0.5, 0.5, 0.05))._blocks) > 1
+        cfg = GaConfig(population_size=12, max_generations=4, rng_seed=8)
+        ga_against_oracle(monkeypatch, pool, X, y, cfg)
+
+    def test_tight_memory_bound_identical(self, monkeypatch):
+        # blocks beyond the cached ones are rebuilt, and fresh chromosomes
+        # are scored in several batches
+        monkeypatch.setattr(gasel, "_FITNESS_BYTES", 40_000)
+        X, y, _ = planted_problem(4)
+        pool = FeaturePool(tuple(range(100)))
+        trial = gasel._SubsetTrial(X, y, pool, (1.0, 0.5, 0.5, 0.05))
+        assert len(trial._blocks) > gasel._CACHED_BLOCKS and trial._batch < 10
+        assert sum(block.nbytes for block in trial._cached) <= gasel._FITNESS_BYTES
+        cfg = GaConfig(population_size=20, max_generations=10, rng_seed=4)
+        ga_against_oracle(monkeypatch, pool, X, y, cfg)

@@ -135,6 +135,24 @@ class TestPersistence:
             load(path)
 
 
+    @pytest.mark.parametrize("mutation", ["out of range", "duplicate"])
+    def test_invalid_pool_index_is_format_error(self, gallery, tmp_path, mutation):
+        import struct
+        import zlib
+
+        path = tmp_path / "pool.irf"
+        save(gallery, path)
+        data = bytearray(path.read_bytes())[:-4]
+        # magic, version u8, count u32, 16 f64 covariance, f64 epsilon, pool size u16
+        first = 4 + struct.calcsize("<BI") + 17 * 8 + 2
+        index = 9999 if mutation == "out of range" else data[first + 2] | data[first + 3] << 8
+        data[first:first + 2] = struct.pack("<H", index)
+        data += struct.pack("<I", zlib.crc32(bytes(data)) & 0xFFFFFFFF)
+        path.write_bytes(bytes(data))
+        with pytest.raises(GalleryFormatError, match="feature selection"):
+            load(path)
+
+
 class TestVerify:
     def test_genuine_probes_accept(self, gallery, corpus):
         for r in corpus.records:
