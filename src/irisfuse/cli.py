@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,6 @@ def _resolve_config(args) -> RunConfig:
 
 def _apply_seed(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, rng_seed=args.seed)
     return cfg
 
@@ -141,8 +140,6 @@ def cmd_verify(args) -> int:
 def cmd_train_ga(args) -> int:
     cfg = _apply_seed(_resolve_config(args), args)
     if args.generations is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, ga_max_generations=args.generations)
     corpus = load_corpus(Path(args.corpus))
 
@@ -166,10 +163,7 @@ def cmd_train_ga(args) -> int:
     result = ga_select(pool, X, y, cfg.ga())
 
     gallery_path = Path(args.gallery)
-    gallery = _load_or_create_gallery(gallery_path)
-    from dataclasses import replace as dc_replace
-
-    gallery = dc_replace(gallery, pool=pool, chromosome=result.best)
+    gallery = replace(_load_or_create_gallery(gallery_path), pool=pool, chromosome=result.best)
     _atomic_write(gallery_path, store.to_bytes(gallery))
 
     out_dir = Path(args.out) if args.out else gallery_path.parent

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .imaging import BinaryImage, bit_planes, GrayImage
+from .imaging import BinaryImage
 from .normalization import PolarIris
 
 MSB_PLANES = 4
@@ -89,8 +89,8 @@ def euler_code(polar: PolarIris, cm: BinaryImage) -> EulerCode:
     if cm.bits.shape != polar.intensities.shape:
         raise ValueError("common mask must be congruent with the polar image")
     masked = np.where(cm.bits == 1, 0, polar.intensities).astype(np.uint8)
-    planes = bit_planes(GrayImage(masked))[:MSB_PLANES]  # b7..b4
-    return EulerCode(tuple(euler_number(p) for p in planes))
+    planes = [(masked >> k) & 1 for k in range(7, 7 - MSB_PLANES, -1)]  # b7..b4
+    return EulerCode(tuple(euler_number(BinaryImage(p)) for p in planes))
 
 
 def _as_code_matrix(codes) -> np.ndarray:

@@ -3,8 +3,9 @@
 ``run_trials`` pushes every corpus image through the full pipeline, scores
 all same-identity pairs and a deterministic subsample of cross-identity
 pairs with each of the three matchers, normalizes everything onto the
-common similarity scale, and fuses.  ``compute_metrics`` sweeps a threshold
-grid to produce FAR/FRR curves, the equal error rate, and ROC points.
+common similarity scale, and fuses, one whole score array at a time.
+``compute_metrics`` sweeps a threshold grid to produce FAR/FRR curves, the
+equal error rate, and ROC points.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euler import calibrated_covariance, common_mask, euler_code, mahalanobis
-from .fusion import ALGORITHMS, FusionPolicy, MatchScore, NormalizedScore, ScoreRange, fuse, normalize
+from .fusion import ALGORITHMS, FusionPolicy, MatchScore, ScoreRange, fuse, normalize
 from .gasel import Chromosome, FeaturePool, default_selection, match_subset
 from .imaging import GrayImage
 from .pipeline import PipelineConfig, process_image
@@ -143,32 +144,11 @@ def run_trials(
         ranges[algo] = ScoreRange(algo, lo, hi)
 
     def normalized(raws):
-        return {
-            algo: np.array(
-                [normalize(MatchScore(algo, float(v), "distance"), ranges[algo]).value
-                 for v in raws[algo]]
-            )
-            for algo in ALGORITHMS
-        }
+        return [normalize(MatchScore(a, raws[a], "distance"), ranges[a]) for a in ALGORITHMS]
 
-    sims_genuine = normalized(raw_genuine)
-    sims_imposter = normalized(raw_imposter)
-
-    def fused_scores(sims, count):
-        out = np.empty(count)
-        for p in range(count):
-            out[p] = fuse(
-                [NormalizedScore(a, float(sims[a][p])) for a in ALGORITHMS], policy
-            )
-        return out
-
-    per_algorithm = {
-        a: TrialSet(sims_genuine[a], sims_imposter[a]) for a in ALGORITHMS
-    }
-    fused = TrialSet(
-        fused_scores(sims_genuine, len(genuine_pairs)),
-        fused_scores(sims_imposter, len(cross_pairs)),
-    )
+    genuine, imposter = normalized(raw_genuine), normalized(raw_imposter)
+    per_algorithm = {g.algorithm: TrialSet(g.value, i.value) for g, i in zip(genuine, imposter)}
+    fused = TrialSet(fuse(genuine, policy), fuse(imposter, policy))
     return TrialOutcome(per_algorithm, fused, ranges, n, failures)
 
 

@@ -5,12 +5,16 @@ distances, smaller = better), so every score is first mapped onto a common
 [0, 1] similarity scale via clamped min-max normalization with a polarity
 flip for distances.  Fusion then combines the three per-algorithm scores
 with a simple rule; the final decision accepts when the fused score reaches
-the threshold (boundary inclusive).
+the threshold (boundary inclusive).  ``normalize`` and ``fuse`` take a scalar
+score or a whole array of scores per algorithm and apply the same
+element-wise arithmetic to either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 ALGORITHMS = ("zerocross", "euler", "gasel")
 FUSION_RULES = ("sum-average", "min", "max", "weighted")
@@ -20,7 +24,7 @@ POLARITIES = ("distance", "similarity")
 @dataclass(frozen=True)
 class MatchScore:
     algorithm: str
-    raw: float
+    raw: float | np.ndarray
     polarity: str
 
     def __post_init__(self):
@@ -28,7 +32,7 @@ class MatchScore:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.polarity not in POLARITIES:
             raise ValueError(f"polarity must be one of {POLARITIES}")
-        if not _finite(self.raw):
+        if not np.all(np.isfinite(self.raw)):
             raise ValueError("raw score must be finite")
 
 
@@ -48,10 +52,10 @@ class ScoreRange:
 @dataclass(frozen=True)
 class NormalizedScore:
     algorithm: str
-    value: float
+    value: float | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
+        if not np.all((self.value >= 0.0) & (self.value <= 1.0)):
             raise ValueError(f"normalized score {self.value} outside [0, 1]")
 
 
@@ -89,25 +93,20 @@ class Decision:
         return 0 if self.accepted else 1
 
 
-def _finite(x: float) -> bool:
-    return x == x and abs(x) != float("inf")
-
-
 def normalize(score: MatchScore, score_range: ScoreRange) -> NormalizedScore:
     """Clamped min-max mapping onto [0, 1], flipped so higher = more genuine."""
     if score.algorithm != score_range.algorithm:
         raise ValueError(
             f"score is for {score.algorithm!r} but range is for {score_range.algorithm!r}"
         )
-    s = (score.raw - score_range.min) / (score_range.max - score_range.min)
-    s = min(max(s, 0.0), 1.0)
+    s = np.clip((score.raw - score_range.min) / (score_range.max - score_range.min), 0.0, 1.0)
     if score.polarity == "distance":
         s = 1.0 - s
     return NormalizedScore(score.algorithm, s)
 
 
-def fuse(scores, policy: FusionPolicy) -> float:
-    """Combine exactly one normalized score per algorithm into one value."""
+def fuse(scores, policy: FusionPolicy) -> float | np.ndarray:
+    """Combine exactly one normalized score (or score array) per algorithm."""
     by_algo = {}
     for s in scores:
         if s.algorithm in by_algo:
@@ -121,9 +120,9 @@ def fuse(scores, policy: FusionPolicy) -> float:
     if policy.rule == "sum-average":
         return sum(vals) / len(vals)
     if policy.rule == "min":
-        return min(vals)
+        return np.minimum.reduce(vals)
     if policy.rule == "max":
-        return max(vals)
+        return np.maximum.reduce(vals)
     return sum(w * v for w, v in zip(policy.weights, vals))
 
 
@@ -131,4 +130,4 @@ def decide(fused: float, threshold: float) -> Decision:
     """Accept iff the fused score reaches the threshold (inclusive)."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
-    return Decision(accepted=fused >= threshold, fused=float(fused))
+    return Decision(accepted=bool(fused >= threshold), fused=float(fused))

@@ -12,7 +12,7 @@ EER operating point.  Everything is deterministic given the configured seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,10 +53,9 @@ class RawFeatureVector:
 
 @dataclass(frozen=True)
 class FeaturePool:
-    """Deduplicated, ascending feature indices with ranker provenance."""
+    """Deduplicated, ascending feature indices."""
 
     indices: tuple[int, ...]
-    provenance: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
@@ -256,21 +255,18 @@ def rank_rfe(X, y) -> np.ndarray:
 
 
 def build_pool(rankings, top_k: int) -> FeaturePool:
-    """Union of each ranking's top_k features, with ranker provenance."""
+    """Sorted union of each ranking's top_k features."""
     rankings = list(rankings)
     if len(rankings) != len(RANKER_NAMES):
         raise ValueError(f"expected {len(RANKER_NAMES)} rankings, got {len(rankings)}")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    provenance: dict[int, list[str]] = {}
-    for name, ranking in zip(RANKER_NAMES, rankings):
-        ranking = np.asarray(ranking)
+    union: set[int] = set()
+    for ranking in rankings:
         if top_k > len(ranking):
             raise ValueError(f"top_k {top_k} exceeds ranking length {len(ranking)}")
-        for idx in ranking[:top_k]:
-            provenance.setdefault(int(idx), []).append(name)
-    indices = tuple(sorted(provenance))
-    return FeaturePool(indices, {i: tuple(provenance[i]) for i in indices})
+        union.update(int(i) for i in ranking[:top_k])
+    return FeaturePool(tuple(sorted(union)))
 
 
 def fitness_cost(rr: float, far: float, frr: float, subset_size: int,

@@ -74,29 +74,6 @@ class BinaryImage:
 
 
 @dataclass(frozen=True)
-class RealGrid:
-    """Real-valued raster used as the carrier for gradients and filter outputs."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"RealGrid needs a 2-D array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("RealGrid values must be finite")
-        object.__setattr__(self, "values", _freeze(arr.copy()))
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class Kernel:
     """Odd-sized convolution kernel."""
 
@@ -182,45 +159,14 @@ def save_pgm(img: GrayImage) -> bytes:
     return header + img.pixels.tobytes()
 
 
-def gradients(img: GrayImage) -> tuple[RealGrid, RealGrid]:
-    """First intensity derivatives (gx, gy).
-
-    Central differences in the interior, one-sided differences on the
-    border row/column.
-    """
-    if img.width < 3 or img.height < 3:
-        raise ValueError(f"gradients needs at least a 3x3 image, got {img.width}x{img.height}")
-    arr = img.pixels.astype(np.float64)
-    gy, gx = np.gradient(arr, edge_order=1)
-    return RealGrid(gx), RealGrid(gy)
-
-
-def convolve2d(img: GrayImage | RealGrid, kernel: Kernel) -> RealGrid:
-    """2-D convolution with edge-replication padding, same-size output."""
-    arr = img.pixels if isinstance(img, GrayImage) else img.values
+def convolve2d(arr: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """2-D convolution with edge-replication padding, same-size float64 output."""
     if kernel.height > arr.shape[0] or kernel.width > arr.shape[1]:
         raise ValueError(
             f"kernel {kernel.height}x{kernel.width} larger than image "
             f"{arr.shape[0]}x{arr.shape[1]}"
         )
-    out = ndimage.convolve(arr.astype(np.float64), kernel.weights, mode="nearest")
-    return RealGrid(out)
-
-
-def threshold(grid: RealGrid, t: float) -> BinaryImage:
-    """Binarize: bit = 1 where value >= t."""
-    return BinaryImage((grid.values >= t).astype(np.uint8))
-
-
-def bit_planes(img: GrayImage) -> list[BinaryImage]:
-    """Decompose into 8 bit planes, most significant (b7) first.
-
-    Summing plane_k * 2**k over the returned planes reconstructs the image.
-    """
-    return [
-        BinaryImage((img.pixels >> k) & np.uint8(1))
-        for k in range(7, -1, -1)
-    ]
+    return ndimage.convolve(np.asarray(arr, dtype=np.float64), kernel.weights, mode="nearest")
 
 
 def gaussian_kernel(size: int, sigma: float) -> Kernel:

@@ -84,7 +84,6 @@ class Gallery:
     pool: FeaturePool
     chromosome: Chromosome
     score_ranges: dict[str, ScoreRange]
-    version: int = FORMAT_VERSION
 
     def __post_init__(self):
         ids = [r.identity for r in self.records]
@@ -249,7 +248,7 @@ def to_bytes(gallery: Gallery) -> bytes:
     """Serialize to the canonical byte layout (same gallery, same bytes)."""
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<BI", gallery.version, len(gallery.records))
+    out += struct.pack("<BI", FORMAT_VERSION, len(gallery.records))
     out += gallery.covariance.S.astype("<f8").tobytes()
     out += struct.pack("<d", gallery.covariance.epsilon)
 
@@ -298,7 +297,11 @@ class _Reader:
 
 
 def load(path) -> Gallery:
-    """Read and validate a gallery file."""
+    """Read and validate a gallery file.
+
+    Every rejected payload raises ``GalleryFormatError``, including one whose
+    checksum holds but whose contents break a gallery invariant.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(MAGIC) + 4:
@@ -311,8 +314,15 @@ def load(path) -> Gallery:
         raise GalleryFormatError(
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
+    try:
+        return _parse(_Reader(data[len(MAGIC) : -4]))
+    except GalleryFormatError:
+        raise
+    except ValueError as exc:  # includes LinAlgError and UnicodeDecodeError
+        raise GalleryFormatError(f"invalid gallery contents: {exc}") from None
 
-    r = _Reader(data[len(MAGIC) : -4])
+
+def _parse(r: _Reader) -> Gallery:
     version, count = r.unpack("<BI")
     if version != FORMAT_VERSION:
         raise GalleryFormatError(f"unsupported gallery format version {version}")
@@ -370,5 +380,4 @@ def load(path) -> Gallery:
         pool=pool,
         chromosome=chromosome,
         score_ranges=ranges,
-        version=version,
     )

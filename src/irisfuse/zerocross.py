@@ -16,14 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .imaging import BinaryImage, Kernel, RealGrid, SMOOTHING_OPERATOR, convolve2d
+from .imaging import BinaryImage, Kernel, SMOOTHING_OPERATOR, convolve2d
 from .normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris
 
 VALID_SCALES = (1, 2, 4, 8)
 DEFAULT_SCALES = (2, 4)
 DEFAULT_MAX_SHIFT = 8
-
-LOW_INFORMATION_VARIANCE = 1e-6
 
 _G_NORMALIZED = Kernel(SMOOTHING_OPERATOR.weights / SMOOTHING_OPERATOR.weights.sum())
 
@@ -34,7 +32,6 @@ class ZeroCrossTemplate:
 
     bits: np.ndarray  # (scales, POLAR_HEIGHT, POLAR_WIDTH) uint8
     mask: BinaryImage
-    low_information: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.bits, dtype=np.uint8)
@@ -98,18 +95,14 @@ def encode(polar: PolarIris, scales=DEFAULT_SCALES) -> ZeroCrossTemplate:
         if s not in VALID_SCALES:
             raise ValueError(f"scale must be one of {VALID_SCALES}, got {s}")
 
-    smoothed = convolve2d(RealGrid(polar.intensities.astype(np.float64)), _G_NORMALIZED).values
+    smoothed = convolve2d(polar.intensities, _G_NORMALIZED)
     planes = np.empty((len(scales), POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
-    variance = 0.0
     for si, s in enumerate(scales):
         kern = _smoothing_kernel(s)
         g = ndimage.convolve1d(smoothed, kern, axis=1, mode="wrap")
         transform = (s * s) * (np.roll(g, -1, axis=1) + np.roll(g, 1, axis=1) - 2.0 * g)
         planes[si] = (transform >= 0.0).astype(np.uint8)
-        variance = max(variance, float(transform.var()))
-    return ZeroCrossTemplate(
-        planes, polar.mask, low_information=variance < LOW_INFORMATION_VARIANCE
-    )
+    return ZeroCrossTemplate(planes, polar.mask)
 
 
 def match(a: ZeroCrossTemplate, b: ZeroCrossTemplate, max_shift: int = DEFAULT_MAX_SHIFT) -> float:
@@ -150,5 +143,4 @@ def shifted(t: ZeroCrossTemplate, k: int) -> ZeroCrossTemplate:
     return ZeroCrossTemplate(
         np.roll(t.bits, k, axis=2),
         BinaryImage(np.roll(t.mask.bits, k, axis=1)),
-        t.low_information,
     )

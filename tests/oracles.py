@@ -4,13 +4,23 @@ These deliberately use plain loops and breadth-first search so they share no
 code path with the library they check.  The RFE and GA-fitness references
 are the one-target-at-a-time and one-chromosome-at-a-time forms of the
 batched kernels in ``irisfuse.gasel``; they share only the scalar
-``fitness_cost`` formula with it.
+``fitness_cost`` formula with it.  ``hough_circle_normalized`` is the
+former dedicated pupil-stage decoder of ``irisfuse.segmentation``, kept
+verbatim so ``circular_hough(..., per_radius=True)`` can be checked against
+it; it always votes with the ring kernel.
 """
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from irisfuse.gasel import fitness_cost
+from irisfuse.segmentation import (
+    MIN_CIRCLE_VOTES,
+    Circle,
+    EdgeMap,
+    SegmentationError,
+    _vote_by_rings,
+)
 
 
 def flood_fill_euler(bits):
@@ -178,3 +188,30 @@ class ScalarSubsetTrial:
         frr = np.searchsorted(genuine, thresholds, side="left") / len(genuine)
         i = int(np.argmin(np.abs(far - frr)))
         return float(far[i]), float(frr[i])
+
+
+def hough_circle_normalized(edges: EdgeMap, r_min: int, r_max: int) -> Circle:
+    """Circle vote peak scored by votes/r (circle completeness).
+
+    Raw vote counts grow with circumference, which lets long near-tangential
+    arcs of a large boundary outvote a small complete circle; dividing by the
+    radius scores fraction-of-circle support instead.  Used for the pupil
+    stage, where small and large circles compete in one accumulator.
+    """
+    if len(edges) == 0:
+        raise SegmentationError("empty edge map, cannot vote for circles")
+    if not 0 < r_min < r_max:
+        raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
+    r_min, r_max = int(r_min), int(r_max)
+    acc = _vote_by_rings(
+        edges.points[:, 0], edges.points[:, 1], r_min, r_max,
+        0, edges.width, 0, edges.height, edges.width, edges.height,
+    )
+    radii = np.arange(r_min, r_max + 1, dtype=np.float64)
+    scored = acc / radii[:, None, None]
+    peak = int(np.argmax(scored))
+    if int(acc.flat[peak]) < MIN_CIRCLE_VOTES:
+        raise SegmentationError("degenerate circle evidence in normalized vote")
+    ri, rem = divmod(peak, edges.height * edges.width)
+    cy, cx = divmod(rem, edges.width)
+    return Circle(float(cx), float(cy), float(r_min + ri))

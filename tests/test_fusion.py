@@ -3,6 +3,7 @@ import pytest
 
 from irisfuse.fusion import (
     ALGORITHMS,
+    POLARITIES,
     FusionPolicy,
     MatchScore,
     NormalizedScore,
@@ -51,6 +52,31 @@ class TestNormalize:
         with pytest.raises(ValueError):
             ScoreRange("euler", 1.0, 1.0)
 
+    def test_array_equals_elementwise_scalar_calls(self):
+        rng = np.random.default_rng(17)
+        raws = np.concatenate([rng.uniform(-5.0, 15.0, 200), [0.0, 10.0, -0.0, 2.5, 1e-300]])
+        r = ScoreRange("euler", 0.0, 10.0)
+        for polarity in POLARITIES:
+            whole = normalize(MatchScore("euler", raws, polarity), r)
+            each = [normalize(MatchScore("euler", float(v), polarity), r).value for v in raws]
+            assert whole.algorithm == "euler"
+            assert whole.value.tobytes() == np.array(each).tobytes()
+
+    def test_non_finite_raw_rejected_in_array(self):
+        raws = np.array([0.1, 0.2, np.nan])
+        with pytest.raises(ValueError, match="finite"):
+            MatchScore("gasel", raws, "distance")
+        with pytest.raises(ValueError, match="finite"):
+            MatchScore("gasel", np.array([np.inf]), "distance")
+
+    def test_normalized_score_rejects_one_out_of_range_element(self):
+        NormalizedScore("gasel", np.array([0.0, 0.5, 1.0]))
+        for bad in (1.0000001, -1e-12, np.nan):
+            with pytest.raises(ValueError):
+                NormalizedScore("gasel", np.array([0.0, 0.5, bad, 1.0]))
+            with pytest.raises(ValueError):
+                NormalizedScore("gasel", bad)
+
 
 class TestFuse:
     def test_sum_average(self):
@@ -88,6 +114,19 @@ class TestFuse:
         scores = triple(0.1, 0.2, 0.3) + [NormalizedScore("euler", 0.5)]
         with pytest.raises(ValueError, match="duplicate"):
             fuse(scores, FusionPolicy())
+
+    def test_array_equals_elementwise_scalar_calls(self):
+        rng = np.random.default_rng(23)
+        vals = rng.random((3, 300))
+        vals[:, :4] = [[0.0, 1.0, 0.5, 0.25], [0.0, 0.0, 0.5, 0.75], [1.0, 0.0, 0.5, 0.25]]
+        policies = [FusionPolicy(rule) for rule in ("sum-average", "min", "max")]
+        policies += [FusionPolicy("weighted", weights=(0.5, 0.2, 0.3)),
+                     FusionPolicy("weighted", weights=(0.1, 0.1, 0.8))]
+        for policy in policies:
+            whole = fuse(triple(*vals), policy)
+            each = [fuse(triple(*map(float, vals[:, p])), policy) for p in range(vals.shape[1])]
+            assert whole.shape == (vals.shape[1],)
+            assert whole.tobytes() == np.array(each, dtype=np.float64).tobytes()
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):

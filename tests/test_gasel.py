@@ -200,19 +200,11 @@ class TestBuildPool:
         pool = build_pool([r, r, r, r], top_k=10)
         assert len(pool) == 10
         assert pool.indices == tuple(range(10))
-        assert all(pool.provenance[i] == ("entropy", "tstat", "knn", "rfe") for i in pool.indices)
 
     def test_disjoint_rankings_no_overlap(self):
         rankings = [np.roll(np.arange(40), -10 * i) for i in range(4)]
         pool = build_pool(rankings, top_k=10)
         assert len(pool) == 40
-
-    def test_provenance_bookkeeping(self):
-        base = np.arange(20)
-        rankings = [base, base, np.roll(base, -5), np.roll(base, -10)]
-        pool = build_pool(rankings, top_k=5)
-        assert pool.provenance[0] == ("entropy", "tstat")
-        assert pool.provenance[5] == ("knn",)
 
     def test_top_k_bounds(self):
         r = np.arange(10)

@@ -19,8 +19,12 @@ from irisfuse.segmentation import (
     parabolic_hough,
     segment,
     segmentation_overlay,
+    _vote_by_distance,
+    _vote_by_rings,
 )
 from irisfuse.synth import SynthEyeSpec, synth_eye
+
+from oracles import hough_circle_normalized
 
 
 def clean_eye(pupil_r=30.0, iris_r=80.0, seed=7, **kw):
@@ -121,6 +125,97 @@ class TestCircularHough:
         pts = np.vstack([circle_points(60, 60, 20), circle_points(120, 60, 20)])
         found = circular_hough(EdgeMap(pts, 200, 120), 10, 30, center_window=(100, 140, 40, 80))
         assert (found.cx, found.cy) == (120.0, 60.0)
+
+
+def outcome(fn, *args, **kwargs):
+    """The returned circle, or the type of the raised exception."""
+    try:
+        return fn(*args, **kwargs)
+    except (SegmentationError, ValueError) as exc:
+        return type(exc)
+
+
+def random_edges(rng, width, height):
+    """Uniform clutter plus zero to two partial circles, clipped to the image."""
+    parts = [np.column_stack([rng.integers(0, width, 40), rng.integers(0, height, 40)])]
+    for _ in range(rng.integers(0, 3)):
+        pts = circle_points(rng.uniform(0, width), rng.uniform(0, height),
+                            rng.uniform(4, 30), step_deg=rng.uniform(2, 20))
+        parts.append(pts[rng.random(len(pts)) < rng.uniform(0.3, 1.0)])
+    pts = np.vstack(parts)
+    inside = (pts[:, 0] >= 0) & (pts[:, 0] < width) & (pts[:, 1] >= 0) & (pts[:, 1] < height)
+    return EdgeMap(pts[inside][: rng.integers(0, len(pts) + 1)], width, height)
+
+
+class TestPerRadiusMatchesOracle:
+    """``circular_hough(per_radius=True)`` against the former pupil decoder."""
+
+    def test_random_edge_maps(self):
+        rng = np.random.default_rng(41)
+        for _ in range(80):
+            width, height = (int(v) for v in rng.integers(12, 90, size=2))
+            edges = random_edges(rng, width, height)
+            r_min = int(rng.integers(1, 25))
+            r_max = r_min + int(rng.integers(0, 20))  # 0: an invalid, empty range
+            expect = outcome(hough_circle_normalized, edges, r_min, r_max)
+            assert outcome(circular_hough, edges, r_min, r_max, per_radius=True) == expect
+
+    def test_same_errors(self):
+        empty = EdgeMap(np.empty((0, 2), dtype=int), 64, 64)
+        sparse = EdgeMap(np.array([[10, 10], [50, 50]]), 64, 64)
+        ring = EdgeMap(circle_points(32, 32, 10), 64, 64)
+        for edges, r_min, r_max in [(empty, 5, 20), (sparse, 30, 31), (ring, 20, 10),
+                                    (ring, 0, 10), (ring, 12, 12)]:
+            expect = outcome(hough_circle_normalized, edges, r_min, r_max)
+            assert isinstance(expect, type)
+            assert outcome(circular_hough, edges, r_min, r_max, per_radius=True) is expect
+
+    def test_synthetic_eyes(self):
+        rng = np.random.default_rng(202)
+        cfg = SegmentationConfig()
+        for k in range(6):
+            iris_r = rng.uniform(64.0, 74.0)
+            spec = SynthEyeSpec(
+                width=256, height=192,
+                pupil=Circle(128 + rng.uniform(-2, 2), 96 + rng.uniform(-2, 2),
+                             (0.10 + 0.14 * k) * iris_r),
+                iris=Circle(128.0, 96.0, iris_r),
+                texture_seed=int(rng.integers(1 << 30)),
+                eyelid_coverage=float(rng.uniform(0.0, 0.2)),
+                specular_spots=int(rng.integers(0, 2)),
+                noise_sigma=1.0,
+                noise_seed=k,
+            )
+            img, _ = synth_eye(spec)
+            edges = edge_map(img, "none", cfg.grad_threshold)
+            expect = hough_circle_normalized(edges, cfg.pupil_r_min, cfg.pupil_r_max)
+            found = circular_hough(edges, cfg.pupil_r_min, cfg.pupil_r_max, per_radius=True)
+            assert found == expect
+
+
+class TestVotingKernelsAgree:
+    """Both kernels fill identical accumulators, so the size switch never changes a result."""
+
+    def test_random_points_and_windows(self):
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            width, height = (int(v) for v in rng.integers(8, 80, size=2))
+            edges = random_edges(rng, width, height)
+            r_min = int(rng.integers(1, 20))
+            r_max = r_min + int(rng.integers(1, 20))
+            # a window around a random center, clipped at the border as circular_hough does
+            cx, cy = int(rng.integers(-10, width + 10)), int(rng.integers(-10, height + 10))
+            half = int(rng.integers(0, 25))
+            x_lo, x_hi = max(cx - half, 0), min(cx + half, width - 1)
+            y_lo, y_hi = max(cy - half, 0), min(cy + half, height - 1)
+            if x_lo > x_hi or y_lo > y_hi:
+                x_lo, x_hi, y_lo, y_hi = 0, width - 1, 0, height - 1
+            acc_w, acc_h = x_hi - x_lo + 1, y_hi - y_lo + 1
+            px, py = edges.points[:, 0], edges.points[:, 1]
+            by_distance = _vote_by_distance(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h)
+            by_rings = _vote_by_rings(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h, width, height)
+            assert by_distance.dtype == by_rings.dtype
+            assert np.array_equal(by_distance, by_rings)
 
 
 class TestLocatePupilAndIris:

@@ -1,5 +1,11 @@
+import struct
+import zlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irisfuse.fusion import FusionPolicy
 from irisfuse.segmentation import SegmentationError
@@ -12,6 +18,7 @@ from irisfuse.store import (
     enroll,
     load,
     save,
+    to_bytes,
     verify,
 )
 from irisfuse.synth import build_corpus
@@ -29,6 +36,22 @@ def gallery(corpus):
         samples = [r.image for r in corpus.records if r.identity == ident]
         g = enroll(g, f"person-{ident}", samples)
     return g
+
+
+@pytest.fixture(scope="module")
+def two_identity_file(gallery, tmp_path_factory):
+    """A saved two-identity gallery: its path, its payload without the CRC,
+    and the length of the header plus the first record's id and scale count."""
+    small = replace(gallery, records=gallery.records[:2])
+    path = tmp_path_factory.mktemp("fuzz") / "two.irf"
+    save(small, path)
+    header = len(to_bytes(replace(small, records=()))) - 4
+    return path, path.read_bytes()[:-4], header + 2 + len(small.records[0].identity.encode())
+
+
+def with_crc(payload) -> bytes:
+    """The payload followed by its valid CRC-32 trailer."""
+    return bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
 
 
 class TestEnroll:
@@ -151,6 +174,49 @@ class TestPersistence:
         path.write_bytes(bytes(data))
         with pytest.raises(GalleryFormatError, match="feature selection"):
             load(path)
+
+
+    @pytest.mark.parametrize("mutation", ["non-PD covariance", "NaN range", "bad UTF-8 id",
+                                          "duplicate id"])
+    def test_invalid_contents_are_format_errors(self, gallery, tmp_path, mutation):
+        path = tmp_path / "bad.irf"
+        data = bytearray(to_bytes(gallery)[:-4])
+        # magic, version u8, count u32, 16 f64 covariance, f64 epsilon, pool size u16,
+        # pool indices u16, packed genes, then the three score ranges {u8, f64, f64}
+        covariance = 4 + struct.calcsize("<BI")
+        pool = len(gallery.pool)
+        ranges = covariance + 17 * 8 + 2 + 2 * pool + (pool + 7) // 8
+        if mutation == "non-PD covariance":
+            data[covariance:covariance + 8] = struct.pack("<d", -5.0)  # S[0, 0]
+        elif mutation == "NaN range":
+            data[ranges + 1:ranges + 9] = struct.pack("<d", float("nan"))
+        elif mutation == "bad UTF-8 id":
+            data[data.find(b"person-0")] = 0xFF
+        else:
+            at = data.find(b"person-1")
+            data[at:at + 8] = b"person-0"
+        path.write_bytes(with_crc(data))
+        with pytest.raises(GalleryFormatError, match="invalid gallery contents"):
+            load(path)
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(data=st.data())
+    def test_mutated_payload_loads_or_raises_format_error(self, two_identity_file, data):
+        """Any payload with a valid CRC gives a gallery or a GalleryFormatError."""
+        path, payload, hot = two_identity_file
+        mutated = bytearray(payload)
+        # positions are drawn mostly from the header and first record head, where
+        # every byte is structural, and sometimes from anywhere in the payload
+        anywhere = st.integers(0, len(payload) - 1)
+        position = st.integers(0, hot - 1) | st.integers(0, hot - 1) | anywhere
+        for pos, value in data.draw(st.lists(st.tuples(position, st.integers(0, 255)),
+                                             min_size=1, max_size=3)):
+            mutated[pos] = value
+        path.write_bytes(with_crc(mutated))
+        try:
+            load(path)
+        except GalleryFormatError:
+            pass
 
 
 class TestVerify:
