@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: synth, segment, enroll, verify, train-ga, evaluate.
-Exit codes follow a stable scripting contract: 0 = success / accept,
-1 = domain-negative outcome (reject, segmentation failure), 2 = operational
-error (bad arguments, unreadable files, unknown identities).  Every command
-is deterministic given its configuration and seed.
+Exit codes follow a stable scripting contract: 0 = success / accept, 1 =
+domain-negative outcome (reject, segmentation failure, incomparable
+templates), 2 = operational error (bad arguments, unreadable files, unknown
+identities).  Every command is deterministic given its configuration and seed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .gasel import (
     rank_tstat,
 )
 from .imaging import PgmError, load_pgm, save_pgm
-from .normalization import polar_debug_images
+from .normalization import IncomparableError, polar_debug_images
 from .pipeline import process_image
 from .segmentation import SegmentationError, circles_sidecar, locate_pupil_and_iris, segmentation_overlay
 from .synth import build_corpus, load_corpus, save_corpus
@@ -127,7 +127,7 @@ def cmd_verify(args) -> int:
         decision, raw, fused = store.verify(
             gallery, args.id, probe, cfg.fusion_policy(), cfg.pipeline()
         )
-    except SegmentationError as exc:
+    except (SegmentationError, IncomparableError) as exc:
         print(f"verification impossible: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     for algo in ALGORITHMS:

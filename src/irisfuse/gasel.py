@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris
+from .normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
 
 BLOCK = 8
 BLOCK_COLS = POLAR_WIDTH // BLOCK   # 56
@@ -309,7 +309,7 @@ def match_subset(a: RawFeatureVector, b: RawFeatureVector,
         raise ValueError("chromosome selects no features")
     joint = a.valid[sel] & b.valid[sel]
     if not joint.any():
-        raise ValueError("no jointly valid features among the selected subset")
+        raise IncomparableError("no jointly valid features among the selected subset")
     use = sel[joint]
     return float(np.mean(np.abs(a.values[use] - b.values[use])) / 255.0)
 

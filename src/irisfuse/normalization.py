@@ -22,6 +22,10 @@ POLAR_WIDTH = 448   # angular samples
 POLAR_HEIGHT = 96   # radial samples
 
 
+class IncomparableError(ValueError):
+    """Raised by a matcher when two templates share no jointly valid sample."""
+
+
 @dataclass(frozen=True)
 class PolarIris:
     """Unwrapped iris: intensities and validity mask, both (96, 448)."""

@@ -91,7 +91,7 @@ class Gallery:
             raise ValueError("identity ids must be unique within a gallery")
         if set(self.score_ranges) != set(ALGORITHMS):
             raise ValueError("score ranges must cover exactly the three algorithms")
-        np.linalg.cholesky(self.covariance.S)  # positive-definite gallery invariant
+        self.covariance.cholesky  # positive-definite gallery invariant
 
     def lookup(self, identity: str) -> EnrollmentRecord:
         for r in self.records:
@@ -318,7 +318,7 @@ def load(path) -> Gallery:
         return _parse(_Reader(data[len(MAGIC) : -4]))
     except GalleryFormatError:
         raise
-    except ValueError as exc:  # includes LinAlgError and UnicodeDecodeError
+    except ValueError as exc:  # includes UnicodeDecodeError
         raise GalleryFormatError(f"invalid gallery contents: {exc}") from None
 
 

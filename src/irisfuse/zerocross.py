@@ -7,17 +7,26 @@ transitions and fixed-length Hamming comparison applies.  Before the 1-D
 transform the polar image is smoothed across rows with the 3x3 [1,2,1]-row
 operator (normalized by its weight 12).  Matching searches circular column
 shifts, which makes small eye rotations cost nothing.
+
+Matching is bit-parallel (Daugman, "How iris recognition works", 2004): a
+column's S*96 bits (scale-major, then row) and its validity, tiled once per
+scale, pack into uint64 words, (448, words) per template, with the zero
+padding invalid.  Shifts become row offsets into the partner's words taken
+through a modular column index, and one ``np.bitwise_count`` over its
+sliding windows counts every shift at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .imaging import BinaryImage, Kernel, SMOOTHING_OPERATOR, convolve2d
-from .normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris
+from .normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
 
 VALID_SCALES = (1, 2, 4, 8)
 DEFAULT_SCALES = (2, 4)
@@ -46,6 +55,17 @@ class ZeroCrossTemplate:
     @property
     def scale_count(self) -> int:
         return self.bits.shape[0]
+
+    @cached_property
+    def words(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bits and scale-tiled validity, each packed per column into (W, words) uint64."""
+        valid = np.broadcast_to(self.mask.bits == 0, self.bits.shape)
+        return _pack_columns(self.bits), _pack_columns(valid)
+
+
+def _pack_columns(planes: np.ndarray) -> np.ndarray:
+    packed = np.packbits(np.ascontiguousarray(planes.reshape(-1, planes.shape[-1]).T), axis=1)
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
 
 
 def _bspline3(t: np.ndarray) -> np.ndarray:
@@ -117,25 +137,18 @@ def match(a: ZeroCrossTemplate, b: ZeroCrossTemplate, max_shift: int = DEFAULT_M
     if max_shift < 0:
         raise ValueError("max_shift must be >= 0")
 
-    valid_a = a.mask.bits == 0
-    bits_a = a.bits.astype(bool)
-    bits_b = b.bits.astype(bool)
-    valid_b = b.mask.bits == 0
-    scales = a.bits.shape[0]
-
-    best = None
-    for k in range(-max_shift, max_shift + 1):
-        joint = valid_a & np.roll(valid_b, k, axis=1)
-        n = int(np.count_nonzero(joint))
-        if n == 0:
-            continue
-        diff = int(np.count_nonzero((bits_a ^ np.roll(bits_b, k, axis=2)) & joint[None, :, :]))
-        d = diff / (scales * n)
-        if best is None or d < best:
-            best = d
-    if best is None:
-        raise ValueError("no jointly valid bits at any shift; templates are incomparable")
-    return best
+    bits_a, valid_a = a.words
+    bits_b, valid_b = b.words
+    # window i of the column-wrapped partner is b rolled by k = max_shift - i
+    wrap = np.arange(-max_shift, POLAR_WIDTH + max_shift) % POLAR_WIDTH
+    joint = valid_a.T & sliding_window_view(valid_b[wrap], POLAR_WIDTH, axis=0)
+    mismatch = (bits_a.T ^ sliding_window_view(bits_b[wrap], POLAR_WIDTH, axis=0)) & joint
+    n = np.bitwise_count(joint).sum(axis=(1, 2))  # scales x jointly valid positions
+    diff = np.bitwise_count(mismatch).sum(axis=(1, 2))
+    some = n > 0
+    if not some.any():
+        raise IncomparableError("no jointly valid bits at any shift; templates are incomparable")
+    return float((diff[some] / n[some]).min())
 
 
 def shifted(t: ZeroCrossTemplate, k: int) -> ZeroCrossTemplate:

@@ -7,13 +7,18 @@ batched kernels in ``irisfuse.gasel``; they share only the scalar
 ``fitness_cost`` formula with it.  ``hough_circle_normalized`` is the
 former dedicated pupil-stage decoder of ``irisfuse.segmentation``, kept
 verbatim so ``circular_hough(..., per_radius=True)`` can be checked against
-it; it always votes with the ring kernel.
+it; it always votes with the ring kernel.  ``zerocross_match_rolled`` and
+``euler_code_per_plane`` are the former ``np.roll`` shift loop of
+``zerocross.match`` and the former one-plane-at-a-time ``euler.euler_code``,
+kept verbatim as the references for the bit-packed and one-pass kernels.
 """
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
+from irisfuse.euler import MSB_PLANES, EulerCode, euler_number
 from irisfuse.gasel import fitness_cost
+from irisfuse.imaging import BinaryImage
 from irisfuse.segmentation import (
     MIN_CIRCLE_VOTES,
     Circle,
@@ -215,3 +220,49 @@ def hough_circle_normalized(edges: EdgeMap, r_min: int, r_max: int) -> Circle:
     ri, rem = divmod(peak, edges.height * edges.width)
     cy, cx = divmod(rem, edges.width)
     return Circle(float(cx), float(cy), float(r_min + ri))
+
+
+def zerocross_match_rolled(a, b, max_shift=8):
+    """Masked Hamming distance in [0, 1], minimized over circular column shifts.
+
+    A position contributes only when neither template masks it; the per-shift
+    distance averages the per-scale Hamming fractions, and the minimum over
+    shifts in [-max_shift, +max_shift] is returned.
+    """
+    if a.bits.shape != b.bits.shape:
+        raise ValueError(f"template shapes differ: {a.bits.shape} vs {b.bits.shape}")
+    if max_shift < 0:
+        raise ValueError("max_shift must be >= 0")
+
+    valid_a = a.mask.bits == 0
+    bits_a = a.bits.astype(bool)
+    bits_b = b.bits.astype(bool)
+    valid_b = b.mask.bits == 0
+    scales = a.bits.shape[0]
+
+    best = None
+    for k in range(-max_shift, max_shift + 1):
+        joint = valid_a & np.roll(valid_b, k, axis=1)
+        n = int(np.count_nonzero(joint))
+        if n == 0:
+            continue
+        diff = int(np.count_nonzero((bits_a ^ np.roll(bits_b, k, axis=2)) & joint[None, :, :]))
+        d = diff / (scales * n)
+        if best is None or d < best:
+            best = d
+    if best is None:
+        raise ValueError("no jointly valid bits at any shift; templates are incomparable")
+    return best
+
+
+def euler_code_per_plane(polar, cm):
+    """Euler numbers of the four MSB planes of the masked polar image.
+
+    Invalid pixels are zeroed before plane decomposition; zeroing can alter
+    topology right at mask borders, an accepted approximation.
+    """
+    if cm.bits.shape != polar.intensities.shape:
+        raise ValueError("common mask must be congruent with the polar image")
+    masked = np.where(cm.bits == 1, 0, polar.intensities).astype(np.uint8)
+    planes = [(masked >> k) & 1 for k in range(7, 7 - MSB_PLANES, -1)]  # b7..b4
+    return EulerCode(tuple(euler_number(BinaryImage(p)) for p in planes))

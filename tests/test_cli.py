@@ -1,11 +1,13 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from irisfuse import store
 from irisfuse.cli import main
-from irisfuse.imaging import GrayImage, save_pgm
+from irisfuse.imaging import BinaryImage, GrayImage, save_pgm
+from irisfuse.zerocross import ZeroCrossTemplate
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,19 @@ class TestEnrollVerify:
         rc = main(["verify", "--gallery", str(gallery_path), "--id", "person-0", image])
         assert rc == 1
         assert "REJECT" in capsys.readouterr().out
+
+    def test_verify_with_nothing_jointly_valid_exits_1(self, gallery_path, corpus_dir, tmp_path, capsys):
+        gallery = store.load(gallery_path)
+        records = []
+        for rec in gallery.records:
+            masked = np.ones_like(rec.template.mask.bits)
+            records.append(replace(rec, template=ZeroCrossTemplate(rec.template.bits, BinaryImage(masked))))
+        path = tmp_path / "masked.irf"
+        path.write_bytes(store.to_bytes(replace(gallery, records=tuple(records))))
+        image = str(sorted(corpus_dir.glob("eye_002_*.pgm"))[1])
+        rc = main(["verify", "--gallery", str(path), "--id", "person-2", image])
+        assert rc == 1
+        assert "verification impossible" in capsys.readouterr().err
 
     def test_verify_unknown_id_exits_2(self, gallery_path, corpus_dir):
         image = str(next(corpus_dir.glob("*.pgm")))

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from irisfuse.euler import (
     CovarianceModel,
@@ -12,8 +15,11 @@ from irisfuse.euler import (
 )
 from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris
+from irisfuse.pipeline import PipelineConfig, process_image
+from irisfuse.segmentation import SegmentationError
+from irisfuse.synth import build_corpus
 
-from oracles import flood_fill_euler
+from oracles import euler_code_per_plane, flood_fill_euler
 
 
 def polar_of(values, mask=None):
@@ -122,6 +128,59 @@ class TestEulerCode:
             euler_code(polar_of(vals), BinaryImage(np.zeros((4, 4), dtype=np.uint8)))
 
 
+@pytest.fixture(scope="module")
+def corpus_polars():
+    polars = []
+    for rec in build_corpus(6, 3, master_seed=2026).records:
+        try:
+            polars.append(process_image(rec.image, PipelineConfig()).polar)
+        except SegmentationError:
+            continue
+    assert len(polars) >= 15
+    return polars
+
+
+class TestEulerCodeMatchesPerPlaneOracle:
+    """The one-pass nibble kernel against the former four-plane loop."""
+
+    @staticmethod
+    def masks(rng, shape):
+        yield np.zeros(shape, dtype=np.uint8)
+        yield np.ones(shape, dtype=np.uint8)
+        yield (np.indices(shape).sum(axis=0) % 2).astype(np.uint8)
+        yield (rng.random(shape) < 0.3).astype(np.uint8)
+
+    def test_random_images_of_every_small_size(self):
+        rng = np.random.default_rng(11)
+        shapes = [(h, w) for h in range(1, 7) for w in range(1, 7)]
+        shapes += [(1, 448), (96, 1), (13, 29), (96, 448)]
+        for shape in shapes:
+            for _ in range(3):
+                # a stand-in with the one attribute euler_code reads, so
+                # sizes other than the polar rectangle can be checked
+                polar = SimpleNamespace(intensities=rng.integers(0, 256, size=shape, dtype=np.uint8))
+                for mask in self.masks(rng, shape):
+                    cm = BinaryImage(mask)
+                    assert euler_code(polar, cm) == euler_code_per_plane(polar, cm)
+
+    def test_extreme_intensities(self):
+        rng = np.random.default_rng(12)
+        for values in (0, 15, 16, 240, 255):
+            vals = np.full((POLAR_HEIGHT, POLAR_WIDTH), values, dtype=np.uint8)
+            vals[rng.random(vals.shape) < 0.5] = 255 - values
+            for mask in self.masks(rng, vals.shape):
+                polar, cm = polar_of(vals), BinaryImage(mask)
+                assert euler_code(polar, cm) == euler_code_per_plane(polar, cm)
+
+    def test_real_polar_images_and_common_masks(self, corpus_polars):
+        for i, a in enumerate(corpus_polars):
+            assert euler_code(a, a.mask) == euler_code_per_plane(a, a.mask)
+            for b in corpus_polars[i + 1:]:
+                cm = common_mask(a.mask, b.mask)
+                assert euler_code(a, cm) == euler_code_per_plane(a, cm)
+                assert euler_code(b, cm) == euler_code_per_plane(b, cm)
+
+
 class TestCovariance:
     def test_identical_codes_give_pure_regularization(self):
         codes = [EulerCode((3, -1, 2, 0))] * 5
@@ -200,3 +259,22 @@ class TestMahalanobis:
         object.__setattr__(model, "epsilon", 1.0)
         with pytest.raises(ValueError):
             mahalanobis(EulerCode((1, 0, 0, 0)), EulerCode((0, 0, 0, 0)), model)
+
+    def test_cached_factor_bit_identical_to_fresh_factor(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            a = rng.normal(size=(4, 4)) * rng.uniform(0.1, 30.0)
+            model = CovarianceModel(a @ a.T + rng.uniform(0.01, 2.0) * np.eye(4), 1.0)
+            fresh = sla.cho_factor(model.S, lower=True)
+            for _ in range(4):
+                d = rng.integers(-40, 40, size=4).astype(np.float64)
+                x, y = EulerCode(tuple(d)), EulerCode((0, 0, 0, 0))
+                want = float(np.sqrt(d @ sla.cho_solve(fresh, d)))
+                assert np.float64(mahalanobis(x, y, model)).tobytes() == np.float64(want).tobytes()
+            assert model.cholesky is model.cholesky  # factored once per model
+
+    def test_non_positive_definite_rejected_on_every_call(self):
+        model = CovarianceModel(np.diag([1.0, 1.0, 1.0, -1.0]), 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="positive-definite"):
+                mahalanobis(EulerCode((1, 0, 0, 0)), EulerCode((0, 0, 0, 0)), model)

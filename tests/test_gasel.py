@@ -20,7 +20,7 @@ from irisfuse.gasel import (
     roulette_select,
 )
 from irisfuse.imaging import BinaryImage
-from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris
+from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
 
 from oracles import ScalarSubsetTrial, planted_problem, rank_rfe_per_target
 
@@ -318,7 +318,7 @@ class TestMatchSubset:
         a = RawFeatureVector(vals, valid_a)
         b = RawFeatureVector(vals, valid_b)
         pool = FeaturePool(tuple(range(10)))
-        with pytest.raises(ValueError):
+        with pytest.raises(IncomparableError):
             match_subset(a, b, Chromosome(np.ones(10, dtype=np.uint8)), pool)
 
 

@@ -1,8 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from irisfuse import store
+from irisfuse.euler import EulerCode
+from irisfuse.gasel import FEATURE_COUNT, RawFeatureVector
 from irisfuse.imaging import BinaryImage
-from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris
+from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
+from irisfuse.pipeline import PipelineConfig, process_image
+from irisfuse.segmentation import SegmentationError
+from irisfuse.synth import build_corpus
 from irisfuse.zerocross import (
     ZeroCrossTemplate,
     dyadic_wavelet_1d,
@@ -11,6 +19,8 @@ from irisfuse.zerocross import (
     shifted,
     _smoothing_kernel,
 )
+
+from oracles import zerocross_match_rolled
 
 
 def oracle_transform(signal, s):
@@ -160,7 +170,7 @@ class TestMatch:
         full = np.ones((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         a = random_template(np.random.default_rng(6), mask=full)
         b = random_template(np.random.default_rng(7), mask=full)
-        with pytest.raises(ValueError):
+        with pytest.raises(IncomparableError):
             match(a, b)
 
     def test_shape_mismatch_rejected(self):
@@ -171,3 +181,128 @@ class TestMatch:
         b = ZeroCrossTemplate(bits3, BinaryImage(np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)))
         with pytest.raises(ValueError):
             match(a, b)
+
+
+@pytest.fixture(scope="module")
+def corpus_templates():
+    templates = []
+    for rec in build_corpus(6, 3, master_seed=2026).records:
+        try:
+            templates.append(process_image(rec.image, PipelineConfig()).template)
+        except SegmentationError:
+            continue
+    assert len(templates) >= 15
+    return templates
+
+
+def outcome(fn, *args):
+    """The float a matcher returns, or ("ValueError", message) for the ValueError it
+    raises; the kernel's IncomparableError is a ValueError with the oracle's message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def assert_matches_oracle(a, b, max_shift):
+    got = outcome(match, a, b, max_shift)
+    want = outcome(zerocross_match_rolled, a, b, max_shift)
+    assert got == want
+    if isinstance(got, float):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestMatchMatchesRolledOracle:
+    """The bit-packed all-shifts kernel against the former np.roll loop."""
+
+    SHIFTS = (0, 1, 8, 300, 500)  # 300 and 500 wrap the partner more than once
+
+    @staticmethod
+    def template(rng, scales, mask):
+        bits = rng.integers(0, 2, size=(scales, POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
+        return ZeroCrossTemplate(bits, BinaryImage(mask))
+
+    @staticmethod
+    def random_mask(rng):
+        mask = (rng.random((POLAR_HEIGHT, POLAR_WIDTH)) < rng.uniform(0.0, 0.7)).astype(np.uint8)
+        mask[:, rng.choice(POLAR_WIDTH, size=int(rng.integers(0, 60)), replace=False)] = 1
+        mask[rng.integers(0, POLAR_HEIGHT, size=5), :] = 1
+        return mask
+
+    @pytest.mark.parametrize("scales", [1, 2, 4])
+    def test_random_templates(self, scales):
+        rng = np.random.default_rng(100 + scales)
+        for _ in range(6):
+            a = self.template(rng, scales, self.random_mask(rng))
+            b = self.template(rng, scales, self.random_mask(rng))
+            for k in self.SHIFTS:
+                assert_matches_oracle(a, b, k)
+                assert_matches_oracle(b, a, k)
+
+    def test_partly_and_fully_masked_columns(self):
+        rng = np.random.default_rng(7)
+        mask_a = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
+        mask_a[:, 10:200] = 1                  # fully masked columns
+        mask_a[:50, 300:320] = 1               # partly masked columns
+        mask_b = np.ones((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
+        mask_b[:, 5:12] = 0                    # only a few valid columns
+        mask_b[90:, 400] = 0
+        a, b = self.template(rng, 2, mask_a), self.template(rng, 2, mask_b)
+        for k in self.SHIFTS:
+            assert_matches_oracle(a, b, k)
+            assert_matches_oracle(b, a, k)
+
+    def test_no_joint_validity_within_shift_range(self):
+        rng = np.random.default_rng(8)
+        mask_a = np.ones((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
+        mask_a[:, 0] = 0
+        mask_b = np.ones((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
+        mask_b[:, 20] = 0
+        a, b = self.template(rng, 2, mask_a), self.template(rng, 2, mask_b)
+        for k in self.SHIFTS:  # comparable only once the search reaches 20 columns
+            assert_matches_oracle(a, b, k)
+        with pytest.raises(IncomparableError):
+            match(a, b, 8)
+
+    def test_fully_masked_template_raises_like_oracle(self):
+        rng = np.random.default_rng(9)
+        full = np.ones((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
+        a = self.template(rng, 2, full)
+        b = self.template(rng, 2, np.zeros_like(full))
+        for k in self.SHIFTS:
+            assert_matches_oracle(a, b, k)
+            with pytest.raises(IncomparableError, match="incomparable"):
+                match(b, a, k)
+
+    def test_invalid_arguments_raise_like_oracle(self):
+        rng = np.random.default_rng(10)
+        zeros = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
+        a, b = self.template(rng, 2, zeros), self.template(rng, 4, zeros)
+        assert_matches_oracle(a, b, 8)
+        assert_matches_oracle(a, a, -1)
+
+    def test_real_templates(self, corpus_templates):
+        for i, a in enumerate(corpus_templates):
+            for b in corpus_templates[i + 1:]:
+                assert_matches_oracle(a, b, 8)
+        a, b = corpus_templates[0], corpus_templates[-1]
+        for k in self.SHIFTS:
+            assert_matches_oracle(a, b, k)
+
+    def test_words_rebuilt_after_gallery_round_trip(self, corpus_templates, tmp_path):
+        features = RawFeatureVector(np.zeros(FEATURE_COUNT), np.ones(FEATURE_COUNT, dtype=bool))
+        records = []
+        for i, t in enumerate(corpus_templates[:4]):
+            match(t, t)  # fill the cached words before the save
+            records.append(store.EnrollmentRecord(f"id-{i}", t, EulerCode((0, 0, 0, 0)), features))
+        path = tmp_path / "g.irf"
+        store.save(replace(store.empty_gallery(), records=tuple(records)), path)
+        loaded = [r.template for r in store.load(path).records]
+        for before, after in zip(corpus_templates, loaded):
+            assert "words" not in vars(after)
+            for w_before, w_after in zip(before.words, after.words):
+                assert np.array_equal(w_before, w_after)
+        for a in loaded:
+            for b in loaded:
+                assert_matches_oracle(a, b, 8)
+
