@@ -31,7 +31,7 @@ from .gasel import (
 )
 from .imaging import PgmError, load_pgm, save_pgm
 from .normalization import IncomparableError, polar_debug_images
-from .pipeline import process_image
+from .pipeline import process_image, process_images
 from .segmentation import SegmentationError, circles_sidecar, locate_pupil_and_iris, segmentation_overlay
 from .synth import build_corpus, load_corpus, save_corpus
 
@@ -143,19 +143,12 @@ def cmd_train_ga(args) -> int:
         cfg = replace(cfg, ga_max_generations=args.generations)
     corpus = load_corpus(Path(args.corpus))
 
-    features, labels = [], []
-    for record in corpus.records:
-        try:
-            feats = process_image(record.image, cfg.pipeline())
-        except SegmentationError:
-            continue
-        features.append(feats.raw.values)
-        labels.append(record.identity)
-    if len(set(labels)) < 2:
+    features, kept = process_images([r.image for r in corpus.records], cfg.pipeline())
+    y = np.asarray([corpus.records[k].identity for k in kept])
+    if len(set(y)) < 2:
         print("error: training corpus needs at least 2 segmentable identities", file=sys.stderr)
         return EXIT_ERROR
-    X = np.vstack(features)
-    y = np.asarray(labels)
+    X = np.vstack([f.raw.values for f in features])
 
     rankings = [rank_entropy(X, y), rank_tstat(X, y), rank_knn(X, y), rank_rfe(X, y)]
     top_k = min(cfg.ga_top_k, X.shape[1])

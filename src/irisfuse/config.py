@@ -57,6 +57,8 @@ class RunConfig:
         self.fusion_policy()
         if self.ga_top_k < 1:
             raise ConfigError("ga_top_k must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
 
     def pipeline(self) -> PipelineConfig:
         try:
@@ -128,16 +130,16 @@ def _parse_value(key: str, raw: str):
         if norm not in _BOOL_VALUES:
             raise ConfigError(f"{key} expects a boolean, got {raw!r}")
         return _BOOL_VALUES[norm]
-    if key == "wavelet_scales":
-        return tuple(int(v) for v in raw.split(","))
-    if key == "fusion_weights":
-        return tuple(float(v) for v in raw.split(","))
     if key == "fusion_rule":
         if raw not in FUSION_RULES:
             raise ConfigError(f"fusion_rule must be one of {FUSION_RULES}, got {raw!r}")
         return raw
     target = _FIELDS[key].type
     try:
+        if key == "wavelet_scales":
+            return tuple(int(v) for v in raw.split(","))
+        if key == "fusion_weights":
+            return tuple(float(v) for v in raw.split(","))
         if target.startswith("int"):
             return int(raw)
         if target.startswith("float"):

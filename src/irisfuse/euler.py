@@ -128,49 +128,23 @@ def euler_code(polar: PolarIris, cm: BinaryImage) -> EulerCode:
     return EulerCode(tuple(counts @ _QUAD_WEIGHTS // 4))
 
 
-def _as_code_matrix(codes) -> np.ndarray:
-    rows = [c.as_array() if isinstance(c, EulerCode) else np.asarray(c, dtype=np.float64)
-            for c in codes]
-    mat = np.vstack(rows)
-    if mat.shape[1] != MSB_PLANES:
-        raise ValueError(f"codes must have {MSB_PLANES} components")
-    return mat
-
-
-def estimate_covariance(codes, epsilon: float | None = None) -> CovarianceModel:
-    """Sample covariance of the enrollment population plus epsilon * I.
-
-    ``epsilon`` defaults to 1e-3 of the mean sample variance with a floor of
-    1.0, which keeps the matrix positive-definite even when every enrolled
-    code is identical.
-    """
-    mat = _as_code_matrix(codes)
-    if len(mat) < 2:
-        raise ValueError(f"need at least 2 codes to estimate covariance, got {len(mat)}")
-    sample = np.cov(mat, rowvar=False, ddof=1)
-    if epsilon is None:
-        epsilon = max(1.0, 1e-3 * float(np.mean(np.diag(sample))))
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    S = sample + epsilon * np.eye(MSB_PLANES)
-    return CovarianceModel((S + S.T) / 2.0, float(epsilon))
-
-
 def calibrated_covariance(codes) -> CovarianceModel:
-    """Population covariance with spread-proportional regularization.
+    """Population covariance of the enrolled codes plus epsilon * I.
 
     Euler-code components are strongly correlated across identities (they
     all respond to overall texture richness), which makes the raw population
     covariance nearly singular along the identity axis; whitening with it
     would amplify pure-noise directions.  Setting epsilon to the mean sample
-    variance floors the small eigenvalues while still damping high-variance
-    components relative to stable ones.
+    variance, floored at 1.0, keeps the matrix positive-definite even when
+    every code is identical, while still damping high-variance components
+    relative to stable ones.
     """
-    mat = _as_code_matrix(codes)
+    mat = np.array([c.e for c in codes], dtype=np.float64)
     if len(mat) < 2:
         raise ValueError(f"need at least 2 codes to estimate covariance, got {len(mat)}")
-    spread = float(np.mean(np.var(mat, axis=0, ddof=1)))
-    return estimate_covariance(codes, epsilon=max(1.0, spread))
+    epsilon = max(1.0, float(np.mean(np.var(mat, axis=0, ddof=1))))
+    S = np.cov(mat, rowvar=False, ddof=1) + epsilon * np.eye(MSB_PLANES)
+    return CovarianceModel((S + S.T) / 2.0, epsilon)
 
 
 def mahalanobis(x: EulerCode, y: EulerCode, model: CovarianceModel) -> float:

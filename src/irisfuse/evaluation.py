@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euler import calibrated_covariance, common_mask, euler_code, mahalanobis
-from .fusion import ALGORITHMS, FusionPolicy, MatchScore, ScoreRange, fuse, normalize
+from .fusion import ALGORITHMS, FusionPolicy, ScoreRange, fuse, normalize_distances
 from .gasel import Chromosome, FeaturePool, default_selection, match_subset
 from .imaging import GrayImage
-from .pipeline import PipelineConfig, process_image
-from .segmentation import SegmentationError
+from .pipeline import PipelineConfig, process_images
 from .synth import Corpus
 from .zerocross import match as zc_match
 
@@ -84,16 +83,10 @@ def run_trials(
     policy = policy or FusionPolicy()
     pool, chromosome = selection or default_selection()
 
-    features = []
-    identities = []
-    failures = 0
-    for record in corpus.records:
-        try:
-            features.append(process_image(record.image, pipeline))
-            identities.append(record.identity)
-        except SegmentationError:
-            failures += 1
+    features, kept = process_images([r.image for r in corpus.records], pipeline)
+    identities = [corpus.records[k].identity for k in kept]
     total = len(corpus.records)
+    failures = total - len(kept)
     if total == 0:
         raise ValueError("empty corpus")
     if failures > MAX_FAILURE_RATE * total:
@@ -101,7 +94,7 @@ def run_trials(
             f"segmentation failed on {failures}/{total} images "
             f"(> {MAX_FAILURE_RATE:.0%}); corpus or configuration is unusable"
         )
-    if len({i for i in identities}) < 2:
+    if len(set(identities)) < 2:
         raise ValueError("need at least 2 successfully processed identities")
 
     ids = np.asarray(identities)
@@ -143,10 +136,8 @@ def run_trials(
             hi = lo + 1.0
         ranges[algo] = ScoreRange(algo, lo, hi)
 
-    def normalized(raws):
-        return [normalize(MatchScore(a, raws[a], "distance"), ranges[a]) for a in ALGORITHMS]
-
-    genuine, imposter = normalized(raw_genuine), normalized(raw_imposter)
+    genuine = normalize_distances(raw_genuine, ranges)
+    imposter = normalize_distances(raw_imposter, ranges)
     per_algorithm = {g.algorithm: TrialSet(g.value, i.value) for g, i in zip(genuine, imposter)}
     fused = TrialSet(fuse(genuine, policy), fuse(imposter, policy))
     return TrialOutcome(per_algorithm, fused, ranges, n, failures)

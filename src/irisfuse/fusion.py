@@ -75,7 +75,7 @@ class FusionPolicy:
             raise ValueError("weights must be present exactly when rule is 'weighted'")
         if self.weights is not None:
             w = tuple(float(x) for x in self.weights)
-            if len(w) != 3 or any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
+            if len(w) != 3 or any(x < 0 for x in w) or not abs(sum(w) - 1.0) <= 1e-9:
                 raise ValueError("weights must be 3 nonnegative reals summing to 1")
             object.__setattr__(self, "weights", w)
         if not 0.0 <= self.threshold <= 1.0:
@@ -103,6 +103,15 @@ def normalize(score: MatchScore, score_range: ScoreRange) -> NormalizedScore:
     if score.polarity == "distance":
         s = 1.0 - s
     return NormalizedScore(score.algorithm, s)
+
+
+def normalize_distances(raw: dict, ranges: dict[str, ScoreRange]) -> list[NormalizedScore]:
+    """Similarities of one raw distance (or distance array) per algorithm.
+
+    Every matcher reports a distance, so this is the one place that fixes
+    their polarity.
+    """
+    return [normalize(MatchScore(a, raw[a], "distance"), ranges[a]) for a in ALGORITHMS]
 
 
 def fuse(scores, policy: FusionPolicy) -> float | np.ndarray:

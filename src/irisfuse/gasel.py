@@ -189,18 +189,13 @@ def _welch_t(Xa: np.ndarray, Xb: np.ndarray) -> np.ndarray:
 
 
 def rank_tstat(X, y) -> np.ndarray:
-    """Features ordered by |Welch t|; one-vs-rest max for multi-class labels."""
+    """Features ordered by their largest one-vs-rest |Welch t| over the classes."""
     X = np.asarray(X, dtype=np.float64)
     y, classes = _check_labels(y, 2)
-    if len(classes) == 2:
-        scores = _welch_t(X[y == classes[0]], X[y == classes[1]])
-    else:
-        scores = np.zeros(X.shape[1])
-        for c in classes:
-            sel = y == c
-            if sel.sum() < 2 or (~sel).sum() < 2:
-                raise ValueError("one-vs-rest split leaves a side with < 2 samples")
-            scores = np.maximum(scores, _welch_t(X[sel], X[~sel]))
+    scores = np.zeros(X.shape[1])
+    for c in classes:
+        sel = y == c
+        scores = np.maximum(scores, _welch_t(X[sel], X[~sel]))
     return _ranking_from_scores(scores)
 
 
@@ -290,15 +285,25 @@ def roulette_select(fitness, rng) -> int:
 
     All-zero fitness falls back to a uniform draw.
     """
+    return _spin(_wheel(fitness), rng)
+
+
+def _wheel(fitness) -> tuple[np.ndarray, float]:
+    """Cumulative and total fitness of a validated fitness vector."""
     f = np.asarray(fitness, dtype=np.float64)
     if f.ndim != 1 or len(f) == 0:
         raise ValueError("fitness must be a nonempty 1-D sequence")
     if np.any(f < 0):
         raise ValueError("fitness values must be nonnegative")
-    total = f.sum()
+    return np.cumsum(f), f.sum()
+
+
+def _spin(wheel: tuple[np.ndarray, float], rng) -> int:
+    """One roulette draw from a ``_wheel``."""
+    cum, total = wheel
     if total == 0.0:
-        return int(rng.integers(len(f)))
-    return int(np.searchsorted(np.cumsum(f), rng.random() * total, side="right"))
+        return int(rng.integers(len(cum)))
+    return int(np.searchsorted(cum, rng.random() * total, side="right"))
 
 
 def match_subset(a: RawFeatureVector, b: RawFeatureVector,
@@ -457,11 +462,11 @@ def ga_select(pool: FeaturePool, X, y, cfg: GaConfig) -> GaResult:
         if cfg.max_evaluations and trial.evaluations >= cfg.max_evaluations:
             break
 
-        fitness = 1.0 / (1.0 + costs)
+        wheel = _wheel(1.0 / (1.0 + costs))
         children = [best_genes.copy()]  # elitism: best-ever survives unmutated
         while len(children) < cfg.population_size:
-            pa = pop[roulette_select(fitness, rng)]
-            pb = pop[roulette_select(fitness, rng)]
+            pa = pop[_spin(wheel, rng)]
+            pb = pop[_spin(wheel, rng)]
             if length > 1:
                 cut = int(rng.integers(1, length))
                 c1 = np.concatenate([pa[:cut], pb[cut:]])

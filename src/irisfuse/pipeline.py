@@ -19,8 +19,8 @@ from .euler import EulerCode, euler_code
 from .gasel import RawFeatureVector, extract_raw
 from .imaging import BinaryImage, GrayImage
 from .normalization import PolarIris, enhance, rubber_sheet
-from .segmentation import SegmentationConfig, SegmentationResult, segment
-from .zerocross import DEFAULT_MAX_SHIFT, DEFAULT_SCALES, ZeroCrossTemplate, encode
+from .segmentation import SegmentationConfig, SegmentationError, SegmentationResult, segment
+from .zerocross import DEFAULT_MAX_SHIFT, DEFAULT_SCALES, VALID_SCALES, ZeroCrossTemplate, encode
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scales", tuple(self.scales))
+        if not self.scales or not set(self.scales) <= set(VALID_SCALES):
+            raise ValueError(f"scales must be a nonempty selection from {VALID_SCALES}")
         if self.max_shift < 0:
             raise ValueError("max_shift must be >= 0")
         if not 0 <= self.polar_guard_rows < 48:
@@ -75,3 +77,18 @@ def process_image(img: GrayImage, cfg: PipelineConfig) -> IrisFeatures:
         own_code=euler_code(polar, polar.mask),
         raw=extract_raw(enhanced),
     )
+
+
+def process_images(images, cfg: PipelineConfig) -> tuple[list[IrisFeatures], list[int]]:
+    """Features of every image that segments, and the indices of those images.
+
+    An image whose boundary detection fails is skipped.
+    """
+    features, kept = [], []
+    for k, img in enumerate(images):
+        try:
+            features.append(process_image(img, cfg))
+        except SegmentationError:
+            continue
+        kept.append(k)
+    return features, kept

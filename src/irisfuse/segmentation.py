@@ -150,8 +150,11 @@ class SegmentationConfig:
             raise ValueError("invalid iris radius range")
         if self.pupil_r_max >= self.iris_r_min:
             raise ValueError("pupil radius range must lie below the iris radius range")
-        if self.grad_threshold <= 0:
-            raise ValueError("gradient threshold must be positive")
+        if not 0 < self.grad_threshold < math.inf:
+            raise ValueError("gradient threshold must be positive and finite")
+
+
+_EDGE_SMOOTHING = gaussian_kernel(5, 1.0)
 
 
 def edge_map(img: GrayImage, bias: str, grad_threshold: float) -> EdgeMap:
@@ -163,12 +166,15 @@ def edge_map(img: GrayImage, bias: str, grad_threshold: float) -> EdgeMap:
     """
     if bias not in EDGE_BIASES:
         raise ValueError(f"unknown edge bias {bias!r}; expected one of {EDGE_BIASES}")
-    if img.width < 3 or img.height < 3:
-        raise ValueError("edge_map needs at least a 3x3 image")
+    if img.width < _EDGE_SMOOTHING.width or img.height < _EDGE_SMOOTHING.height:
+        raise SegmentationError(
+            f"image {img.height}x{img.width} is smaller than the "
+            f"{_EDGE_SMOOTHING.height}x{_EDGE_SMOOTHING.width} edge-smoothing kernel"
+        )
     if grad_threshold <= 0:
         raise ValueError("grad_threshold must be positive")
 
-    smoothed = convolve2d(img.pixels, gaussian_kernel(5, 1.0))
+    smoothed = convolve2d(img.pixels, _EDGE_SMOOTHING)
     gy, gx = np.gradient(smoothed, edge_order=1)
     if bias == "vertical-edges":
         mag = np.abs(gx)

@@ -29,16 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .euler import CovarianceModel, EulerCode, calibrated_covariance, common_mask, euler_code, mahalanobis
-from .fusion import (
-    ALGORITHMS,
-    Decision,
-    FusionPolicy,
-    MatchScore,
-    ScoreRange,
-    decide,
-    fuse,
-    normalize,
-)
+from .fusion import ALGORITHMS, Decision, FusionPolicy, ScoreRange, decide, fuse, normalize_distances
 from .gasel import (
     FEATURE_COUNT,
     Chromosome,
@@ -48,10 +39,10 @@ from .gasel import (
     match_subset,
 )
 from .imaging import BinaryImage, GrayImage
-from .normalization import POLAR_HEIGHT, POLAR_WIDTH
-from .pipeline import IrisFeatures, PipelineConfig, process_image
+from .normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError
+from .pipeline import PipelineConfig, process_image, process_images
 from .segmentation import SegmentationError
-from .zerocross import ZeroCrossTemplate, match as zc_match
+from .zerocross import DEFAULT_MAX_SHIFT, ZeroCrossTemplate, match as zc_match
 
 MAGIC = b"IRF1"
 FORMAT_VERSION = 1
@@ -105,39 +96,26 @@ class Gallery:
 
 def empty_gallery() -> Gallery:
     pool, chromosome = default_selection()
-    return Gallery(
-        records=(),
-        covariance=CovarianceModel(np.eye(4), 1.0),
-        pool=pool,
-        chromosome=chromosome,
-        score_ranges=_default_ranges(),
-    )
-
-
-def _default_ranges() -> dict[str, ScoreRange]:
-    return {
-        "zerocross": ScoreRange("zerocross", 0.0, 1.0),
-        "euler": ScoreRange("euler", 0.0, 1.0),
-        "gasel": ScoreRange("gasel", 0.0, 1.0),
-    }
+    covariance, ranges = _recalibrate((), pool, chromosome, DEFAULT_MAX_SHIFT)
+    return Gallery((), covariance, pool, chromosome, ranges)
 
 
 _RANGE_PAIR_CAP = 300
 
 
 def _recalibrate(
-    records: tuple[EnrollmentRecord, ...], pool: FeaturePool, chromosome: Chromosome
+    records: tuple[EnrollmentRecord, ...], pool: FeaturePool, chromosome: Chromosome, max_shift: int
 ) -> tuple[CovarianceModel, dict[str, ScoreRange]]:
     """Covariance and score ranges over the enrolled population.
 
     A genuine trial against the gallery's single stored template is a
     self-match with distance 0, so every range starts at 0; the upper end is
-    the worst cross-identity distance observed for that matcher.  Pair
-    enumeration is stride-capped to keep repeated enrollment affordable.
+    the worst cross-identity distance observed for that matcher, zerocross
+    at the shift budget verification uses.  Pair enumeration is stride-capped
+    to keep repeated enrollment affordable.
     """
-    ranges = _default_ranges()
     if len(records) < 2:
-        return CovarianceModel(np.eye(4), 1.0), ranges
+        return CovarianceModel(np.eye(4), 1.0), {a: ScoreRange(a, 0.0, 1.0) for a in ALGORITHMS}
     model = calibrated_covariance([r.euler for r in records])
 
     pairs = [(i, j) for i in range(len(records)) for j in range(i + 1, len(records))]
@@ -148,16 +126,15 @@ def _recalibrate(
     for i, j in pairs:
         a, b = records[i], records[j]
         try:
-            worst["zerocross"] = max(worst["zerocross"], zc_match(a.template, b.template))
-        except ValueError:
+            worst["zerocross"] = max(worst["zerocross"], zc_match(a.template, b.template, max_shift))
+        except IncomparableError:
             pass  # incomparable masks contribute no calibration evidence
         worst["euler"] = max(worst["euler"], mahalanobis(a.euler, b.euler, model))
         try:
             worst["gasel"] = max(worst["gasel"], match_subset(a.features, b.features, chromosome, pool))
-        except ValueError:
+        except IncomparableError:
             pass
-    for algo in ALGORITHMS:
-        ranges[algo] = ScoreRange(algo, 0.0, worst[algo] if worst[algo] > 0 else 1.0)
+    ranges = {a: ScoreRange(a, 0.0, worst[a] if worst[a] > 0 else 1.0) for a in ALGORITHMS}
     return model, ranges
 
 
@@ -178,12 +155,7 @@ def enroll(
         raise ValueError(f"identity {identity!r} is already enrolled")
     pipeline = pipeline or PipelineConfig()
 
-    processed: list[IrisFeatures] = []
-    for img in samples:
-        try:
-            processed.append(process_image(img, pipeline))
-        except SegmentationError:
-            continue
+    processed, _ = process_images(samples, pipeline)
     if not processed:
         raise SegmentationError(f"no sample of {identity!r} segmented successfully")
 
@@ -201,7 +173,7 @@ def enroll(
         features=RawFeatureVector(mean_values, counts > 0),
     )
     records = gallery.records + (record,)
-    covariance, ranges = _recalibrate(records, gallery.pool, gallery.chromosome)
+    covariance, ranges = _recalibrate(records, gallery.pool, gallery.chromosome, pipeline.max_shift)
     return replace(gallery, records=records, covariance=covariance, score_ranges=ranges)
 
 
@@ -229,10 +201,7 @@ def verify(
         "euler": mahalanobis(euler_code(feats.polar, cm), record.euler, gallery.covariance),
         "gasel": match_subset(feats.raw, record.features, gallery.chromosome, gallery.pool),
     }
-    normalized = [
-        normalize(MatchScore(a, raw[a], "distance"), gallery.score_ranges[a]) for a in ALGORITHMS
-    ]
-    fused = fuse(normalized, policy)
+    fused = fuse(normalize_distances(raw, gallery.score_ranges), policy)
     return decide(fused, policy.threshold), raw, fused
 
 

@@ -82,22 +82,22 @@ def _smoothing_kernel(s: int) -> np.ndarray:
 
 
 def dyadic_wavelet_1d(signal, s: int) -> np.ndarray:
-    """Wavelet transform of a circular signal at dyadic scale ``s``.
+    """Wavelet transform of circular signals at dyadic scale ``s``.
 
-    Computes s^2 * d2/dx2 (f * theta_s) where theta_s is the cubic B-spline
-    smoothing kernel dilated to scale s; the second derivative uses circular
-    central differences.  The transform is linear and annihilates constant
-    and linear signals exactly.
+    Computes s^2 * d2/dx2 (f * theta_s) along the last axis, where theta_s
+    is the cubic B-spline smoothing kernel dilated to scale s; the second
+    derivative uses circular central differences.  The transform is linear
+    and annihilates constant and linear signals exactly.
     """
     if s not in VALID_SCALES:
         raise ValueError(f"scale must be one of {VALID_SCALES}, got {s}")
     f = np.asarray(signal, dtype=np.float64)
-    if f.ndim != 1:
-        raise ValueError("signal must be 1-D")
-    if len(f) < 4 * s:
-        raise ValueError(f"signal of length {len(f)} too short for scale {s} (needs >= {4 * s})")
-    g = ndimage.convolve1d(f, _smoothing_kernel(s), mode="wrap")
-    second = np.roll(g, -1) + np.roll(g, 1) - 2.0 * g
+    if f.ndim == 0:
+        raise ValueError("signal must have at least one axis")
+    if f.shape[-1] < 4 * s:
+        raise ValueError(f"signal of length {f.shape[-1]} too short for scale {s} (needs >= {4 * s})")
+    g = ndimage.convolve1d(f, _smoothing_kernel(s), axis=-1, mode="wrap")
+    second = np.roll(g, -1, axis=-1) + np.roll(g, 1, axis=-1) - 2.0 * g
     return (s * s) * second
 
 
@@ -111,17 +111,8 @@ def encode(polar: PolarIris, scales=DEFAULT_SCALES) -> ZeroCrossTemplate:
     scales = tuple(scales)
     if not scales:
         raise ValueError("need at least one scale")
-    for s in scales:
-        if s not in VALID_SCALES:
-            raise ValueError(f"scale must be one of {VALID_SCALES}, got {s}")
-
     smoothed = convolve2d(polar.intensities, _G_NORMALIZED)
-    planes = np.empty((len(scales), POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
-    for si, s in enumerate(scales):
-        kern = _smoothing_kernel(s)
-        g = ndimage.convolve1d(smoothed, kern, axis=1, mode="wrap")
-        transform = (s * s) * (np.roll(g, -1, axis=1) + np.roll(g, 1, axis=1) - 2.0 * g)
-        planes[si] = (transform >= 0.0).astype(np.uint8)
+    planes = np.stack([dyadic_wavelet_1d(smoothed, s) >= 0.0 for s in scales]).astype(np.uint8)
     return ZeroCrossTemplate(planes, polar.mask)
 
 

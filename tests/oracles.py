@@ -11,20 +11,34 @@ it; it always votes with the ring kernel.  ``zerocross_match_rolled`` and
 ``euler_code_per_plane`` are the former ``np.roll`` shift loop of
 ``zerocross.match`` and the former one-plane-at-a-time ``euler.euler_code``,
 kept verbatim as the references for the bit-packed and one-pass kernels.
+``encode_inline`` is the former ``zerocross.encode`` with the wavelet
+transform written out along the rows, and ``roulette_select_per_draw`` the
+former roulette draw that validates and sums the fitness on every call; both
+are kept verbatim as the references for the shared-transform encoder and the
+GA's once-per-generation roulette wheel.
 """
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial.distance import pdist, squareform
 
 from irisfuse.euler import MSB_PLANES, EulerCode, euler_number
 from irisfuse.gasel import fitness_cost
 from irisfuse.imaging import BinaryImage
+from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH
 from irisfuse.segmentation import (
     MIN_CIRCLE_VOTES,
     Circle,
     EdgeMap,
     SegmentationError,
     _vote_by_rings,
+)
+from irisfuse.zerocross import (
+    _G_NORMALIZED,
+    VALID_SCALES,
+    ZeroCrossTemplate,
+    _smoothing_kernel,
+    convolve2d,
 )
 
 
@@ -266,3 +280,43 @@ def euler_code_per_plane(polar, cm):
     masked = np.where(cm.bits == 1, 0, polar.intensities).astype(np.uint8)
     planes = [(masked >> k) & 1 for k in range(7, 7 - MSB_PLANES, -1)]  # b7..b4
     return EulerCode(tuple(euler_number(BinaryImage(p)) for p in planes))
+
+
+def encode_inline(polar, scales=(2, 4)):
+    """Build the sign-bit template of the masked polar image.
+
+    Rows are first smoothed across neighbours with the normalized [1,2,1]-row
+    operator, then each row is transformed along theta at every scale;
+    bit = 1 where the transform is >= 0.
+    """
+    scales = tuple(scales)
+    if not scales:
+        raise ValueError("need at least one scale")
+    for s in scales:
+        if s not in VALID_SCALES:
+            raise ValueError(f"scale must be one of {VALID_SCALES}, got {s}")
+
+    smoothed = convolve2d(polar.intensities, _G_NORMALIZED)
+    planes = np.empty((len(scales), POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
+    for si, s in enumerate(scales):
+        kern = _smoothing_kernel(s)
+        g = ndimage.convolve1d(smoothed, kern, axis=1, mode="wrap")
+        transform = (s * s) * (np.roll(g, -1, axis=1) + np.roll(g, 1, axis=1) - 2.0 * g)
+        planes[si] = (transform >= 0.0).astype(np.uint8)
+    return ZeroCrossTemplate(planes, polar.mask)
+
+
+def roulette_select_per_draw(fitness, rng):
+    """Sample an index with probability fitness_i / sum(fitness).
+
+    All-zero fitness falls back to a uniform draw.
+    """
+    f = np.asarray(fitness, dtype=np.float64)
+    if f.ndim != 1 or len(f) == 0:
+        raise ValueError("fitness must be a nonempty 1-D sequence")
+    if np.any(f < 0):
+        raise ValueError("fitness values must be nonnegative")
+    total = f.sum()
+    if total == 0.0:
+        return int(rng.integers(len(f)))
+    return int(np.searchsorted(np.cumsum(f), rng.random() * total, side="right"))

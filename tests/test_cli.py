@@ -72,6 +72,12 @@ class TestSegment:
         blank.write_bytes(save_pgm(GrayImage(np.full((192, 256), 127, dtype=np.uint8))))
         assert main(["segment", str(blank), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("size", [1, 3, 4])
+    def test_tiny_image_exits_1(self, tmp_path, size):
+        tiny = tmp_path / "tiny.pgm"
+        tiny.write_bytes(save_pgm(GrayImage(np.full((size, size), 90, dtype=np.uint8))))
+        assert main(["segment", str(tiny), "--out", str(tmp_path)]) == 1
+
     def test_malformed_pgm_exits_2(self, tmp_path):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P6 2 2 255 junk")

@@ -1,4 +1,8 @@
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irisfuse.config import ConfigError, RunConfig, load_config, parse_config
 
@@ -47,6 +51,30 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("fusion_threshold = 1.5\n")
 
+    @pytest.mark.parametrize("text", [
+        "wavelet_scales = \n",
+        "wavelet_scales = 2,,4\n",
+        "wavelet_scales = two\n",
+        "fusion_rule = weighted\nfusion_weights = \n",
+        "fusion_rule = weighted\nfusion_weights = 0.5,half,0.5\n",
+    ])
+    def test_empty_or_non_numeric_lists_rejected(self, text):
+        with pytest.raises(ConfigError, match="cannot parse"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text", [
+        "grad_threshold = nan\n",
+        "grad_threshold = inf\n",
+        "grad_threshold = -inf\n",
+        "rng_seed = -1\n",
+        "wavelet_scales = 3\n",
+        "wavelet_scales = 2,16\n",
+        "fusion_rule = weighted\nfusion_weights = nan,0.5,0.5\n",
+    ])
+    def test_values_that_fail_at_run_time_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
     def test_weighted_rule_needs_weights(self):
         with pytest.raises(ConfigError):
             parse_config("fusion_rule = weighted\n")
@@ -80,3 +108,29 @@ class TestDerivedConfigs:
         assert ga.weights[3] == 0.2
         assert ga.n_flip == 3
         assert ga.rng_seed == 11
+
+
+_KEYS = [f.name for f in fields(RunConfig)]
+_VALUES = st.one_of(
+    st.sampled_from(["", "0", "-1", "1", "2,4", "1,2,4,8", "0.2,0.3,0.5", ",", "2,,4", "nan",
+                     "inf", "-inf", "1e400", "true", "maybe", "weighted", "min", "9" * 5000]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.lists(st.floats(-2, 2), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.text(max_size=12),
+)
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(_KEYS), _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=20),
+)
+
+
+class TestParseConfigBoundary:
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(st.lists(_LINES, max_size=6))
+    def test_only_config_errors_escape(self, lines):
+        try:
+            cfg = parse_config("\n".join(lines))
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)

@@ -7,8 +7,8 @@ from scipy import linalg as sla
 from irisfuse.euler import (
     CovarianceModel,
     EulerCode,
+    calibrated_covariance,
     common_mask,
-    estimate_covariance,
     euler_code,
     euler_number,
     mahalanobis,
@@ -184,26 +184,28 @@ class TestEulerCodeMatchesPerPlaneOracle:
 class TestCovariance:
     def test_identical_codes_give_pure_regularization(self):
         codes = [EulerCode((3, -1, 2, 0))] * 5
-        model = estimate_covariance(codes)
+        model = calibrated_covariance(codes)
         assert model.epsilon == 1.0
         assert np.allclose(model.S, np.eye(4))
 
     def test_standard_normal_sampling(self):
         rng = np.random.default_rng(7)
-        codes = rng.standard_normal((10_000, 4))
-        model = estimate_covariance(codes, epsilon=0.01)
-        assert np.max(np.abs(model.S - np.eye(4))) < 0.1
+        draws = rng.standard_normal((10_000, 4)) * 10.0
+        model = calibrated_covariance([EulerCode(tuple(row)) for row in np.round(draws)])
+        # epsilon is the mean sample variance, so S is about 2 * 100 * I
+        assert model.epsilon == pytest.approx(100.0, rel=0.05)
+        assert np.max(np.abs(model.S - model.epsilon * np.eye(4) - 100.0 * np.eye(4))) < 5.0
 
     def test_always_positive_definite(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             codes = rng.integers(-50, 50, size=(rng.integers(2, 30), 4))
-            model = estimate_covariance(codes)
+            model = calibrated_covariance([EulerCode(tuple(row)) for row in codes])
             np.linalg.cholesky(model.S)  # raises if not PD
 
     def test_needs_two_codes(self):
         with pytest.raises(ValueError):
-            estimate_covariance([EulerCode((1, 2, 3, 4))])
+            calibrated_covariance([EulerCode((1, 2, 3, 4))])
 
 
 class TestMahalanobis:

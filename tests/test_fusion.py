@@ -11,6 +11,7 @@ from irisfuse.fusion import (
     decide,
     fuse,
     normalize,
+    normalize_distances,
 )
 
 
@@ -68,6 +69,17 @@ class TestNormalize:
             MatchScore("gasel", raws, "distance")
         with pytest.raises(ValueError, match="finite"):
             MatchScore("gasel", np.array([np.inf]), "distance")
+
+    def test_distances_map_to_flipped_similarities_per_algorithm(self):
+        ranges = {a: ScoreRange(a, 0.0, hi) for a, hi in zip(ALGORITHMS, (0.5, 4.0, 1.0))}
+        raw = {"euler": np.array([0.0, 2.0, 9.0]), "zerocross": 0.25, "gasel": np.array([0.1])}
+        scores = normalize_distances(raw, ranges)
+        assert [s.algorithm for s in scores] == list(ALGORITHMS)
+        assert scores[0].value == 0.5
+        assert np.array_equal(scores[1].value, [1.0, 0.5, 0.0])
+        for s in scores:
+            want = normalize(MatchScore(s.algorithm, raw[s.algorithm], "distance"), ranges[s.algorithm])
+            assert np.asarray(s.value).tobytes() == np.asarray(want.value).tobytes()
 
     def test_normalized_score_rejects_one_out_of_range_element(self):
         NormalizedScore("gasel", np.array([0.0, 0.5, 1.0]))
@@ -135,6 +147,9 @@ class TestFuse:
             FusionPolicy("weighted")  # weights required
         with pytest.raises(ValueError):
             FusionPolicy("min", weights=(0.3, 0.3, 0.4))  # weights forbidden
+        for bad in ((np.nan, 0.5, 0.5), (np.inf, 0.0, 0.0)):
+            with pytest.raises(ValueError):
+                FusionPolicy("weighted", weights=bad)
 
 
 class TestDecide:

@@ -22,7 +22,7 @@ from irisfuse.gasel import (
 from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
 
-from oracles import ScalarSubsetTrial, planted_problem, rank_rfe_per_target
+from oracles import ScalarSubsetTrial, planted_problem, rank_rfe_per_target, roulette_select_per_draw
 
 
 def polar_of(values, mask=None):
@@ -137,6 +137,18 @@ class TestRankTstat:
         X = np.zeros((3, 2))
         with pytest.raises(ValueError):
             rank_tstat(X, np.array([0, 0, 1]))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_binary_one_vs_rest_equals_two_sample_t(self, seed):
+        # one-vs-rest on two classes scores each feature by the plain
+        # two-sample |Welch t|, bit for bit, constant features included
+        X, y, _ = planted_problem(seed, n_features=60, classes=2, per_class=int(4 + seed % 5))
+        n = len(y) - seed % 3  # unequal class sizes too
+        X, y = X[:n], y[:n]
+        X[:, ::7] = 42.0
+        X[y == y[0], 3] = 1.0
+        scores = gasel._welch_t(X[y == y[0]], X[y != y[0]])
+        assert np.array_equal(rank_tstat(X, y), gasel._ranking_from_scores(scores))
 
 
 class TestRankKnn:
@@ -263,6 +275,13 @@ class TestRouletteSelect:
     def test_negative_fitness_rejected(self):
         with pytest.raises(ValueError):
             roulette_select([0.5, -0.1], np.random.default_rng(0))
+
+    def test_draws_match_per_draw_oracle(self):
+        rng = np.random.default_rng(3)
+        for fitness in ([0.0, 0.0, 0.0], [3.0], rng.random(40), rng.random(7) * [0, 1, 0, 1, 1, 0, 1]):
+            a, b = np.random.default_rng(5), np.random.default_rng(5)
+            draws = [roulette_select(fitness, a) for _ in range(200)]
+            assert draws == [roulette_select_per_draw(fitness, b) for _ in range(200)]
 
 
 class TestMatchSubset:
@@ -418,10 +437,13 @@ class TestRfeMatchesPerTargetOracle:
 
 
 def ga_against_oracle(monkeypatch, pool, X, y, cfg):
-    """Run ga_select with the batched fitness and with the scalar oracle's."""
+    """Run ga_select with the batched fitness and once-per-generation roulette
+    wheel, and with the scalar fitness oracle and per-draw roulette oracle."""
     fast = ga_select(pool, X, y, cfg)
     with monkeypatch.context() as m:
         m.setattr(gasel, "_SubsetTrial", ScalarSubsetTrial)
+        m.setattr(gasel, "_wheel", lambda fitness: fitness)
+        m.setattr(gasel, "_spin", roulette_select_per_draw)
         slow = ga_select(pool, X, y, cfg)
     assert np.array_equal(fast.best.genes, slow.best.genes)
     assert fast.history == slow.history

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irisfuse.imaging import (
     BinaryImage,
@@ -140,3 +142,37 @@ class TestContainers:
         k = gaussian_kernel(5, 1.0)
         assert k.weights.shape == (5, 5)
         assert abs(k.weights.sum() - 1.0) < 1e-12
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["", "255", "256", "0", "1e3", "0x10", "+4", "\u0663", "9" * 5000]),
+    st.text(alphabet="0123456789-+#x \n\t", max_size=6),
+)
+
+
+@st.composite
+def pgm_like(draw):
+    """Headers assembled from fuzzed tokens, or a valid file with a few bytes changed."""
+    if draw(st.booleans()):
+        sep = draw(st.sampled_from([" ", "\n", "\t", " # note\n", ""]))
+        header = "P5" + sep + sep.join(draw(_TOKENS) for _ in range(3))
+        delim = draw(st.sampled_from([b"\n", b" ", b"", b"#"]))
+        return header.encode("utf-8") + delim + draw(st.binary(max_size=48))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    data = bytearray(save_pgm(GrayImage(np.full((h, w), 9, dtype=np.uint8))))
+    for pos, value in draw(st.lists(st.tuples(st.integers(0, len(data) - 1),
+                                              st.integers(0, 255)), max_size=3)):
+        data[pos] = value
+    return bytes(data[: draw(st.integers(0, len(data) + 1))])
+
+
+class TestPgmBoundary:
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(pgm_like())
+    def test_only_pgm_errors_escape(self, data):
+        try:
+            img = load_pgm(data)
+        except PgmError:
+            return
+        assert isinstance(img, GrayImage)

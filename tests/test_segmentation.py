@@ -67,6 +67,19 @@ class TestEdgeMap:
         near = np.minimum(d_p, d_i) <= 2.0
         assert near.mean() >= 0.80
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 4), (4, 30), (30, 4)])
+    def test_image_smaller_than_smoothing_kernel_fails_segmentation(self, shape):
+        img = GrayImage(np.full(shape, 90, dtype=np.uint8))
+        with pytest.raises(SegmentationError, match="5x5 edge-smoothing kernel"):
+            edge_map(img, "none", 5.0)
+        with pytest.raises(SegmentationError):
+            segment(img, SegmentationConfig())
+
+    def test_five_by_five_image_has_an_edge_map(self):
+        arr = np.zeros((5, 5), dtype=np.uint8)
+        arr[:, 3:] = 200
+        assert len(edge_map(GrayImage(arr), "vertical-edges", 10.0)) > 0
+
     def test_rejects_unknown_bias_and_bad_threshold(self):
         img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
         with pytest.raises(ValueError):

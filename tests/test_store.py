@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from irisfuse.fusion import FusionPolicy
 from irisfuse.segmentation import SegmentationError
 from irisfuse.imaging import GrayImage
+from irisfuse.pipeline import PipelineConfig
 from irisfuse.store import (
     EnrollmentRecord,
     Gallery,
@@ -22,6 +23,7 @@ from irisfuse.store import (
     verify,
 )
 from irisfuse.synth import build_corpus
+from irisfuse.zerocross import match as zc_match
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +86,26 @@ class TestEnroll:
     def test_unknown_lookup(self, gallery):
         with pytest.raises(KeyError):
             gallery.lookup("nobody")
+
+    def test_zerocross_range_uses_the_pipeline_shift_budget(self, corpus):
+        for max_shift in (0, 16):
+            pipeline = PipelineConfig(max_shift=max_shift)
+            g = empty_gallery()
+            for ident in range(4):
+                samples = [r.image for r in corpus.records if r.identity == ident][:1]
+                g = enroll(g, f"person-{ident}", samples, pipeline)
+            worst = max(
+                zc_match(a.template, b.template, max_shift)
+                for i, a in enumerate(g.records) for b in g.records[i + 1:]
+            )
+            assert g.score_ranges["zerocross"].max == worst
+
+    def test_mismatched_template_shapes_are_not_skipped(self, gallery, corpus):
+        # only incomparable masks are calibration noise; a gallery that mixes
+        # scale counts is an error, as it is for verify
+        samples = [r.image for r in corpus.records if r.identity == 0][:1]
+        with pytest.raises(ValueError, match="template shapes differ"):
+            enroll(gallery, "one-scale", samples, PipelineConfig(scales=(2,)))
 
 
 class TestPersistence:

@@ -20,7 +20,7 @@ from irisfuse.zerocross import (
     _smoothing_kernel,
 )
 
-from oracles import zerocross_match_rolled
+from oracles import encode_inline, zerocross_match_rolled
 
 
 def oracle_transform(signal, s):
@@ -96,6 +96,22 @@ class TestDyadicWavelet:
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError):
             dyadic_wavelet_1d(np.zeros(15), 4)
+        with pytest.raises(ValueError):
+            dyadic_wavelet_1d(np.zeros((3, 15)), 4)
+
+    def test_scalar_rejected(self):
+        with pytest.raises(ValueError):
+            dyadic_wavelet_1d(5.0, 1)
+
+    @pytest.mark.parametrize("s", [1, 2, 4, 8])
+    def test_transforms_along_last_axis(self, s):
+        rng = np.random.default_rng(s)
+        for shape in ((7, 64), (2, 3, 40), (1, POLAR_WIDTH)):
+            signals = rng.normal(size=shape) * 50.0
+            out = dyadic_wavelet_1d(signals, s)
+            rows = signals.reshape(-1, shape[-1])
+            want = np.stack([dyadic_wavelet_1d(row, s) for row in rows]).reshape(shape)
+            assert out.tobytes() == want.tobytes()
 
 
 class TestEncode:
@@ -184,15 +200,48 @@ class TestMatch:
 
 
 @pytest.fixture(scope="module")
-def corpus_templates():
-    templates = []
+def corpus_features():
+    features = []
     for rec in build_corpus(6, 3, master_seed=2026).records:
         try:
-            templates.append(process_image(rec.image, PipelineConfig()).template)
+            features.append(process_image(rec.image, PipelineConfig()))
         except SegmentationError:
             continue
-    assert len(templates) >= 15
-    return templates
+    assert len(features) >= 15
+    return features
+
+
+@pytest.fixture(scope="module")
+def corpus_templates(corpus_features):
+    return [f.template for f in corpus_features]
+
+
+class TestEncodeMatchesInlineOracle:
+    """encode through dyadic_wavelet_1d against the former row-wise inline transform."""
+
+    @pytest.mark.parametrize("scales", [(2, 4), (1, 2, 4, 8), (8,)])
+    def test_random_polars(self, scales):
+        rng = np.random.default_rng(len(scales))
+        for _ in range(5):
+            vals = rng.integers(0, 256, size=(POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
+            mask = (rng.random((POLAR_HEIGHT, POLAR_WIDTH)) < 0.3).astype(np.uint8)
+            polar = PolarIris(vals, BinaryImage(mask))
+            got, want = encode(polar, scales), encode_inline(polar, scales)
+            assert np.array_equal(got.bits, want.bits)
+            assert np.array_equal(got.mask.bits, want.mask.bits)
+
+    def test_real_polars(self, corpus_features):
+        for f in corpus_features:
+            assert np.array_equal(f.template.bits, encode_inline(f.enhanced).bits)
+
+    def test_invalid_scales_raise_like_oracle(self):
+        polar = unmasked_polar(np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8))
+        for scales in ((), (3,), (2, 5)):
+            with pytest.raises(ValueError) as got:
+                encode(polar, scales)
+            with pytest.raises(ValueError) as want:
+                encode_inline(polar, scales)
+            assert str(got.value) == str(want.value)
 
 
 def outcome(fn, *args):
