@@ -156,7 +156,8 @@ def cmd_train_ga(args) -> int:
     result = ga_select(pool, X, y, cfg.ga())
 
     gallery_path = Path(args.gallery)
-    gallery = replace(_load_or_create_gallery(gallery_path), pool=pool, chromosome=result.best)
+    gallery = store.with_selection(_load_or_create_gallery(gallery_path), pool, result.best,
+                                   cfg.pipeline())
     _atomic_write(gallery_path, store.to_bytes(gallery))
 
     out_dir = Path(args.out) if args.out else gallery_path.parent

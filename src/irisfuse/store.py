@@ -177,6 +177,24 @@ def enroll(
     return replace(gallery, records=records, covariance=covariance, score_ranges=ranges)
 
 
+def with_selection(
+    gallery: Gallery,
+    pool: FeaturePool,
+    chromosome: Chromosome,
+    pipeline: PipelineConfig | None = None,
+) -> Gallery:
+    """The gallery with a new GA feature selection and its ranges refitted.
+
+    The gasel range is the worst distance under the selection, so a new
+    pool or chromosome refits every range over the enrolled records, at the
+    shift budget verification uses.
+    """
+    pipeline = pipeline or PipelineConfig()
+    covariance, ranges = _recalibrate(gallery.records, pool, chromosome, pipeline.max_shift)
+    return replace(gallery, covariance=covariance, pool=pool, chromosome=chromosome,
+                   score_ranges=ranges)
+
+
 def verify(
     gallery: Gallery,
     claimed_id: str,

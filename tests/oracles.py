@@ -15,8 +15,15 @@ kept verbatim as the references for the bit-packed and one-pass kernels.
 transform written out along the rows, and ``roulette_select_per_draw`` the
 former roulette draw that validates and sums the fitness on every call; both
 are kept verbatim as the references for the shared-transform encoder and the
-GA's once-per-generation roulette wheel.
+GA's once-per-generation roulette wheel.  ``parabolic_hough_loop`` is the
+former ``parabolic_hough``, which solved every (theta, a) quadratic per
+(point, column) pair and voted with one ``bincount`` per root, and
+``vote_by_distance_hypot`` the former float-``hypot`` distance kernel; both
+are kept verbatim as the references for the root-table eyelid vote and the
+integer-distance circle vote.
 """
+
+import math
 
 import numpy as np
 from scipy import ndimage
@@ -28,8 +35,13 @@ from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH
 from irisfuse.segmentation import (
     MIN_CIRCLE_VOTES,
+    PARABOLA_CURVATURES,
+    PARABOLA_STEP,
+    PARABOLA_THETAS,
+    PARABOLA_VOTE_FLOOR,
     Circle,
     EdgeMap,
+    Parabola,
     SegmentationError,
     _vote_by_rings,
 )
@@ -320,3 +332,102 @@ def roulette_select_per_draw(fitness, rng):
     if total == 0.0:
         return int(rng.integers(len(f)))
     return int(np.searchsorted(np.cumsum(f), rng.random() * total, side="right"))
+
+
+def vote_by_distance_hypot(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h):
+    """Accumulate votes by rounding point-to-center distances (small windows)."""
+    n_r = r_max - r_min + 1
+    cxs = (x_lo + np.arange(acc_w))[None, :, None]
+    cys = (y_lo + np.arange(acc_h))[:, None, None]
+    acc = np.zeros((n_r, acc_h, acc_w), dtype=np.int32)
+    chunk = max(1, 4_000_000 // (acc_h * acc_w))
+    for lo in range(0, len(px), chunk):
+        d = np.hypot(px[lo : lo + chunk][None, None, :] - cxs,
+                     py[lo : lo + chunk][None, None, :] - cys)
+        ri = np.rint(d).astype(np.int64) - r_min
+        ok = (ri >= 0) & (ri < n_r)
+        cell = np.broadcast_to(
+            (np.arange(acc_h)[:, None, None] * acc_w + np.arange(acc_w)[None, :, None]),
+            ri.shape,
+        )
+        flat = ri[ok] * (acc_h * acc_w) + cell[ok]
+        acc += np.bincount(flat, minlength=n_r * acc_h * acc_w).reshape(acc.shape).astype(np.int32)
+    return acc
+
+
+def parabolic_hough_loop(edges, search_region, curvature_sign=1, landed=None):
+    """Quantized (h, k, a, theta) vote for an eyelid arc.
+
+    Returns ``(parabola or None, accumulator or None)``; the accumulator is
+    None when no edge point lies in the region.  When ``landed`` is a list,
+    the roots Y of the votes that land in the accumulator are appended to it.
+    """
+    if curvature_sign not in (1, -1):
+        raise ValueError("curvature_sign must be +1 or -1")
+    x_lo, x_hi, y_lo, y_hi = search_region
+    if len(edges) == 0:
+        return None, None
+    pts = edges.points
+    inside = (
+        (pts[:, 0] >= x_lo) & (pts[:, 0] <= x_hi) & (pts[:, 1] >= y_lo) & (pts[:, 1] <= y_hi)
+    )
+    pts = pts[inside]
+    if len(pts) == 0:
+        return None, None
+
+    h_vals = np.arange(x_lo, x_hi + 1, PARABOLA_STEP, dtype=np.float64)
+    k_count = (y_hi - y_lo) // PARABOLA_STEP + 1
+    x = pts[:, 0].astype(np.float64)
+    y = pts[:, 1].astype(np.float64)
+
+    acc = np.zeros((len(PARABOLA_THETAS), len(PARABOLA_CURVATURES), k_count, len(h_vals)),
+                   dtype=np.int32)
+    cells = k_count * len(h_vals)
+    X = x[:, None] - h_vals[None, :]  # (N, H), shared across (theta, a)
+
+    for ti, theta in enumerate(PARABOLA_THETAS):
+        c, s = math.cos(theta), math.sin(theta)
+        for ai, a_mag in enumerate(PARABOLA_CURVATURES):
+            a = curvature_sign * a_mag
+            # substitute Y = y - k into w = a*u^2 and solve the quadratic
+            # a*s^2*Y^2 + (2aXsc - c)*Y + (aX^2c^2 + Xs) = 0
+            alpha = a * s * s
+            beta = 2.0 * a * X * s * c - c
+            gamma = a * X * X * c * c + X * s
+            if abs(alpha) < 1e-12:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    roots = [np.where(beta != 0, -gamma / beta, np.nan)]
+            else:
+                disc = beta * beta - 4.0 * alpha * gamma
+                valid = disc >= 0
+                sq = np.sqrt(np.where(valid, disc, 0.0))
+                r1 = np.where(valid, (-beta + sq) / (2 * alpha), np.nan)
+                r2 = np.where(valid, (-beta - sq) / (2 * alpha), np.nan)
+                roots = [r1, r2]
+            for Y in roots:
+                k = y[:, None] - Y
+                with np.errstate(invalid="ignore"):
+                    ki = np.rint((k - y_lo) / PARABOLA_STEP)
+                ok = np.isfinite(ki) & (ki >= 0) & (ki < k_count)
+                if landed is not None:
+                    landed.append(Y[ok])
+                flat = (ki[ok].astype(np.int64) * len(h_vals)
+                        + np.broadcast_to(np.arange(len(h_vals)), k.shape)[ok])
+                acc[ti, ai] += np.bincount(flat, minlength=cells).reshape(
+                    k_count, len(h_vals)).astype(np.int32)
+
+    peak = int(np.argmax(acc))
+    votes = int(acc.flat[peak])
+    if votes < PARABOLA_VOTE_FLOOR * len(pts):
+        return None, acc
+    ti, rem = divmod(peak, len(PARABOLA_CURVATURES) * cells)
+    ai, rem = divmod(rem, cells)
+    ki, hi = divmod(rem, len(h_vals))
+    if ai == 0:
+        return None, acc  # flattest-step sink: straight-line structure
+    return Parabola(
+        h=float(h_vals[hi]),
+        k=float(y_lo + ki * PARABOLA_STEP),
+        a=curvature_sign * float(PARABOLA_CURVATURES[ai]),
+        theta=PARABOLA_THETAS[ti],
+    ), acc

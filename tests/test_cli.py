@@ -6,6 +6,7 @@ import pytest
 
 from irisfuse import store
 from irisfuse.cli import main
+from irisfuse.config import RunConfig
 from irisfuse.imaging import BinaryImage, GrayImage, save_pgm
 from irisfuse.zerocross import ZeroCrossTemplate
 
@@ -158,6 +159,21 @@ class TestTrainGa:
             assert rc == 0
             chromos.append(store.load(gal).chromosome.genes)
         assert np.array_equal(chromos[0], chromos[1])
+
+    def test_score_ranges_refitted_for_the_new_selection(self, corpus_dir, gallery_path, tmp_path):
+        gal = tmp_path / "trained.irf"
+        gal.write_bytes(gallery_path.read_bytes())
+        before = store.load(gal)
+        rc = main(["train-ga", "--corpus", str(corpus_dir), "--gallery", str(gal),
+                   "--generations", "2", "--seed", "5", "--out", str(tmp_path / "ga")])
+        assert rc == 0
+        after = store.load(gal)
+        assert [r.identity for r in after.records] == [r.identity for r in before.records]
+        assert not np.array_equal(after.chromosome.genes, before.chromosome.genes)
+        _, refit = store._recalibrate(after.records, after.pool, after.chromosome,
+                                      RunConfig().pipeline().max_shift)
+        assert after.score_ranges == refit
+        assert after.score_ranges["gasel"] != before.score_ranges["gasel"]
 
     def test_zero_generations_persists_initial_best(self, corpus_dir, tmp_path):
         gal = tmp_path / "zero.irf"

@@ -1,10 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from irisfuse import segmentation
 from irisfuse.imaging import BinaryImage, GrayImage
 from irisfuse.segmentation import (
+    IRIS_CENTER_OFFSET,
+    MIN_CIRCLE_VOTES,
     Circle,
     EdgeMap,
     PARABOLA_CURVATURES,
@@ -19,12 +23,15 @@ from irisfuse.segmentation import (
     parabolic_hough,
     segment,
     segmentation_overlay,
+    _parabola_band,
+    _parabola_votes,
+    _rounded_sqrt,
     _vote_by_distance,
     _vote_by_rings,
 )
-from irisfuse.synth import SynthEyeSpec, synth_eye
+from irisfuse.synth import SynthEyeSpec, build_corpus, synth_eye
 
-from oracles import hough_circle_normalized
+from oracles import hough_circle_normalized, parabolic_hough_loop, vote_by_distance_hypot
 
 
 def clean_eye(pupil_r=30.0, iris_r=80.0, seed=7, **kw):
@@ -160,6 +167,15 @@ def random_edges(rng, width, height):
     return EdgeMap(pts[inside][: rng.integers(0, len(pts) + 1)], width, height)
 
 
+def noise_image(seed):
+    return GrayImage(np.random.default_rng(seed).integers(0, 256, (192, 256), dtype=np.uint8))
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    return build_corpus(4, 2, 2026)
+
+
 class TestPerRadiusMatchesOracle:
     """``circular_hough(per_radius=True)`` against the former pupil decoder."""
 
@@ -231,6 +247,93 @@ class TestVotingKernelsAgree:
             assert np.array_equal(by_distance, by_rings)
 
 
+def iris_vote_inputs(img, pupil_cx, pupil_cy, cfg=SegmentationConfig()):
+    """The iris-stage arguments of ``_vote_by_distance``, as ``locate_pupil_and_iris`` forms them."""
+    edges = edge_map(img, "vertical-edges", cfg.grad_threshold)
+    half = IRIS_CENTER_OFFSET
+    x_lo, x_hi = max(int(pupil_cx) - half, 0), min(int(pupil_cx) + half, img.width - 1)
+    y_lo, y_hi = max(int(pupil_cy) - half, 0), min(int(pupil_cy) + half, img.height - 1)
+    return (edges.points[:, 0], edges.points[:, 1], cfg.iris_r_min, cfg.iris_r_max,
+            x_lo, x_hi - x_lo + 1, y_lo, y_hi - y_lo + 1)
+
+
+class TestDistanceVoteMatchesHypotOracle:
+    """The integer-distance kernel against the former float-``hypot`` kernel."""
+
+    @staticmethod
+    def check(*args):
+        got, expect = _vote_by_distance(*args), vote_by_distance_hypot(*args)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+    def test_random_points_and_windows(self):
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            width, height = (int(v) for v in rng.integers(8, 200, size=2))
+            edges = random_edges(rng, width, height)
+            r_min = int(rng.integers(1, 60))
+            r_max = r_min + int(rng.integers(1, 80))
+            x_lo, y_lo = int(rng.integers(0, width)), int(rng.integers(0, height))
+            acc_w = int(rng.integers(1, min(width - x_lo, 40) + 1))
+            acc_h = int(rng.integers(1, min(height - y_lo, 40) + 1))
+            self.check(edges.points[:, 0], edges.points[:, 1], r_min, r_max, x_lo, acc_w, y_lo, acc_h)
+
+    def test_noise_images(self):
+        for seed in (0, 1):
+            self.check(*iris_vote_inputs(noise_image(seed), 128, 96))
+
+    def test_corpus_images(self, small_corpus):
+        for rec in small_corpus.records:
+            self.check(*iris_vote_inputs(rec.image, rec.truth.pupil.cx, rec.truth.pupil.cy))
+
+
+def test_rounded_sqrt_matches_hypot_exhaustively():
+    dx, dy = np.meshgrid(np.arange(257), np.arange(193))
+    lut = _rounded_sqrt(256**2 + 192**2 + 1)
+    assert np.array_equal(lut[dx * dx + dy * dy], np.rint(np.hypot(dx, dy)).astype(lut.dtype))
+
+
+def flat_argmax_circle(acc, r_min, per_radius):
+    """The former peak search: first flat argmax of votes, or of votes/r."""
+    scored = acc
+    if per_radius:
+        scored = acc / np.arange(r_min, r_min + len(acc), dtype=np.float64)[:, None, None]
+    peak = int(np.argmax(scored))
+    if int(acc.flat[peak]) < MIN_CIRCLE_VOTES:
+        return SegmentationError
+    ri, rem = divmod(peak, acc.shape[1] * acc.shape[2])
+    cy, cx = divmod(rem, acc.shape[2])
+    return Circle(cx, cy, r_min + ri)
+
+
+class TestCircularPeak:
+    """The per-plane peak search picks the cell the flat argmax picked, ties included."""
+
+    @staticmethod
+    def peak_of(monkeypatch, acc, r_min, per_radius):
+        monkeypatch.setattr(segmentation, "_vote_by_distance", lambda *args: acc)
+        n_r, acc_h, acc_w = acc.shape
+        edges = EdgeMap(np.array([[0, 0]]), acc_w, acc_h)
+        return outcome(circular_hough, edges, r_min, r_min + n_r - 1, per_radius=per_radius)
+
+    @pytest.mark.parametrize("per_radius", [False, True])
+    def test_random_tied_accumulators(self, monkeypatch, per_radius):
+        rng = np.random.default_rng(73)
+        for _ in range(300):
+            n_r = int(rng.integers(2, 8))
+            acc_h, acc_w = (int(v) for v in rng.integers(1, 9, size=2))
+            r_min = int(rng.integers(1, 6))
+            acc = rng.integers(0, int(rng.integers(1, 9)), (n_r, acc_h, acc_w)).astype(np.int32)
+            expect = flat_argmax_circle(acc, r_min, per_radius)
+            assert self.peak_of(monkeypatch, acc, r_min, per_radius) == expect
+
+    def test_equal_completeness_prefers_the_smaller_radius(self, monkeypatch):
+        acc = np.zeros((11, 3, 4), dtype=np.int32)
+        acc[0, 2, 3] = 5   # 5 votes at r = 10
+        acc[10, 0, 0] = 10  # 10 votes at r = 20: the same votes/r, first in flat order
+        assert self.peak_of(monkeypatch, acc, 10, True) == Circle(3, 2, 10)
+        assert self.peak_of(monkeypatch, acc, 10, False) == Circle(0, 0, 20)
+
+
 class TestLocatePupilAndIris:
     def test_recovery_on_synthetic_eye(self):
         img, truth = clean_eye(pupil_r=30, iris_r=80)
@@ -299,6 +402,114 @@ class TestParabolicHough:
         assert abs(found.h - 64.0) <= 4.0 and abs(found.k - 90.0) <= 4.0
 
 
+def eyelid_regions(iris, width, height):
+    """The upper and lower search regions ``detect_eyelids`` derives from an iris circle."""
+    x_lo = max(0, int(iris.cx - iris.r))
+    x_hi = min(width - 1, int(iris.cx + iris.r))
+    return ((x_lo, x_hi, max(0, int(iris.cy - iris.r)), int(iris.cy)),
+            (x_lo, x_hi, int(iris.cy), min(height - 1, int(iris.cy + iris.r))))
+
+
+def random_lid_edges(rng, width, height):
+    """Uniform clutter plus zero to three tilted parabolic arcs, clipped to the image."""
+    parts = [np.column_stack([rng.integers(0, width, 60), rng.integers(0, height, 60)])]
+    for _ in range(rng.integers(0, 4)):
+        parts.append(parabola_points(rng.uniform(0, width), rng.uniform(0, height),
+                                     rng.choice([-1, 1]) * rng.uniform(0.004, 0.08),
+                                     rng.uniform(-0.2, 0.2), u_span=rng.uniform(5, 60)))
+    pts = np.vstack(parts)
+    inside = (pts[:, 0] >= 0) & (pts[:, 0] < width) & (pts[:, 1] >= 0) & (pts[:, 1] < height)
+    return EdgeMap(pts[inside], width, height)
+
+
+def lid_cases(rng, count):
+    """(edges, region) pairs: random images and regions, some past the image border."""
+    for _ in range(count):
+        width, height = (int(v) for v in rng.integers(8, 160, size=2))
+        x_lo, x_hi = sorted(int(v) for v in rng.integers(-8, width + 8, size=2))
+        y_lo, y_hi = sorted(int(v) for v in rng.integers(-8, height + 8, size=2))
+        yield random_lid_edges(rng, width, height), (x_lo, x_hi, y_lo, y_hi)
+
+
+def image_lid_cases(small_corpus):
+    """(edges, region, sign) for every corpus image and two noise images."""
+    cfg = SegmentationConfig()
+    images = [(rec.image, rec.truth.iris) for rec in small_corpus.records]
+    images += [(noise_image(seed), Circle(128, 96, 90)) for seed in (0, 1)]
+    for img, iris in images:
+        edges = edge_map(img, "horizontal-edges", cfg.grad_threshold)
+        upper, lower = eyelid_regions(iris, img.width, img.height)
+        yield edges, upper, -1
+        yield edges, lower, 1
+
+
+class TestParabolaVotesMatchLoopOracle:
+    """The root-table eyelid vote against the former per-pair loop."""
+
+    @staticmethod
+    def check(edges, region, sign):
+        expect, acc = parabolic_hough_loop(edges, region, sign)
+        assert parabolic_hough(edges, region, sign) == expect
+        if acc is not None:
+            x_lo, x_hi, y_lo, y_hi = region
+            pts = edges.points
+            inside = (pts[:, 0] >= x_lo) & (pts[:, 0] <= x_hi) & (pts[:, 1] >= y_lo) & (pts[:, 1] <= y_hi)
+            got = _parabola_votes(pts[inside], region, sign)
+            assert got.dtype == acc.dtype and np.array_equal(got, acc)
+
+    def test_random_edge_sets(self):
+        for edges, region in lid_cases(np.random.default_rng(61), 40):
+            for sign in (1, -1):
+                self.check(edges, region, sign)
+
+    def test_regions_touching_the_image_border(self):
+        edges = random_lid_edges(np.random.default_rng(62), 96, 72)
+        for region in [(0, 95, 0, 71), (0, 30, 0, 20), (60, 95, 40, 71), (-6, 101, -5, 77),
+                       (0, 95, 71, 71), (95, 95, 0, 71), (-20, 0, 10, 40)]:
+            for sign in (1, -1):
+                self.check(edges, region, sign)
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 3])
+    def test_narrow_regions(self, width):
+        rng = np.random.default_rng(63 + width)
+        edges = random_lid_edges(rng, 64, 64)
+        for _ in range(10):
+            x_lo, y_lo = (int(v) for v in rng.integers(0, 64, size=2))
+            tall = int(rng.integers(0, 64))
+            for region in [(x_lo, x_lo + width - 1, y_lo - tall, y_lo + tall),
+                           (x_lo - tall, x_lo + tall, y_lo, y_lo + width - 1)]:
+                for sign in (1, -1):
+                    self.check(edges, region, sign)
+
+    def test_single_point_regions(self):
+        edges = EdgeMap(np.array([[20, 30]]), 64, 64)
+        for region in [(20, 20, 30, 30), (0, 63, 0, 63), (20, 40, 30, 50), (0, 20, 0, 30),
+                       (19, 21, 29, 31), (17, 20, 30, 33)]:
+            for sign in (1, -1):
+                self.check(edges, region, sign)
+
+    def test_corpus_and_noise_images(self, small_corpus):
+        for edges, region, sign in image_lid_cases(small_corpus):
+            self.check(edges, region, sign)
+
+
+def test_parabola_band_holds_every_vote_the_loop_casts(small_corpus):
+    rng = np.random.default_rng(64)
+    cases = [(e, r, sign) for e, r in lid_cases(rng, 40) for sign in (1, -1)]
+    slack = []
+    for edges, region, sign in cases + list(image_lid_cases(small_corpus)):
+        landed = []
+        parabolic_hough_loop(edges, region, sign, landed)
+        votes = np.concatenate(landed) if landed else np.empty(0)
+        if len(votes) == 0:
+            continue
+        band_lo, band_hi = _parabola_band(region[2], region[3])
+        assert band_lo <= votes.min() and votes.max() <= band_hi
+        slack.append(band_hi - votes.max())
+    # some vote comes within 3 px of the upper edge, so a narrower band shows
+    assert min(slack) < 3
+
+
 class TestNoiseMask:
     def test_pure_geometry_complement_of_annulus(self):
         img = GrayImage(np.full((64, 64), 100, dtype=np.uint8))
@@ -361,3 +572,25 @@ class TestResultInvariants:
         assert (overlay.pixels == 255).sum() > 100
         text = circles_sidecar(truth.pupil, truth.iris)
         assert text.startswith("pupil ") and "\niris " in text
+
+
+class TestPinnedSegmentation:
+    # sha256 of the outputs below, recorded at b51f6e6 with the per-pair
+    # voting kernels; a kernel that moves a circle, a parabola or one mask
+    # pixel, or changes the blank image's error, changes it.
+    DIGEST = "2e10bbde5c6670a1aad534a9957db7b3446553e6e072332d27de5e7a6a7042e7"
+
+    def test_segment_outputs_are_unchanged(self, small_corpus):
+        images = [rec.image for rec in small_corpus.records]
+        images += [noise_image(seed) for seed in (0, 1)]
+        images.append(GrayImage(np.full((192, 256), 128, dtype=np.uint8)))
+        digest = hashlib.sha256()
+        for img in images:
+            try:
+                res = segment(img, SegmentationConfig())
+            except SegmentationError as exc:
+                digest.update(f"error: {exc}\n".encode())
+                continue
+            digest.update(repr((res.pupil, res.iris, res.upper_eyelid, res.lower_eyelid)).encode())
+            digest.update(res.noise_mask.bits.tobytes())
+        assert digest.hexdigest() == self.DIGEST
