@@ -3,22 +3,21 @@
 Circles come from a classic voting Hough transform over an edge map; the
 accumulator has 1 px resolution in (cx, cy, r) and ties are broken
 deterministically (smallest r, then smallest cy, then cx) so repeated runs
-are bit-for-bit identical.  Two voting kernels fill the same accumulator and
-the accumulator size picks one: rounding point-to-center distances wins on
-small center windows (3-8 ms against 48-62 ms for ring stamping on the
-31x31 iris window), stamping precomputed ring offsets wins on whole-image
-searches (52-58 ms against 0.7-0.9 s on the pupil search), both measured
-single-threaded on 192x256 synthetic eyes.  The distance kernel rounds
-integer distances through a table of rint(sqrt(n)) indexed by
-dx^2 + dy^2, which equals rint(hypot(dx, dy)) because no sqrt(n) of an
-integer n lies within about 1/(8r) of a half-integer.  Eyelids use a
-quantized four-parameter vote over tilted vertex-form parabolas.  The roots
-of each (theta, a) quadratic depend only on the integer offset x - h, so
-they come from one cached table, computed by the per-pair expressions; and
-only the pairs whose root lies in a band that provably holds every landing
-vote are voted (7-11 ms per region against 27 ms for the per-pair solve).
-All functions are pure; accumulators are operation-local and the cached
-tables read-only, so everything is thread-safe.
+are bit-for-bit identical.  Both circle searches vote only for centres in a
+31x31 window, as Daugman's and Masek's coarse-to-fine localisers do: the
+pupil around a dark-region prior (the centroid of the darkest connected
+region of the box-mean image), the iris around the pupil.  One kernel fills
+the accumulator: it rounds integer point-to-centre distances through a table
+of rint(sqrt(n)) indexed by dx^2 + dy^2, which equals rint(hypot(dx, dy))
+because no sqrt(n) of an integer n lies within about 1/(8r) of a
+half-integer.  Eyelids use a quantized four-parameter vote over tilted
+vertex-form parabolas.  The roots of each (theta, a) quadratic depend only on
+the integer offset x - h, so they come from one cached table, computed by the
+per-pair expressions; and only the pairs whose root lies in a band that
+provably holds every landing vote are voted (7-11 ms per region against
+27 ms for the per-pair solve).  All functions are pure; accumulators are
+operation-local and the cached tables read-only, so everything is
+thread-safe.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import ndimage
 
 from .imaging import BinaryImage, GrayImage, convolve2d, gaussian_kernel
 
@@ -41,9 +41,10 @@ PARABOLA_CURVATURES = tuple(np.geomspace(0.004, 0.08, 20))
 PARABOLA_STEP = 4
 PARABOLA_VOTE_FLOOR = 0.05
 
-# Centre-offset budget between pupil and iris circles ("near but not
-# necessarily concentric").
-IRIS_CENTER_OFFSET = 15
+# Half-width of both centre windows: the pupil search around the dark-region
+# prior, and the iris search around the pupil ("near but not necessarily
+# concentric").
+CENTER_OFFSET = 15
 
 MIN_CIRCLE_VOTES = 3
 
@@ -227,18 +228,6 @@ def _directional_maxima(mag: np.ndarray, sectors: np.ndarray) -> np.ndarray:
     return keep
 
 
-@lru_cache(maxsize=256)
-def _ring_offsets(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer offsets (dx, dy) whose rounded distance from the origin is r."""
-    span = np.arange(-r - 1, r + 2)
-    dx, dy = np.meshgrid(span, span)
-    keep = np.round(np.hypot(dx, dy)).astype(np.int64) == r
-    out = dx[keep].copy(), dy[keep].copy()
-    out[0].setflags(write=False)
-    out[1].setflags(write=False)
-    return out
-
-
 def circular_hough(
     edges: EdgeMap,
     r_min: int,
@@ -248,8 +237,9 @@ def circular_hough(
 ) -> Circle:
     """Peak of the (cx, cy, r) vote accumulator at 1 px resolution.
 
-    ``center_window`` optionally restricts candidate centers to the inclusive
-    box (x_lo, x_hi, y_lo, y_hi); used to keep the iris search near the pupil.
+    ``center_window`` restricts candidate centers to the inclusive box
+    (x_lo, x_hi, y_lo, y_hi), clipped to the image; None searches the whole
+    image with the same kernel.
     ``per_radius`` scores each cell by votes/r (circle completeness) instead
     of raw votes: raw counts grow with circumference, which lets long
     near-tangential arcs of a large boundary outvote a small complete circle.
@@ -277,11 +267,7 @@ def circular_hough(
     px = edges.points[:, 0]
     py = edges.points[:, 1]
 
-    if acc_h * acc_w <= 4096:
-        acc = _vote_by_distance(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h)
-    else:
-        acc = _vote_by_rings(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h,
-                             edges.width, edges.height)
+    acc = _vote_by_distance(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h)
     # Best plane first, then the best cell in it.  Dividing by r is monotone
     # and keeps distinct counts of one plane distinct, so each plane's best
     # cell is its integer max; first occurrences keep the tie-break order.
@@ -298,7 +284,7 @@ def circular_hough(
 
 
 def _vote_by_distance(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h):
-    """Accumulate votes by rounding point-to-center distances (small windows).
+    """Accumulate votes by rounding point-to-center distances.
 
     For integer offsets, rint(hypot(dx, dy)) == LUT[dx^2 + dy^2] with
     LUT[n] = rint(sqrt(n)): sqrt(n) = m + 1/2 would need n = m^2 + m + 1/4,
@@ -329,42 +315,38 @@ def _rounded_sqrt(n: int) -> np.ndarray:
     return np.rint(np.sqrt(np.arange(n))).astype(np.intp)
 
 
-def _vote_by_rings(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h, img_w, img_h):
-    """Accumulate votes by stamping ring offsets around each edge point.
+def _pupil_prior(img: GrayImage, r_min: int) -> tuple[int, int]:
+    """Rounded centroid (x, y) of the darkest region, a prior for the pupil centre.
 
-    Votes land in a padded plane so no bounds test is needed per vote; the
-    pad is cropped away before the peak search.
+    The image is box-averaged over the smallest pupil's diameter, so thin
+    dark structure fades while the pupil stays darkest; the region is the
+    connected set at or below min + (median - min) / 4 that holds the
+    first minimum.
     """
-    pad = r_max + 1
-    pw = img_w + 2 * pad
-    ph = img_h + 2 * pad
-    base = ((py + pad).astype(np.intp) * pw + (px + pad).astype(np.intp))
-    n_r = r_max - r_min + 1
-    acc = np.empty((n_r, acc_h, acc_w), dtype=np.int32)
-    for ri, r in enumerate(range(r_min, r_max + 1)):
-        dx, dy = _ring_offsets(r)
-        off = dy.astype(np.intp) * pw + dx.astype(np.intp)
-        flat = (base[:, None] + off[None, :]).ravel()
-        plane = np.bincount(flat, minlength=ph * pw).reshape(ph, pw)
-        acc[ri] = plane[pad + y_lo : pad + y_lo + acc_h, pad + x_lo : pad + x_lo + acc_w]
-    return acc
+    mean = ndimage.uniform_filter(img.pixels.astype(np.float64), 2 * r_min + 1, mode="nearest")
+    lo = mean.min()
+    labels, _ = ndimage.label(mean <= lo + (np.median(mean) - lo) / 4)
+    ys, xs = np.nonzero(labels == labels.flat[np.argmin(mean)])
+    return round(xs.mean()), round(ys.mean())
+
+
+def _center_window(cx: int, cy: int) -> tuple[int, int, int, int]:
+    """The inclusive centre box of half-width CENTER_OFFSET around (cx, cy)."""
+    return cx - CENTER_OFFSET, cx + CENTER_OFFSET, cy - CENTER_OFFSET, cy + CENTER_OFFSET
 
 
 def locate_pupil_and_iris(img: GrayImage, cfg: SegmentationConfig) -> tuple[Circle, Circle]:
-    """Two-stage circle detection: pupil first, iris constrained nearby."""
+    """Two-stage circle detection: pupil near the dark-region prior, iris near the pupil."""
     pupil_edges = edge_map(img, "none", cfg.grad_threshold)
+    window = _center_window(*_pupil_prior(img, cfg.pupil_r_min))
     try:
-        pupil = circular_hough(pupil_edges, cfg.pupil_r_min, cfg.pupil_r_max, per_radius=True)
+        pupil = circular_hough(pupil_edges, cfg.pupil_r_min, cfg.pupil_r_max,
+                               center_window=window, per_radius=True)
     except SegmentationError as exc:
         raise SegmentationError(f"pupil detection failed: {exc}") from exc
 
     iris_edges = edge_map(img, "vertical-edges", cfg.grad_threshold)
-    window = (
-        int(pupil.cx) - IRIS_CENTER_OFFSET,
-        int(pupil.cx) + IRIS_CENTER_OFFSET,
-        int(pupil.cy) - IRIS_CENTER_OFFSET,
-        int(pupil.cy) + IRIS_CENTER_OFFSET,
-    )
+    window = _center_window(int(pupil.cx), int(pupil.cy))
     try:
         iris = circular_hough(iris_edges, cfg.iris_r_min, cfg.iris_r_max, center_window=window)
     except SegmentationError as exc:

@@ -5,10 +5,11 @@ code path with the library they check.  The RFE and GA-fitness references
 are the one-target-at-a-time and one-chromosome-at-a-time forms of the
 batched kernels in ``irisfuse.gasel``; they share only the scalar
 ``fitness_cost`` formula with it.  ``hough_circle_normalized`` is the
-former dedicated pupil-stage decoder of ``irisfuse.segmentation``, kept
-verbatim so ``circular_hough(..., per_radius=True)`` can be checked against
-it; it always votes with the ring kernel.  ``zerocross_match_rolled`` and
-``euler_code_per_plane`` are the former ``np.roll`` shift loop of
+former whole-image pupil-stage decoder of ``irisfuse.segmentation``, kept
+verbatim so ``circular_hough(..., per_radius=True)`` and the prior-window
+pupil search can be checked against it; it votes with ``vote_by_rings``, the
+former ring-stamping kernel, also kept verbatim.  ``zerocross_match_rolled``
+and ``euler_code_per_plane`` are the former ``np.roll`` shift loop of
 ``zerocross.match`` and the former one-plane-at-a-time ``euler.euler_code``,
 kept verbatim as the references for the bit-packed and one-pass kernels.
 ``encode_inline`` is the former ``zerocross.encode`` with the wavelet
@@ -24,6 +25,7 @@ integer-distance circle vote.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -43,7 +45,6 @@ from irisfuse.segmentation import (
     EdgeMap,
     Parabola,
     SegmentationError,
-    _vote_by_rings,
 )
 from irisfuse.zerocross import (
     _G_NORMALIZED,
@@ -221,6 +222,39 @@ class ScalarSubsetTrial:
         return float(far[i]), float(frr[i])
 
 
+@lru_cache(maxsize=256)
+def _ring_offsets(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer offsets (dx, dy) whose rounded distance from the origin is r."""
+    span = np.arange(-r - 1, r + 2)
+    dx, dy = np.meshgrid(span, span)
+    keep = np.round(np.hypot(dx, dy)).astype(np.int64) == r
+    out = dx[keep].copy(), dy[keep].copy()
+    out[0].setflags(write=False)
+    out[1].setflags(write=False)
+    return out
+
+
+def vote_by_rings(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h, img_w, img_h):
+    """Accumulate votes by stamping ring offsets around each edge point.
+
+    Votes land in a padded plane so no bounds test is needed per vote; the
+    pad is cropped away before the peak search.
+    """
+    pad = r_max + 1
+    pw = img_w + 2 * pad
+    ph = img_h + 2 * pad
+    base = ((py + pad).astype(np.intp) * pw + (px + pad).astype(np.intp))
+    n_r = r_max - r_min + 1
+    acc = np.empty((n_r, acc_h, acc_w), dtype=np.int32)
+    for ri, r in enumerate(range(r_min, r_max + 1)):
+        dx, dy = _ring_offsets(r)
+        off = dy.astype(np.intp) * pw + dx.astype(np.intp)
+        flat = (base[:, None] + off[None, :]).ravel()
+        plane = np.bincount(flat, minlength=ph * pw).reshape(ph, pw)
+        acc[ri] = plane[pad + y_lo : pad + y_lo + acc_h, pad + x_lo : pad + x_lo + acc_w]
+    return acc
+
+
 def hough_circle_normalized(edges: EdgeMap, r_min: int, r_max: int) -> Circle:
     """Circle vote peak scored by votes/r (circle completeness).
 
@@ -234,7 +268,7 @@ def hough_circle_normalized(edges: EdgeMap, r_min: int, r_max: int) -> Circle:
     if not 0 < r_min < r_max:
         raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
     r_min, r_max = int(r_min), int(r_max)
-    acc = _vote_by_rings(
+    acc = vote_by_rings(
         edges.points[:, 0], edges.points[:, 1], r_min, r_max,
         0, edges.width, 0, edges.height, edges.width, edges.height,
     )

@@ -1,0 +1,53 @@
+"""The benchmark's span recorder (``perfbench/spans.py``) wraps irisfuse
+functions by name, so a renamed or bypassed function would silently read 0
+in its layer.  These tests pin the names and the calls one verify makes."""
+
+import importlib
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from irisfuse.fusion import FusionPolicy
+from irisfuse.synth import build_corpus
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    # the tracer patches only loaded modules, so load every traced one
+    for module_name, _, _ in module.TRACED:
+        importlib.import_module(f"irisfuse.{module_name}")
+    return module
+
+
+def test_every_traced_function_resolves(spans):
+    for module_name, func_name, _ in spans.TRACED:
+        module = importlib.import_module(f"irisfuse.{module_name}")
+        assert callable(getattr(module, func_name, None)), f"irisfuse.{module_name}.{func_name}"
+
+
+def test_verify_runs_every_segmentation_span(spans):
+    store = importlib.import_module("irisfuse.store")
+    records = build_corpus(2, 2, 2026).records
+    gallery = store.empty_gallery()
+    for ident in range(2):
+        first = next(r for r in records if r.identity == ident)
+        gallery = store.enroll(gallery, f"person-{ident}", [first.image])
+    probe = [r for r in records if r.identity == 0][1]
+    with spans.Tracer() as tracer:
+        store.verify(gallery, "person-0", probe.image, FusionPolicy())
+    calls = Counter(span.name for span in tracer.spans)
+    assert calls["store.verify"] == 1
+    assert calls["pipeline.process_image"] == 1
+    assert calls["segmentation.locate_pupil_and_iris"] == 1
+    assert calls["segmentation.circular_hough"] == 2   # pupil, then iris
+    assert calls["segmentation.edge_map"] == 3         # pupil, iris and eyelid edges
+    assert calls["segmentation.parabolic_hough"] == 2  # upper and lower eyelid
