@@ -32,7 +32,7 @@ from .gasel import (
 from .imaging import PgmError, load_pgm, save_pgm
 from .normalization import IncomparableError, polar_debug_images
 from .pipeline import process_image, process_images
-from .segmentation import SegmentationError, circles_sidecar, locate_pupil_and_iris, segmentation_overlay
+from .segmentation import SegmentationError, circles_sidecar, segmentation_overlay
 from .synth import build_corpus, load_corpus, save_corpus
 
 ENV_CONFIG = "IRISFUSE_CONFIG"
@@ -78,19 +78,18 @@ def cmd_segment(args) -> int:
     cfg = _resolve_config(args)
     src = Path(args.image)
     img = load_pgm(src.read_bytes())
-    pipeline = cfg.pipeline()
     try:
-        pupil, iris = locate_pupil_and_iris(img, pipeline.segmentation)
+        feats = process_image(img, cfg.pipeline())
     except SegmentationError as exc:
         print(f"segmentation failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    pupil, iris = feats.segmentation.pupil, feats.segmentation.iris
     out_dir = Path(args.out) if args.out else src.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     overlay = segmentation_overlay(img, pupil, iris)
     _atomic_write(out_dir / f"{src.stem}_overlay.pgm", save_pgm(overlay))
     (out_dir / f"{src.stem}_circles.txt").write_text(circles_sidecar(pupil, iris))
     if args.polar:
-        feats = process_image(img, pipeline)
         polar_img, mask_img = polar_debug_images(feats.enhanced)
         _atomic_write(out_dir / f"{src.stem}_polar.pgm", save_pgm(polar_img))
         _atomic_write(out_dir / f"{src.stem}_polar_mask.pgm", save_pgm(mask_img))

@@ -14,6 +14,7 @@ pixels set; QD: a diagonal pair).  The top nibble of a masked pixel holds
 b7..b4, so nibble-wide bitwise operations on the quad corners give all four
 planes' indicators in one pass; one 12-bit code per quad (Q1 << 8 | Q3 << 4
 | QD), one bincount and a constant (4096, 4) weight table yield the code.
+``euler_number`` runs the same kernel on a single plane shifted to bit 3.
 """
 
 from __future__ import annotations
@@ -75,18 +76,10 @@ class CovarianceModel:
 def euler_number(b: BinaryImage) -> int:
     """Connected components (8-connected) minus holes (4-connected background).
 
-    Computed by bit-quad counting over all 2x2 neighborhoods of the
-    zero-padded image, which equals the component/hole difference under the
-    8-connected-foreground / 4-connected-background convention and runs in
-    one vectorized pass.
+    The image is plane 0 (nibble bit 3) of the bit-quad kernel that
+    ``euler_code`` runs.
     """
-    p = np.pad(b.bits, 1)
-    code = (p[:-1, :-1] << 3) | (p[:-1, 1:] << 2) | (p[1:, :-1] << 1) | p[1:, 1:]
-    c = np.bincount(code.ravel(), minlength=16)
-    quads_one = c[1] + c[2] + c[4] + c[8]
-    quads_three = c[7] + c[11] + c[13] + c[14]
-    quads_diag = c[6] + c[9]
-    return int(quads_one - quads_three - 2 * quads_diag) // 4
+    return int(_nibble_euler(b.bits << 3)[0])
 
 
 def _quad_weights() -> np.ndarray:
@@ -114,9 +107,14 @@ def euler_code(polar: PolarIris, cm: BinaryImage) -> EulerCode:
     """
     if cm.bits.shape != polar.intensities.shape:
         raise ValueError("common mask must be congruent with the polar image")
-    # b7..b4 with invalid pixels zeroed, zero-padded, flattened; the quads
-    # that straddle a row end see only padding and weigh nothing
-    nib = np.pad((polar.intensities >> 4) * (cm.bits ^ 1), 1)
+    return EulerCode(tuple(_nibble_euler((polar.intensities >> 4) * (cm.bits ^ 1))))
+
+
+def _nibble_euler(nib: np.ndarray) -> np.ndarray:
+    """Euler numbers of the four planes (nibble bits 3..0) of a 2-D uint8 nibble image."""
+    # zero-padded and flattened; the quads that straddle a row end see only
+    # padding and weigh nothing
+    nib = np.pad(nib, 1)
     w = nib.shape[1]
     nib = nib.ravel()
     a, b, c, d = nib[: -w - 1], nib[1:-w], nib[w:-1], nib[w + 1 :]
@@ -125,7 +123,7 @@ def euler_code(polar: PolarIris, cm: BinaryImage) -> EulerCode:
     diag = (a ^ b) & ~((a ^ d) | (b ^ c))  # 1001 or 0110
     code = ((odd ^ three).astype(np.uint16) << 8) | (three << 4) | diag
     counts = np.bincount(code, minlength=1 << 12)
-    return EulerCode(tuple(counts @ _QUAD_WEIGHTS // 4))
+    return counts @ _QUAD_WEIGHTS // 4
 
 
 def calibrated_covariance(codes) -> CovarianceModel:

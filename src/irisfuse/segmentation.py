@@ -1,16 +1,20 @@
 """Pupil/iris circle detection, eyelid parabola detection, and noise masking.
 
+As in Canny's detector, ``segment`` smooths and differentiates the image
+once (``edge_gradient``); the pupil, iris and eyelid edge maps each take
+that one gradient and suppress non-maxima along their own direction.
 Circles come from a classic voting Hough transform over an edge map; the
 accumulator has 1 px resolution in (cx, cy, r) and ties are broken
 deterministically (smallest r, then smallest cy, then cx) so repeated runs
 are bit-for-bit identical.  Both circle searches vote only for centres in a
 31x31 window, as Daugman's and Masek's coarse-to-fine localisers do: the
 pupil around a dark-region prior (the centroid of the darkest connected
-region of the box-mean image), the iris around the pupil.  One kernel fills
-the accumulator: it rounds integer point-to-centre distances through a table
-of rint(sqrt(n)) indexed by dx^2 + dy^2, which equals rint(hypot(dx, dy))
-because no sqrt(n) of an integer n lies within about 1/(8r) of a
-half-integer.  Eyelids use a quantized four-parameter vote over tilted
+region of the box-mean image), the iris around the pupil; a pupil circle
+not inside the iris circle (``Circle.encloses``) fails segmentation.  One
+kernel fills the accumulator: it rounds integer point-to-centre distances
+through a table of rint(sqrt(n)) indexed by dx^2 + dy^2, which equals
+rint(hypot(dx, dy)) because no sqrt(n) of an integer n lies within about
+1/(8r) of a half-integer.  Eyelids use a quantized four-parameter vote over tilted
 vertex-form parabolas.  The roots of each (theta, a) quadratic depend only on
 the integer offset x - h, so they come from one cached table, computed by the
 per-pair expressions; and only the pairs whose root lies in a band that
@@ -65,8 +69,9 @@ class Circle:
         if self.r <= 0:
             raise ValueError(f"circle radius must be positive, got {self.r}")
 
-    def contains(self, x, y) -> bool:
-        return (x - self.cx) ** 2 + (y - self.cy) ** 2 <= self.r**2
+    def encloses(self, inner: "Circle") -> bool:
+        """Whether ``inner`` lies wholly inside this circle (touching allowed)."""
+        return math.hypot(inner.cx - self.cx, inner.cy - self.cy) + inner.r <= self.r
 
 
 @dataclass(frozen=True)
@@ -136,10 +141,8 @@ class SegmentationResult:
     noise_mask: BinaryImage
 
     def __post_init__(self):
-        if self.pupil.r >= self.iris.r:
-            raise ValueError("pupil radius must be smaller than iris radius")
-        if not self.iris.contains(self.pupil.cx, self.pupil.cy):
-            raise ValueError("pupil center must lie inside the iris circle")
+        if not self.iris.encloses(self.pupil):
+            raise ValueError("pupil circle must lie inside the iris circle")
 
 
 @dataclass(frozen=True)
@@ -166,36 +169,37 @@ class SegmentationConfig:
 _EDGE_SMOOTHING = gaussian_kernel(5, 1.0)
 
 
-def edge_map(img: GrayImage, bias: str, grad_threshold: float) -> EdgeMap:
-    """Thresholded first-derivative edge map after 5x5 Gaussian smoothing.
-
-    ``bias`` selects the gradient component: "vertical-edges" keeps |d/dx|
-    (vertically oriented boundaries such as the iris sides),
-    "horizontal-edges" keeps |d/dy| (eyelids), "none" the full magnitude.
-    """
-    if bias not in EDGE_BIASES:
-        raise ValueError(f"unknown edge bias {bias!r}; expected one of {EDGE_BIASES}")
+def edge_gradient(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dy, d/dx) of the image after 5x5 Gaussian smoothing, shared by all edge maps."""
     if img.width < _EDGE_SMOOTHING.width or img.height < _EDGE_SMOOTHING.height:
         raise SegmentationError(
             f"image {img.height}x{img.width} is smaller than the "
             f"{_EDGE_SMOOTHING.height}x{_EDGE_SMOOTHING.width} edge-smoothing kernel"
         )
+    return np.gradient(convolve2d(img.pixels, _EDGE_SMOOTHING), edge_order=1)
+
+
+def edge_map(gradient: tuple[np.ndarray, np.ndarray], bias: str, grad_threshold: float) -> EdgeMap:
+    """Thresholded, non-maximum-suppressed edge points of an ``edge_gradient``.
+
+    ``bias`` selects the gradient component: "vertical-edges" keeps |d/dx|
+    (vertically oriented boundaries such as the iris sides),
+    "horizontal-edges" keeps |d/dy| (eyelids), "none" the full magnitude.
+    Non-maxima are suppressed along x, along y and along the quantized
+    gradient direction, respectively.
+    """
+    if bias not in EDGE_BIASES:
+        raise ValueError(f"unknown edge bias {bias!r}; expected one of {EDGE_BIASES}")
     if grad_threshold <= 0:
         raise ValueError("grad_threshold must be positive")
 
-    smoothed = convolve2d(img.pixels, _EDGE_SMOOTHING)
-    gy, gx = np.gradient(smoothed, edge_order=1)
-    if bias == "vertical-edges":
-        mag = np.abs(gx)
-        keep = _directional_maxima(mag, np.zeros_like(mag, dtype=np.uint8))
-    elif bias == "horizontal-edges":
-        mag = np.abs(gy)
-        keep = _directional_maxima(mag, np.full(mag.shape, 2, dtype=np.uint8))
+    gy, gx = gradient
+    if bias == "none":
+        mag, sectors = np.hypot(gx, gy), _gradient_sectors(gx, gy)
     else:
-        mag = np.hypot(gx, gy)
-        keep = _directional_maxima(mag, _gradient_sectors(gx, gy))
-    ys, xs = np.nonzero((mag >= grad_threshold) & keep)
-    return EdgeMap(np.column_stack([xs, ys]), img.width, img.height)
+        mag, sectors = (np.abs(gx), 0) if bias == "vertical-edges" else (np.abs(gy), 2)
+    ys, xs = np.nonzero((mag >= grad_threshold) & _directional_maxima(mag, sectors))
+    return EdgeMap(np.column_stack([xs, ys]), mag.shape[1], mag.shape[0])
 
 
 def _gradient_sectors(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
@@ -204,26 +208,23 @@ def _gradient_sectors(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return (np.rint(ang / (math.pi / 4)).astype(np.uint8)) % 4
 
 
-def _directional_maxima(mag: np.ndarray, sectors: np.ndarray) -> np.ndarray:
+def _directional_maxima(mag: np.ndarray, sectors) -> np.ndarray:
     """Non-maximum suppression along the gradient direction.
 
+    ``sectors`` is per pixel or one sector for all; empty sectors are skipped.
     A pixel survives when its magnitude strictly exceeds the neighbor on one
     side and is at least the neighbor on the other, so a tied pair (as on a
     perfectly symmetric step) keeps exactly one pixel.
     """
     padded = np.pad(mag, 1, mode="constant", constant_values=-np.inf)
-    core = np.s_[1:-1, 1:-1]
-    offsets = {  # (dy, dx) of the "positive" neighbor per sector
-        0: (0, 1),
-        1: (1, 1),
-        2: (1, 0),
-        3: (1, -1),
-    }
     keep = np.zeros(mag.shape, dtype=bool)
-    for sector, (dy, dx) in offsets.items():
+    # (dy, dx) of the "positive" neighbor per sector
+    for sector, (dy, dx) in enumerate(((0, 1), (1, 1), (1, 0), (1, -1))):
+        sel = sectors == sector
+        if not np.any(sel):
+            continue
         fwd = padded[1 + dy : padded.shape[0] - 1 + dy, 1 + dx : padded.shape[1] - 1 + dx]
         bwd = padded[1 - dy : padded.shape[0] - 1 - dy, 1 - dx : padded.shape[1] - 1 - dx]
-        sel = sectors == sector
         keep |= sel & (mag > bwd) & (mag >= fwd)
     return keep
 
@@ -335,9 +336,14 @@ def _center_window(cx: int, cy: int) -> tuple[int, int, int, int]:
     return cx - CENTER_OFFSET, cx + CENTER_OFFSET, cy - CENTER_OFFSET, cy + CENTER_OFFSET
 
 
-def locate_pupil_and_iris(img: GrayImage, cfg: SegmentationConfig) -> tuple[Circle, Circle]:
-    """Two-stage circle detection: pupil near the dark-region prior, iris near the pupil."""
-    pupil_edges = edge_map(img, "none", cfg.grad_threshold)
+def locate_pupil_and_iris(img: GrayImage, cfg: SegmentationConfig,
+                          gradient=None) -> tuple[Circle, Circle]:
+    """Two-stage circle detection: pupil near the dark-region prior, iris near the pupil.
+
+    ``gradient`` is the image's ``edge_gradient``, computed here when omitted.
+    """
+    gradient = edge_gradient(img) if gradient is None else gradient
+    pupil_edges = edge_map(gradient, "none", cfg.grad_threshold)
     window = _center_window(*_pupil_prior(img, cfg.pupil_r_min))
     try:
         pupil = circular_hough(pupil_edges, cfg.pupil_r_min, cfg.pupil_r_max,
@@ -345,17 +351,15 @@ def locate_pupil_and_iris(img: GrayImage, cfg: SegmentationConfig) -> tuple[Circ
     except SegmentationError as exc:
         raise SegmentationError(f"pupil detection failed: {exc}") from exc
 
-    iris_edges = edge_map(img, "vertical-edges", cfg.grad_threshold)
+    iris_edges = edge_map(gradient, "vertical-edges", cfg.grad_threshold)
     window = _center_window(int(pupil.cx), int(pupil.cy))
     try:
         iris = circular_hough(iris_edges, cfg.iris_r_min, cfg.iris_r_max, center_window=window)
     except SegmentationError as exc:
         raise SegmentationError(f"iris detection failed: {exc}") from exc
 
-    if pupil.r >= iris.r:
-        raise SegmentationError(f"pupil radius {pupil.r} not smaller than iris radius {iris.r}")
-    if not iris.contains(pupil.cx, pupil.cy):
-        raise SegmentationError("detected pupil center lies outside the iris circle")
+    if not iris.encloses(pupil):
+        raise SegmentationError("pupil circle not contained in iris circle")
     return pupil, iris
 
 
@@ -500,14 +504,14 @@ def _parabola_votes(pts: np.ndarray, search_region, curvature_sign: int) -> np.n
 
 
 def detect_eyelids(
-    img: GrayImage, pupil: Circle, iris: Circle, grad_threshold: float
+    gradient: tuple[np.ndarray, np.ndarray], pupil: Circle, iris: Circle, grad_threshold: float
 ) -> tuple[Parabola | None, Parabola | None]:
-    """Search for upper and lower eyelid arcs near the iris circle."""
-    edges = edge_map(img, "horizontal-edges", grad_threshold)
+    """Upper and lower eyelid arcs in the iris's bounding box, from an ``edge_gradient``."""
+    edges = edge_map(gradient, "horizontal-edges", grad_threshold)
     x_lo = max(0, int(iris.cx - iris.r))
-    x_hi = min(img.width - 1, int(iris.cx + iris.r))
+    x_hi = min(edges.width - 1, int(iris.cx + iris.r))
     upper_region = (x_lo, x_hi, max(0, int(iris.cy - iris.r)), int(iris.cy))
-    lower_region = (x_lo, x_hi, int(iris.cy), min(img.height - 1, int(iris.cy + iris.r)))
+    lower_region = (x_lo, x_hi, int(iris.cy), min(edges.height - 1, int(iris.cy + iris.r)))
     upper = parabolic_hough(edges, upper_region, curvature_sign=-1)
     lower = parabolic_hough(edges, lower_region, curvature_sign=1)
     return upper, lower
@@ -526,8 +530,7 @@ def build_noise_mask(
     occluded side of each eyelid parabola, or at/above the specular
     intensity threshold.
     """
-    center_dist = math.hypot(pupil.cx - iris.cx, pupil.cy - iris.cy)
-    if center_dist + pupil.r > iris.r:
+    if not iris.encloses(pupil):
         raise SegmentationError("pupil circle not contained in iris circle")
 
     ys, xs = np.mgrid[0 : img.height, 0 : img.width]
@@ -542,14 +545,14 @@ def build_noise_mask(
 
 
 def segment(img: GrayImage, cfg: SegmentationConfig) -> SegmentationResult:
-    """Full segmentation: circles, optional eyelids, and the noise mask."""
-    pupil, iris = locate_pupil_and_iris(img, cfg)
+    """Full segmentation: circles, optional eyelids, and the noise mask, from one gradient."""
+    gradient = edge_gradient(img)
+    pupil, iris = locate_pupil_and_iris(img, cfg, gradient)
+    lids = (None, None)
     if cfg.detect_eyelids:
-        upper, lower = detect_eyelids(img, pupil, iris, cfg.grad_threshold)
-    else:
-        upper, lower = None, None
-    mask = build_noise_mask(img, pupil, iris, (upper, lower), cfg.specular_threshold)
-    return SegmentationResult(pupil, iris, upper, lower, mask)
+        lids = detect_eyelids(gradient, pupil, iris, cfg.grad_threshold)
+    mask = build_noise_mask(img, pupil, iris, lids, cfg.specular_threshold)
+    return SegmentationResult(pupil, iris, *lids, mask)
 
 
 def segmentation_overlay(img: GrayImage, pupil: Circle, iris: Circle) -> GrayImage:

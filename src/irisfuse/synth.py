@@ -49,8 +49,7 @@ class SynthEyeSpec:
         ratio = self.pupil.r / self.iris.r
         if not 0.10 <= ratio <= 0.80:
             raise ValueError(f"pupil/iris diameter ratio {ratio:.3f} outside [0.10, 0.80]")
-        center_gap = math.hypot(self.pupil.cx - self.iris.cx, self.pupil.cy - self.iris.cy)
-        if center_gap + self.pupil.r > self.iris.r:
+        if not self.iris.encloses(self.pupil):
             raise ValueError("pupil circle must lie inside the iris circle")
         if (
             self.iris.cx - self.iris.r < 0

@@ -21,7 +21,14 @@ former ``parabolic_hough``, which solved every (theta, a) quadratic per
 (point, column) pair and voted with one ``bincount`` per root, and
 ``vote_by_distance_hypot`` the former float-``hypot`` distance kernel; both
 are kept verbatim as the references for the root-table eyelid vote and the
-integer-distance circle vote.
+integer-distance circle vote.  ``euler_number_quads`` is the former
+``euler.euler_number``, a one-plane bit-quad count kept verbatim so that the
+one-plane oracle ``euler_code_per_plane`` does not run the nibble kernel it
+checks.  ``edge_map_image`` is the former ``segmentation.edge_map``, which
+smoothed and differentiated the image on every call and suppressed
+non-maxima through a per-pixel sector array for every bias; it is kept
+verbatim, with its two helpers, as the reference for the shared-gradient
+edge maps.
 """
 
 import math
@@ -31,11 +38,12 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial.distance import pdist, squareform
 
-from irisfuse.euler import MSB_PLANES, EulerCode, euler_number
+from irisfuse.euler import MSB_PLANES, EulerCode
 from irisfuse.gasel import fitness_cost
-from irisfuse.imaging import BinaryImage
+from irisfuse.imaging import BinaryImage, GrayImage, gaussian_kernel
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH
 from irisfuse.segmentation import (
+    EDGE_BIASES,
     MIN_CIRCLE_VOTES,
     PARABOLA_CURVATURES,
     PARABOLA_STEP,
@@ -325,7 +333,24 @@ def euler_code_per_plane(polar, cm):
         raise ValueError("common mask must be congruent with the polar image")
     masked = np.where(cm.bits == 1, 0, polar.intensities).astype(np.uint8)
     planes = [(masked >> k) & 1 for k in range(7, 7 - MSB_PLANES, -1)]  # b7..b4
-    return EulerCode(tuple(euler_number(BinaryImage(p)) for p in planes))
+    return EulerCode(tuple(euler_number_quads(BinaryImage(p)) for p in planes))
+
+
+def euler_number_quads(b: BinaryImage) -> int:
+    """Connected components (8-connected) minus holes (4-connected background).
+
+    Computed by bit-quad counting over all 2x2 neighborhoods of the
+    zero-padded image, which equals the component/hole difference under the
+    8-connected-foreground / 4-connected-background convention and runs in
+    one vectorized pass.
+    """
+    p = np.pad(b.bits, 1)
+    code = (p[:-1, :-1] << 3) | (p[:-1, 1:] << 2) | (p[1:, :-1] << 1) | p[1:, 1:]
+    c = np.bincount(code.ravel(), minlength=16)
+    quads_one = c[1] + c[2] + c[4] + c[8]
+    quads_three = c[7] + c[11] + c[13] + c[14]
+    quads_diag = c[6] + c[9]
+    return int(quads_one - quads_three - 2 * quads_diag) // 4
 
 
 def encode_inline(polar, scales=(2, 4)):
@@ -465,3 +490,68 @@ def parabolic_hough_loop(edges, search_region, curvature_sign=1, landed=None):
         a=curvature_sign * float(PARABOLA_CURVATURES[ai]),
         theta=PARABOLA_THETAS[ti],
     ), acc
+
+
+_EDGE_SMOOTHING = gaussian_kernel(5, 1.0)
+
+
+def edge_map_image(img: GrayImage, bias: str, grad_threshold: float) -> EdgeMap:
+    """Thresholded first-derivative edge map after 5x5 Gaussian smoothing.
+
+    ``bias`` selects the gradient component: "vertical-edges" keeps |d/dx|
+    (vertically oriented boundaries such as the iris sides),
+    "horizontal-edges" keeps |d/dy| (eyelids), "none" the full magnitude.
+    """
+    if bias not in EDGE_BIASES:
+        raise ValueError(f"unknown edge bias {bias!r}; expected one of {EDGE_BIASES}")
+    if img.width < _EDGE_SMOOTHING.width or img.height < _EDGE_SMOOTHING.height:
+        raise SegmentationError(
+            f"image {img.height}x{img.width} is smaller than the "
+            f"{_EDGE_SMOOTHING.height}x{_EDGE_SMOOTHING.width} edge-smoothing kernel"
+        )
+    if grad_threshold <= 0:
+        raise ValueError("grad_threshold must be positive")
+
+    smoothed = convolve2d(img.pixels, _EDGE_SMOOTHING)
+    gy, gx = np.gradient(smoothed, edge_order=1)
+    if bias == "vertical-edges":
+        mag = np.abs(gx)
+        keep = _directional_maxima(mag, np.zeros_like(mag, dtype=np.uint8))
+    elif bias == "horizontal-edges":
+        mag = np.abs(gy)
+        keep = _directional_maxima(mag, np.full(mag.shape, 2, dtype=np.uint8))
+    else:
+        mag = np.hypot(gx, gy)
+        keep = _directional_maxima(mag, _gradient_sectors(gx, gy))
+    ys, xs = np.nonzero((mag >= grad_threshold) & keep)
+    return EdgeMap(np.column_stack([xs, ys]), img.width, img.height)
+
+
+def _gradient_sectors(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Quantize gradient direction into 4 sectors: 0=E/W, 1=NE/SW, 2=N/S, 3=NW/SE."""
+    ang = np.mod(np.arctan2(gy, gx), math.pi)
+    return (np.rint(ang / (math.pi / 4)).astype(np.uint8)) % 4
+
+
+def _directional_maxima(mag: np.ndarray, sectors: np.ndarray) -> np.ndarray:
+    """Non-maximum suppression along the gradient direction.
+
+    A pixel survives when its magnitude strictly exceeds the neighbor on one
+    side and is at least the neighbor on the other, so a tied pair (as on a
+    perfectly symmetric step) keeps exactly one pixel.
+    """
+    padded = np.pad(mag, 1, mode="constant", constant_values=-np.inf)
+    core = np.s_[1:-1, 1:-1]
+    offsets = {  # (dy, dx) of the "positive" neighbor per sector
+        0: (0, 1),
+        1: (1, 1),
+        2: (1, 0),
+        3: (1, -1),
+    }
+    keep = np.zeros(mag.shape, dtype=bool)
+    for sector, (dy, dx) in offsets.items():
+        fwd = padded[1 + dy : padded.shape[0] - 1 + dy, 1 + dx : padded.shape[1] - 1 + dx]
+        bwd = padded[1 - dy : padded.shape[0] - 1 - dy, 1 - dx : padded.shape[1] - 1 - dx]
+        sel = sectors == sector
+        keep |= sel & (mag > bwd) & (mag >= fwd)
+    return keep

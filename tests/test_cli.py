@@ -8,6 +8,8 @@ from irisfuse import store
 from irisfuse.cli import main
 from irisfuse.config import RunConfig
 from irisfuse.imaging import BinaryImage, GrayImage, save_pgm
+from irisfuse.segmentation import Circle
+from irisfuse.synth import SynthEyeSpec, synth_eye
 from irisfuse.zerocross import ZeroCrossTemplate
 
 
@@ -83,6 +85,26 @@ class TestSegment:
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P6 2 2 255 junk")
         assert main(["segment", str(bad), "--out", str(tmp_path)]) == 2
+
+    # Eye 57 (identity 14, sample 1) of build_corpus(30, 4, 7).  Its iris
+    # radius lies below iris_r_min, so the pupil search finds a circle of
+    # radius 62 that the iris circle does not contain; the pipeline rejects it.
+    UNNESTED_EYE = SynthEyeSpec(
+        width=256, height=192,
+        pupil=Circle(129.11347581558422, 96.09942195442457, 26.434792820468655),
+        iris=Circle(130.36094514356725, 97.00993177702622, 62.34851706815059),
+        texture_seed=1073283950, eyelid_coverage=0.05885532171278299, specular_spots=0,
+        noise_sigma=1.0, rotation=0.06740411825200884, noise_seed=2047316442,
+    )
+
+    @pytest.mark.parametrize("polar", [[], ["--polar"]])
+    def test_fails_exactly_when_the_pipeline_does(self, tmp_path, capsys, polar):
+        image = tmp_path / "eye.pgm"
+        image.write_bytes(save_pgm(synth_eye(self.UNNESTED_EYE)[0]))
+        rc = main(["segment", str(image), "--out", str(tmp_path / "out"), *polar])
+        assert rc == 1
+        assert "pupil circle not contained in iris circle" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [image]
 
 
 class TestEnrollVerify:

@@ -19,7 +19,7 @@ from irisfuse.pipeline import PipelineConfig, process_image
 from irisfuse.segmentation import SegmentationError
 from irisfuse.synth import build_corpus
 
-from oracles import euler_code_per_plane, flood_fill_euler
+from oracles import euler_code_per_plane, euler_number_quads, flood_fill_euler
 
 
 def polar_of(values, mask=None):
@@ -50,6 +50,15 @@ class TestEulerNumber:
             bits = (rng.random((32, 32)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
             img = BinaryImage(bits)
             assert euler_number(img) == flood_fill_euler(bits)
+
+    def test_matches_one_plane_quad_oracle(self):
+        # every size from 1x1, including one-row and one-column images,
+        # whose quads all straddle the padding
+        rng = np.random.default_rng(19)
+        for _ in range(600):
+            h, w = (int(v) for v in rng.integers(1, 40, size=2))
+            bits = (rng.random((h, w)) < rng.uniform(0.05, 0.95)).astype(np.uint8)
+            assert euler_number(BinaryImage(bits)) == euler_number_quads(BinaryImage(bits))
 
     def test_additive_over_separated_components(self):
         rng = np.random.default_rng(23)

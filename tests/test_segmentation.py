@@ -18,6 +18,7 @@ from irisfuse.segmentation import (
     build_noise_mask,
     circular_hough,
     circles_sidecar,
+    edge_gradient,
     edge_map,
     locate_pupil_and_iris,
     parabolic_hough,
@@ -30,7 +31,12 @@ from irisfuse.segmentation import (
 )
 from irisfuse.synth import SynthEyeSpec, build_corpus, synth_eye
 
-from oracles import hough_circle_normalized, parabolic_hough_loop, vote_by_distance_hypot
+from oracles import (
+    edge_map_image,
+    hough_circle_normalized,
+    parabolic_hough_loop,
+    vote_by_distance_hypot,
+)
 
 
 def clean_eye(pupil_r=30.0, iris_r=80.0, seed=7, **kw):
@@ -45,28 +51,33 @@ def clean_eye(pupil_r=30.0, iris_r=80.0, seed=7, **kw):
     return synth_eye(spec)
 
 
+def edges_of(img, bias, grad_threshold):
+    return edge_map(edge_gradient(img), bias, grad_threshold)
+
+
 class TestEdgeMap:
     def test_constant_image_empty(self):
         img = GrayImage(np.full((16, 16), 90, dtype=np.uint8))
         for bias in ("none", "vertical-edges", "horizontal-edges"):
-            assert len(edge_map(img, bias, 5.0)) == 0
+            assert len(edges_of(img, bias, 5.0)) == 0
 
     def test_vertical_step_gives_single_column(self):
         arr = np.zeros((20, 24), dtype=np.uint8)
         arr[:, 12:] = 200
-        em = edge_map(GrayImage(arr), "vertical-edges", 10.0)
+        em = edges_of(GrayImage(arr), "vertical-edges", 10.0)
         assert len(em) > 0
         assert len(np.unique(em.points[:, 0])) == 1
+        assert (em.width, em.height) == (24, 20)
 
     def test_horizontal_step_invisible_to_vertical_bias(self):
         arr = np.zeros((24, 20), dtype=np.uint8)
         arr[12:, :] = 200
-        assert len(edge_map(GrayImage(arr), "vertical-edges", 10.0)) == 0
-        assert len(edge_map(GrayImage(arr), "horizontal-edges", 10.0)) > 0
+        assert len(edges_of(GrayImage(arr), "vertical-edges", 10.0)) == 0
+        assert len(edges_of(GrayImage(arr), "horizontal-edges", 10.0)) > 0
 
     def test_synthetic_eye_points_near_boundaries(self):
         img, truth = clean_eye()
-        em = edge_map(img, "none", SegmentationConfig().grad_threshold)
+        em = edges_of(img, "none", SegmentationConfig().grad_threshold)
         pts = em.points.astype(np.float64)
         d_p = np.abs(np.hypot(pts[:, 0] - truth.pupil.cx, pts[:, 1] - truth.pupil.cy) - truth.pupil.r)
         d_i = np.abs(np.hypot(pts[:, 0] - truth.iris.cx, pts[:, 1] - truth.iris.cy) - truth.iris.r)
@@ -77,21 +88,75 @@ class TestEdgeMap:
     def test_image_smaller_than_smoothing_kernel_fails_segmentation(self, shape):
         img = GrayImage(np.full(shape, 90, dtype=np.uint8))
         with pytest.raises(SegmentationError, match="5x5 edge-smoothing kernel"):
-            edge_map(img, "none", 5.0)
-        with pytest.raises(SegmentationError):
+            edge_gradient(img)
+        with pytest.raises(SegmentationError, match="5x5 edge-smoothing kernel"):
             segment(img, SegmentationConfig())
+        with pytest.raises(SegmentationError, match="5x5 edge-smoothing kernel"):
+            locate_pupil_and_iris(img, SegmentationConfig())
 
     def test_five_by_five_image_has_an_edge_map(self):
         arr = np.zeros((5, 5), dtype=np.uint8)
         arr[:, 3:] = 200
-        assert len(edge_map(GrayImage(arr), "vertical-edges", 10.0)) > 0
+        assert len(edges_of(GrayImage(arr), "vertical-edges", 10.0)) > 0
 
     def test_rejects_unknown_bias_and_bad_threshold(self):
-        img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
+        gradient = edge_gradient(GrayImage(np.zeros((8, 8), dtype=np.uint8)))
         with pytest.raises(ValueError):
-            edge_map(img, "diagonal", 1.0)
+            edge_map(gradient, "diagonal", 1.0)
         with pytest.raises(ValueError):
-            edge_map(img, "none", 0.0)
+            edge_map(gradient, "none", 0.0)
+
+    def test_segment_smooths_once(self, monkeypatch):
+        calls = []
+        convolve = segmentation.convolve2d
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return convolve(*args)
+
+        monkeypatch.setattr(segmentation, "convolve2d", counting)
+        img, _ = clean_eye(eyelid_coverage=0.3)
+        result = segment(img, SegmentationConfig())
+        assert result.upper_eyelid is not None  # the eyelid edges were read
+        assert calls == [(img.height, img.width)]
+
+
+class TestEdgeMapMatchesImageOracle:
+    """Edge maps of one shared gradient against the former image-in ``edge_map``."""
+
+    @staticmethod
+    def check(img, thresholds=(14.0,)):
+        gradient = edge_gradient(img)
+        for bias in segmentation.EDGE_BIASES:
+            for t in thresholds:
+                got = edge_map(gradient, bias, t)
+                want = edge_map_image(img, bias, t)
+                assert np.array_equal(got.points, want.points), (bias, t)
+                assert (got.width, got.height) == (want.width, want.height)
+
+    def test_corpus_images(self, small_corpus):
+        for rec in small_corpus.records:
+            self.check(rec.image, thresholds=(2.0, 14.0, 40.0))
+
+    def test_noise_and_blank_images(self):
+        for seed in (0, 1, 2):
+            self.check(noise_image(seed), thresholds=(0.5, 14.0, 60.0))
+        self.check(GrayImage(np.full((192, 256), 128, dtype=np.uint8)), thresholds=(1e-9, 14.0))
+
+    def test_small_sizes(self):
+        rng = np.random.default_rng(12)
+        for h in range(5, 12):
+            for w in range(5, 12):
+                img = GrayImage(rng.integers(0, 256, (h, w), dtype=np.uint8))
+                self.check(img, thresholds=(1.0, 14.0, 50.0))
+
+    def test_steps_and_ties(self):
+        # symmetric steps tie neighbouring magnitudes, which the NMS breaks
+        for shape in ((5, 5), (9, 14), (20, 7)):
+            arr = np.zeros(shape, dtype=np.uint8)
+            arr[:, shape[1] // 2 :] = 200
+            self.check(GrayImage(arr), thresholds=(1.0, 10.0))
+            self.check(GrayImage(np.ascontiguousarray(arr.T)), thresholds=(1.0, 10.0))
 
 
 def circle_points(cx, cy, r, step_deg=2.0, jitter=None, rng=None):
@@ -222,14 +287,14 @@ class TestPerRadiusMatchesOracle:
         images = [rec.image for rec in build_corpus(6, 2, 2026).records]
         images += [synth_eye(spec)[0] for spec in c02_style_specs(20)]
         for img in images:
-            edges = edge_map(img, "none", cfg.grad_threshold)
+            edges = edges_of(img, "none", cfg.grad_threshold)
             expect = hough_circle_normalized(edges, cfg.pupil_r_min, cfg.pupil_r_max)
             assert locate_pupil_and_iris(img, cfg)[0] == expect
 
 
 def iris_vote_inputs(img, pupil_cx, pupil_cy, cfg=SegmentationConfig()):
     """The iris-stage arguments of ``_vote_by_distance``, as ``locate_pupil_and_iris`` forms them."""
-    edges = edge_map(img, "vertical-edges", cfg.grad_threshold)
+    edges = edges_of(img, "vertical-edges", cfg.grad_threshold)
     half = CENTER_OFFSET
     x_lo, x_hi = max(int(pupil_cx) - half, 0), min(int(pupil_cx) + half, img.width - 1)
     y_lo, y_hi = max(int(pupil_cy) - half, 0), min(int(pupil_cy) + half, img.height - 1)
@@ -346,6 +411,32 @@ class TestLocatePupilAndIris:
         with pytest.raises(SegmentationError):
             locate_pupil_and_iris(img, SegmentationConfig())
 
+    def test_rejects_pupil_circle_the_noise_mask_rejects(self, monkeypatch):
+        # centre inside the iris and radius smaller, but the pupil circle
+        # crosses the iris boundary: the circles one corpus eye gave
+        pupil, iris = Circle(130, 97, 62), Circle(131, 96, 63)
+        circles = iter([pupil, iris])
+        monkeypatch.setattr(segmentation, "circular_hough", lambda *a, **kw: next(circles))
+        img, _ = clean_eye()
+        message = "pupil circle not contained in iris circle"
+        with pytest.raises(SegmentationError, match=message):
+            locate_pupil_and_iris(img, SegmentationConfig())
+        with pytest.raises(SegmentationError, match=message):
+            build_noise_mask(img, pupil, iris)
+
+    def test_encloses(self):
+        iris = Circle(50, 50, 20)
+        assert iris.encloses(iris)
+        assert iris.encloses(Circle(60, 50, 10))      # touching from inside
+        assert not iris.encloses(Circle(60, 50, 10.5))
+        assert not iris.encloses(Circle(50, 50, 21))
+        assert not Circle(0, 0, 5).encloses(Circle(100, 0, 1))
+
+    def test_gradient_argument_is_the_default(self):
+        img, _ = clean_eye()
+        cfg = SegmentationConfig()
+        assert locate_pupil_and_iris(img, cfg, edge_gradient(img)) == locate_pupil_and_iris(img, cfg)
+
     def test_overlapping_radius_ranges_rejected(self):
         with pytest.raises(ValueError):
             SegmentationConfig(pupil_r_min=6, pupil_r_max=70, iris_r_min=63, iris_r_max=100)
@@ -427,7 +518,7 @@ def image_lid_cases(small_corpus):
     images = [(rec.image, rec.truth.iris) for rec in small_corpus.records]
     images += [(noise_image(seed), Circle(128, 96, 90)) for seed in (0, 1)]
     for img, iris in images:
-        edges = edge_map(img, "horizontal-edges", cfg.grad_threshold)
+        edges = edges_of(img, "horizontal-edges", cfg.grad_threshold)
         upper, lower = eyelid_regions(iris, img.width, img.height)
         yield edges, upper, -1
         yield edges, lower, 1
