@@ -178,7 +178,8 @@ def cmd_train_ga(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _apply_seed(_resolve_config(args), args)
     if args.corpus:
-        corpus = load_corpus(Path(args.corpus))
+        # the seed samples the imposter pairs, as it does for a built corpus
+        corpus = replace(load_corpus(Path(args.corpus)), master_seed=cfg.rng_seed)
     else:
         if args.identities < 2:
             print("error: need at least 2 identities to evaluate", file=sys.stderr)

@@ -10,11 +10,10 @@ over the enrolled population (regularized to stay positive-definite).
 
 Euler numbers come from Gray's (1971) bit-quad counts, E = (Q1 - Q3 -
 2*QD) / 4 over the 2x2 quads of the zero-padded plane (Q1, Q3: one or three
-pixels set; QD: a diagonal pair).  The top nibble of a masked pixel holds
-b7..b4, so nibble-wide bitwise operations on the quad corners give all four
-planes' indicators in one pass; one 12-bit code per quad (Q1 << 8 | Q3 << 4
-| QD), one bincount and a constant (4096, 4) weight table yield the code.
-``euler_number`` runs the same kernel on a single plane shifted to bit 3.
+pixels set; QD: a diagonal pair), counted per bit plane of a uint8 image
+(``_plane_euler``).  ``pair_codes`` packs one polar image's b7..b4 over the
+other's, so both codes of a pair under its union mask come from one pass.
+``mahalanobis`` is the one-pair case of ``mahalanobis_rows``.
 """
 
 from __future__ import annotations
@@ -74,22 +73,8 @@ class CovarianceModel:
 
 
 def euler_number(b: BinaryImage) -> int:
-    """Connected components (8-connected) minus holes (4-connected background).
-
-    The image is plane 0 (nibble bit 3) of the bit-quad kernel that
-    ``euler_code`` runs.
-    """
-    return int(_nibble_euler(b.bits << 3)[0])
-
-
-def _quad_weights() -> np.ndarray:
-    """(4096, 4) weights of Q1 - Q3 - 2*QD per 12-bit quad code and plane."""
-    code = np.arange(1 << 12)[:, None]
-    bit = np.arange(MSB_PLANES - 1, -1, -1)  # b7..b4 sit at nibble bits 3..0
-    return ((code >> (bit + 8)) & 1) - ((code >> (bit + 4)) & 1) - 2 * ((code >> bit) & 1)
-
-
-_QUAD_WEIGHTS = _quad_weights()
+    """Connected components (8-connected) minus holes (4-connected background)."""
+    return int(_plane_euler(b.bits)[-1])
 
 
 def common_mask(ma: BinaryImage, mb: BinaryImage) -> BinaryImage:
@@ -107,23 +92,25 @@ def euler_code(polar: PolarIris, cm: BinaryImage) -> EulerCode:
     """
     if cm.bits.shape != polar.intensities.shape:
         raise ValueError("common mask must be congruent with the polar image")
-    return EulerCode(tuple(_nibble_euler((polar.intensities >> 4) * (cm.bits ^ 1))))
+    return EulerCode(tuple(_plane_euler(polar.intensities * (cm.bits ^ 1))[:MSB_PLANES]))
 
 
-def _nibble_euler(nib: np.ndarray) -> np.ndarray:
-    """Euler numbers of the four planes (nibble bits 3..0) of a 2-D uint8 nibble image."""
-    # zero-padded and flattened; the quads that straddle a row end see only
-    # padding and weigh nothing
-    nib = np.pad(nib, 1)
-    w = nib.shape[1]
-    nib = nib.ravel()
-    a, b, c, d = nib[: -w - 1], nib[1:-w], nib[w:-1], nib[w + 1 :]
+def pair_codes(a: PolarIris, b: PolarIris) -> np.ndarray:
+    """Rows: ``euler_code`` of ``a`` and of ``b`` under ``common_mask(a.mask, b.mask)``."""
+    valid = (a.mask.bits | b.mask.bits) ^ 1
+    return _plane_euler(((a.intensities & 0xF0) | (b.intensities >> 4)) * valid).reshape(2, MSB_PLANES)
+
+
+def _plane_euler(img: np.ndarray) -> np.ndarray:
+    """Euler numbers of the eight bit planes (b7 first) of a 2-D uint8 image."""
+    p = np.pad(img, 1)
+    a, b, c, d = p[:-1, :-1], p[:-1, 1:], p[1:, :-1], p[1:, 1:]
     odd = a ^ b ^ c ^ d                    # one or three set
     three = odd & ((a & b) | (c & d))      # any three set include a&b or c&d
+    one = odd ^ three
     diag = (a ^ b) & ~((a ^ d) | (b ^ c))  # 1001 or 0110
-    code = ((odd ^ three).astype(np.uint16) << 8) | (three << 4) | diag
-    counts = np.bincount(code, minlength=1 << 12)
-    return counts @ _QUAD_WEIGHTS // 4
+    return np.array([np.count_nonzero(one & bit) - np.count_nonzero(three & bit)
+                     - 2 * np.count_nonzero(diag & bit) for bit in (128, 64, 32, 16, 8, 4, 2, 1)]) // 4
 
 
 def calibrated_covariance(codes) -> CovarianceModel:
@@ -141,11 +128,15 @@ def calibrated_covariance(codes) -> CovarianceModel:
     if len(mat) < 2:
         raise ValueError(f"need at least 2 codes to estimate covariance, got {len(mat)}")
     epsilon = max(1.0, float(np.mean(np.var(mat, axis=0, ddof=1))))
-    S = np.cov(mat, rowvar=False, ddof=1) + epsilon * np.eye(MSB_PLANES)
-    return CovarianceModel((S + S.T) / 2.0, epsilon)
+    # CovarianceModel symmetrizes S
+    return CovarianceModel(np.cov(mat, rowvar=False, ddof=1) + epsilon * np.eye(MSB_PLANES), epsilon)
+
+
+def mahalanobis_rows(diffs: np.ndarray, model: CovarianceModel) -> np.ndarray:
+    """sqrt(d^T S^-1 d) for every row d of ``diffs``, by one Cholesky solve."""
+    return np.sqrt(np.vecdot(diffs, sla.cho_solve(model.cholesky, diffs.T).T))
 
 
 def mahalanobis(x: EulerCode, y: EulerCode, model: CovarianceModel) -> float:
     """sqrt((x-y)^T S^-1 (x-y)), solved via Cholesky rather than inversion."""
-    d = x.as_array() - y.as_array()
-    return float(np.sqrt(d @ sla.cho_solve(model.cholesky, d)))
+    return float(mahalanobis_rows((x.as_array() - y.as_array())[None], model)[0])

@@ -1,9 +1,10 @@
 """Genuine/imposter verification trials and FAR/FRR/EER metrics.
 
-``run_trials`` pushes every corpus image through the full pipeline, scores
-all same-identity pairs and a deterministic subsample of cross-identity
-pairs with each of the three matchers, normalizes everything onto the
-common similarity scale, and fuses, one whole score array at a time.
+``run_trials`` pushes every corpus image through the full pipeline and
+scores one list of pairs (all same-identity pairs, then a deterministic
+subsample of cross-identity pairs) with each matcher.  Only the zerocross
+shift search and the Euler pair codes run pair by pair; the rest, through
+fusion, works on whole score arrays.
 ``compute_metrics`` sweeps a threshold grid to produce FAR/FRR curves, the
 equal error rate, and ROC points.
 """
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import calibrated_covariance, common_mask, euler_code, mahalanobis
-from .fusion import ALGORITHMS, FusionPolicy, ScoreRange, fuse, normalize_distances
-from .gasel import Chromosome, FeaturePool, default_selection, match_subset
+from .euler import MSB_PLANES, calibrated_covariance, mahalanobis_rows, pair_codes
+from .fusion import FusionPolicy, ScoreRange, fuse, normalize_distances
+from .gasel import Chromosome, FeaturePool, comparable, default_selection, match_pairs
 from .imaging import GrayImage
 from .pipeline import PipelineConfig, process_images
 from .synth import Corpus
@@ -36,12 +37,10 @@ class TrialSet:
     imposter: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.genuine, dtype=np.float64)
-        i = np.asarray(self.imposter, dtype=np.float64)
-        g.setflags(write=False)
-        i.setflags(write=False)
-        object.__setattr__(self, "genuine", g)
-        object.__setattr__(self, "imposter", i)
+        for name in ("genuine", "imposter"):
+            scores = np.asarray(getattr(self, name), dtype=np.float64)
+            scores.setflags(write=False)
+            object.__setattr__(self, name, scores)
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class EvalReport:
 class TrialOutcome:
     per_algorithm: dict[str, TrialSet]
     fused: TrialSet
-    score_ranges: dict[str, ScoreRange]
     processed: int
     failures: int
 
@@ -84,7 +82,7 @@ def run_trials(
     pool, chromosome = selection or default_selection()
 
     features, kept = process_images([r.image for r in corpus.records], pipeline)
-    identities = [corpus.records[k].identity for k in kept]
+    ids = np.asarray([corpus.records[k].identity for k in kept])
     total = len(corpus.records)
     failures = total - len(kept)
     if total == 0:
@@ -94,53 +92,45 @@ def run_trials(
             f"segmentation failed on {failures}/{total} images "
             f"(> {MAX_FAILURE_RATE:.0%}); corpus or configuration is unusable"
         )
-    if len(set(identities)) < 2:
+    if len(set(ids)) < 2:
         raise ValueError("need at least 2 successfully processed identities")
 
-    ids = np.asarray(identities)
-    n = len(ids)
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = np.triu_indices(len(ids), k=1)
     same = ids[iu] == ids[ju]
-    genuine_pairs = list(zip(iu[same], ju[same]))
-    cross_pairs = list(zip(iu[~same], ju[~same]))
-    cap = IMPOSTER_CAP_FACTOR * len(genuine_pairs)
-    if len(cross_pairs) > cap:
+    genuine = np.flatnonzero(same)
+    cross = np.flatnonzero(~same)
+    cap = IMPOSTER_CAP_FACTOR * len(genuine)
+    if len(cross) > cap:
         rng = np.random.default_rng((corpus.master_seed, _PAIR_SAMPLING_SALT))
-        keep = np.sort(rng.choice(len(cross_pairs), size=cap, replace=False))
-        cross_pairs = [cross_pairs[k] for k in keep]
+        cross = cross[np.sort(rng.choice(len(cross), size=cap, replace=False))]
+    order = np.concatenate([genuine, cross])
+    first, second = iu[order], ju[order]
 
     model = calibrated_covariance([f.own_code for f in features])
-
-    def distances(pairs):
-        zc = np.empty(len(pairs))
-        eu = np.empty(len(pairs))
-        ga = np.empty(len(pairs))
-        for p, (i, j) in enumerate(pairs):
-            a, b = features[i], features[j]
-            zc[p] = zc_match(a.template, b.template, pipeline.max_shift)
-            cm = common_mask(a.polar.mask, b.polar.mask)
-            eu[p] = mahalanobis(euler_code(a.polar, cm), euler_code(b.polar, cm), model)
-            ga[p] = match_subset(a.raw, b.raw, chromosome, pool)
-        return {"zerocross": zc, "euler": eu, "gasel": ga}
-
-    raw_genuine = distances(genuine_pairs)
-    raw_imposter = distances(cross_pairs)
+    zc = np.empty(len(order))
+    codes = np.empty((len(order), 2, MSB_PLANES))
+    for p, (i, j) in enumerate(zip(first, second)):
+        a, b = features[i], features[j]
+        zc[p] = zc_match(a.template, b.template, pipeline.max_shift)
+        codes[p] = pair_codes(a.polar, b.polar)
+    raw = {
+        "zerocross": zc,
+        "euler": mahalanobis_rows(codes[:, 0] - codes[:, 1], model),
+        "gasel": comparable(match_pairs([f.raw for f in features], first, second, chromosome, pool)),
+    }
 
     # score ranges calibrated from the observed trial population, so the
     # normalized similarities use the full [0, 1] scale for every matcher
     ranges = {}
-    for algo in ALGORITHMS:
-        both = np.concatenate([raw_genuine[algo], raw_imposter[algo]])
-        lo, hi = float(both.min()), float(both.max())
-        if hi <= lo:
-            hi = lo + 1.0
-        ranges[algo] = ScoreRange(algo, lo, hi)
+    for algo, d in raw.items():
+        lo, hi = float(d.min()), float(d.max())
+        ranges[algo] = ScoreRange(algo, lo, hi if hi > lo else lo + 1.0)
 
-    genuine = normalize_distances(raw_genuine, ranges)
-    imposter = normalize_distances(raw_imposter, ranges)
-    per_algorithm = {g.algorithm: TrialSet(g.value, i.value) for g, i in zip(genuine, imposter)}
-    fused = TrialSet(fuse(genuine, policy), fuse(imposter, policy))
-    return TrialOutcome(per_algorithm, fused, ranges, n, failures)
+    scores = normalize_distances(raw, ranges)
+    fused = fuse(scores, policy)
+    g = len(genuine)
+    per_algorithm = {s.algorithm: TrialSet(s.value[:g], s.value[g:]) for s in scores}
+    return TrialOutcome(per_algorithm, TrialSet(fused[:g], fused[g:]), len(ids), failures)
 
 
 def compute_metrics(trials: TrialSet, threshold_count: int = 201) -> EvalReport:

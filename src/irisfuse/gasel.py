@@ -8,6 +8,7 @@ features into a pool; a genetic algorithm then searches bitmasks over the
 pool, scoring each subset by a weighted cost of recognition rate, FAR, FRR,
 and subset size measured with a leave-one-out verification trial at the
 EER operating point.  Everything is deterministic given the configured seed.
+``match_subset`` is the one-pair case of ``match_pairs``.
 """
 
 from __future__ import annotations
@@ -306,17 +307,37 @@ def _spin(wheel: tuple[np.ndarray, float], rng) -> int:
     return int(np.searchsorted(cum, rng.random() * total, side="right"))
 
 
-def match_subset(a: RawFeatureVector, b: RawFeatureVector,
-                 chromosome: Chromosome, pool: FeaturePool) -> float:
-    """Normalized city-block distance over selected, jointly valid features."""
+def match_pairs(features, first, second, chromosome: Chromosome, pool: FeaturePool) -> np.ndarray:
+    """Normalized city-block distance of each pair (features[first[k]], features[second[k]]).
+
+    It runs over the selected, jointly valid features; a pair with none gets
+    NaN.  In place: only a few (pairs x selected) temporaries are alive at once.
+    """
     sel = chromosome.selected(pool)
     if len(sel) == 0:
         raise ValueError("chromosome selects no features")
-    joint = a.valid[sel] & b.valid[sel]
-    if not joint.any():
+    values = np.stack([f.values[sel] for f in features])
+    valid = np.stack([f.valid[sel] for f in features])
+    joint = valid[first] & valid[second]
+    dist = values[first]
+    dist -= values[second]
+    np.abs(dist, out=dist)
+    dist *= joint
+    with np.errstate(invalid="ignore"):  # 0 / 0: no jointly valid feature
+        return dist.sum(axis=1) / joint.sum(axis=1) / 255.0
+
+
+def comparable(distances: np.ndarray) -> np.ndarray:
+    """``distances``, or IncomparableError if any pair had nothing to compare."""
+    if np.isnan(distances).any():
         raise IncomparableError("no jointly valid features among the selected subset")
-    use = sel[joint]
-    return float(np.mean(np.abs(a.values[use] - b.values[use])) / 255.0)
+    return distances
+
+
+def match_subset(a: RawFeatureVector, b: RawFeatureVector,
+                 chromosome: Chromosome, pool: FeaturePool) -> float:
+    """Normalized city-block distance over selected, jointly valid features."""
+    return float(comparable(match_pairs((a, b), [0], [1], chromosome, pool))[0])
 
 
 @dataclass(frozen=True)

@@ -28,16 +28,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .euler import CovarianceModel, EulerCode, calibrated_covariance, common_mask, euler_code, mahalanobis
+from .euler import (CovarianceModel, EulerCode, calibrated_covariance, common_mask, euler_code,
+                    mahalanobis, mahalanobis_rows)
 from .fusion import ALGORITHMS, Decision, FusionPolicy, ScoreRange, decide, fuse, normalize_distances
-from .gasel import (
-    FEATURE_COUNT,
-    Chromosome,
-    FeaturePool,
-    RawFeatureVector,
-    default_selection,
-    match_subset,
-)
+from .gasel import (FEATURE_COUNT, Chromosome, FeaturePool, RawFeatureVector, default_selection,
+                    match_pairs, match_subset)
 from .imaging import BinaryImage, GrayImage
 from .normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError
 from .pipeline import PipelineConfig, process_image, process_images
@@ -118,22 +113,20 @@ def _recalibrate(
         return CovarianceModel(np.eye(4), 1.0), {a: ScoreRange(a, 0.0, 1.0) for a in ALGORITHMS}
     model = calibrated_covariance([r.euler for r in records])
 
-    pairs = [(i, j) for i in range(len(records)) for j in range(i + 1, len(records))]
-    if len(pairs) > _RANGE_PAIR_CAP:
-        stride = -(-len(pairs) // _RANGE_PAIR_CAP)
-        pairs = pairs[::stride]
+    first, second = np.triu_indices(len(records), k=1)
+    stride = -(-len(first) // _RANGE_PAIR_CAP)  # 1 up to the cap
+    first, second = first[::stride], second[::stride]
     worst = {algo: 0.0 for algo in ALGORITHMS}
-    for i, j in pairs:
+    for i, j in zip(first, second):
         a, b = records[i], records[j]
         try:
             worst["zerocross"] = max(worst["zerocross"], zc_match(a.template, b.template, max_shift))
         except IncomparableError:
             pass  # incomparable masks contribute no calibration evidence
-        worst["euler"] = max(worst["euler"], mahalanobis(a.euler, b.euler, model))
-        try:
-            worst["gasel"] = max(worst["gasel"], match_subset(a.features, b.features, chromosome, pool))
-        except IncomparableError:
-            pass
+    codes = np.array([r.euler.e for r in records], dtype=np.float64)
+    worst["euler"] = float(mahalanobis_rows(codes[first] - codes[second], model).max())
+    gasel = match_pairs([r.features for r in records], first, second, chromosome, pool)
+    worst["gasel"] = float(np.nanmax(gasel, initial=0.0))  # NaN: no jointly valid feature
     ranges = {a: ScoreRange(a, 0.0, worst[a] if worst[a] > 0 else 1.0) for a in ALGORITHMS}
     return model, ranges
 
@@ -206,8 +199,11 @@ def verify(
 
     Returns the decision, the raw per-algorithm distances, and the fused
     similarity.  The probe's Euler code is computed under the union of the
-    probe mask and the enrolled template's mask (the stored code itself was
-    fixed at enrollment).
+    probe mask and the enrolled template's mask, but the stored code was
+    fixed at enrollment under the record's own mask.  ``run_trials`` computes
+    both codes of a pair under their union mask instead: on all pairs of
+    ``build_corpus(30, 4, 2026)`` its Euler EER is 0.132, this matcher's
+    0.179, and 0.186 with own masks on both sides.
     """
     record = gallery.lookup(claimed_id)
     pipeline = pipeline or PipelineConfig()

@@ -28,7 +28,12 @@ checks.  ``edge_map_image`` is the former ``segmentation.edge_map``, which
 smoothed and differentiated the image on every call and suppressed
 non-maxima through a per-pixel sector array for every bias; it is kept
 verbatim, with its two helpers, as the reference for the shared-gradient
-edge maps.
+edge maps.  ``nibble_euler`` is the former ``euler._nibble_euler``, which
+counted the four planes of a nibble image through one 12-bit quad code, a
+``bincount`` and the ``quad_weights`` table, and ``match_subset_compressed``
+the former ``gasel.match_subset``, which averaged over the compressed array of
+jointly valid features; both are kept verbatim as the references for the
+per-plane ``count_nonzero`` kernel and the masked city-block over all pairs.
 """
 
 import math
@@ -41,7 +46,7 @@ from scipy.spatial.distance import pdist, squareform
 from irisfuse.euler import MSB_PLANES, EulerCode
 from irisfuse.gasel import fitness_cost
 from irisfuse.imaging import BinaryImage, GrayImage, gaussian_kernel
-from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH
+from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError
 from irisfuse.segmentation import (
     EDGE_BIASES,
     MIN_CIRCLE_VOTES,
@@ -351,6 +356,44 @@ def euler_number_quads(b: BinaryImage) -> int:
     quads_three = c[7] + c[11] + c[13] + c[14]
     quads_diag = c[6] + c[9]
     return int(quads_one - quads_three - 2 * quads_diag) // 4
+
+
+def quad_weights() -> np.ndarray:
+    """(4096, 4) weights of Q1 - Q3 - 2*QD per 12-bit quad code and plane."""
+    code = np.arange(1 << 12)[:, None]
+    bit = np.arange(MSB_PLANES - 1, -1, -1)  # b7..b4 sit at nibble bits 3..0
+    return ((code >> (bit + 8)) & 1) - ((code >> (bit + 4)) & 1) - 2 * ((code >> bit) & 1)
+
+
+QUAD_WEIGHTS = quad_weights()
+
+
+def nibble_euler(nib: np.ndarray) -> np.ndarray:
+    """Euler numbers of the four planes (nibble bits 3..0) of a 2-D uint8 nibble image."""
+    # zero-padded and flattened; the quads that straddle a row end see only
+    # padding and weigh nothing
+    nib = np.pad(nib, 1)
+    w = nib.shape[1]
+    nib = nib.ravel()
+    a, b, c, d = nib[: -w - 1], nib[1:-w], nib[w:-1], nib[w + 1 :]
+    odd = a ^ b ^ c ^ d                    # one or three set
+    three = odd & ((a & b) | (c & d))      # any three set include a&b or c&d
+    diag = (a ^ b) & ~((a ^ d) | (b ^ c))  # 1001 or 0110
+    code = ((odd ^ three).astype(np.uint16) << 8) | (three << 4) | diag
+    counts = np.bincount(code, minlength=1 << 12)
+    return counts @ QUAD_WEIGHTS // 4
+
+
+def match_subset_compressed(a, b, chromosome, pool) -> float:
+    """Normalized city-block distance over selected, jointly valid features."""
+    sel = chromosome.selected(pool)
+    if len(sel) == 0:
+        raise ValueError("chromosome selects no features")
+    joint = a.valid[sel] & b.valid[sel]
+    if not joint.any():
+        raise IncomparableError("no jointly valid features among the selected subset")
+    use = sel[joint]
+    return float(np.mean(np.abs(a.values[use] - b.values[use])) / 255.0)
 
 
 def encode_inline(polar, scales=(2, 4)):

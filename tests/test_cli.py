@@ -234,6 +234,18 @@ class TestEvaluate:
         rc = main(["evaluate", "--identities", "1", "--samples", "2", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_corpus_route_samples_imposters_with_the_seed(self, tmp_path):
+        # 45 images: 2700 cross pairs, so the 450 imposter pairs are a seeded sample
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--identities", "15", "--samples", "3", "--seed", "7",
+                     "--out", str(corpus)]) == 0
+        assert main(["evaluate", "--corpus", str(corpus), "--seed", "7",
+                     "--out", str(tmp_path / "loaded")]) == 0
+        assert main(["evaluate", "--identities", "15", "--samples", "3", "--seed", "7",
+                     "--out", str(tmp_path / "built")]) == 0
+        summary = [(tmp_path / sub / "summary.txt").read_text() for sub in ("loaded", "built")]
+        assert summary[0] == summary[1]
+
 
 class TestConfigIntegration:
     def test_env_var_fallback(self, tmp_path, monkeypatch):

@@ -2,16 +2,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import linalg as sla
 
 from irisfuse.euler import (
     CovarianceModel,
     EulerCode,
+    _plane_euler,
     calibrated_covariance,
     common_mask,
     euler_code,
     euler_number,
     mahalanobis,
+    mahalanobis_rows,
+    pair_codes,
 )
 from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris
@@ -19,7 +25,7 @@ from irisfuse.pipeline import PipelineConfig, process_image
 from irisfuse.segmentation import SegmentationError
 from irisfuse.synth import build_corpus
 
-from oracles import euler_code_per_plane, euler_number_quads, flood_fill_euler
+from oracles import euler_code_per_plane, euler_number_quads, flood_fill_euler, nibble_euler
 
 
 def polar_of(values, mask=None):
@@ -190,6 +196,41 @@ class TestEulerCodeMatchesPerPlaneOracle:
                 assert euler_code(b, cm) == euler_code_per_plane(b, cm)
 
 
+def nibble_oracle(img):
+    """Eight plane Euler numbers, b7 first, from the former nibble kernel."""
+    return np.concatenate([nibble_euler(img >> 4), nibble_euler(img & 0x0F)])
+
+
+class TestPlaneEulerMatchesNibbleOracle:
+    """The per-plane count_nonzero kernel against the former 12-bit quad-code kernel."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 40), st.integers(1, 40))))
+    @example(np.array([[255]], dtype=np.uint8))
+    @example(np.array([[0, 255, 170, 85, 15, 240]], dtype=np.uint8))
+    @example(np.array([[0], [255], [170], [85], [15], [240]], dtype=np.uint8))
+    def test_random_byte_images(self, img):
+        assert np.array_equal(_plane_euler(img), nibble_oracle(img))
+
+    def test_one_row_and_one_column_images(self):
+        # every quad of these straddles the padding
+        rng = np.random.default_rng(31)
+        for n in range(1, 41):
+            row = rng.integers(0, 256, size=(1, n), dtype=np.uint8)
+            assert np.array_equal(_plane_euler(row), nibble_oracle(row))
+            assert np.array_equal(_plane_euler(row.T), nibble_oracle(row.T))
+
+
+class TestPairCodes:
+    def test_match_two_union_mask_codes_on_every_ordered_pair(self, corpus_polars):
+        for a in corpus_polars:
+            for b in corpus_polars:
+                cm = common_mask(a.mask, b.mask)
+                codes = pair_codes(a, b)
+                assert tuple(codes[0]) == euler_code(a, cm).e
+                assert tuple(codes[1]) == euler_code(b, cm).e
+
+
 class TestCovariance:
     def test_identical_codes_give_pure_regularization(self):
         codes = [EulerCode((3, -1, 2, 0))] * 5
@@ -283,6 +324,20 @@ class TestMahalanobis:
                 want = float(np.sqrt(d @ sla.cho_solve(fresh, d)))
                 assert np.float64(mahalanobis(x, y, model)).tobytes() == np.float64(want).tobytes()
             assert model.cholesky is model.cholesky  # factored once per model
+
+    def test_rows_bit_identical_to_scalar_and_to_one_solve_per_pair(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            a = rng.normal(size=(4, 4)) * rng.uniform(0.1, 30.0)
+            model = CovarianceModel(a @ a.T + rng.uniform(0.01, 2.0) * np.eye(4), 1.0)
+            x = rng.integers(-40, 40, size=(60, 4))
+            y = rng.integers(-40, 40, size=(60, 4))
+            d = (x - y).astype(np.float64)
+            rows = mahalanobis_rows(d, model)
+            scalar = [mahalanobis(EulerCode(tuple(p)), EulerCode(tuple(q)), model) for p, q in zip(x, y)]
+            per_pair = [np.sqrt(v @ sla.cho_solve(model.cholesky, v)) for v in d]
+            assert rows.tobytes() == np.array(scalar).tobytes()
+            assert rows.tobytes() == np.array(per_pair).tobytes()
 
     def test_non_positive_definite_rejected_on_every_call(self):
         model = CovarianceModel(np.diag([1.0, 1.0, 1.0, -1.0]), 1.0)

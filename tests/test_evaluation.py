@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from irisfuse.euler import calibrated_covariance, common_mask, euler_code, mahalanobis
 from irisfuse.evaluation import (
     TrialSet,
     compute_metrics,
@@ -9,8 +10,13 @@ from irisfuse.evaluation import (
     roc_pgm,
     run_trials,
 )
+from irisfuse.fusion import ALGORITHMS, FusionPolicy, ScoreRange, fuse, normalize_distances
+from irisfuse.gasel import Chromosome, FeaturePool, match_subset
 from irisfuse.imaging import GrayImage
+from irisfuse.normalization import IncomparableError
+from irisfuse.pipeline import PipelineConfig, process_images
 from irisfuse.synth import Corpus, CorpusRecord, build_corpus
+from irisfuse.zerocross import match as zc_match
 
 from oracles import brute_force_eer
 
@@ -106,6 +112,38 @@ class TestRunTrials:
         for ts in [*outcome.per_algorithm.values(), outcome.fused]:
             for arr in (ts.genuine, ts.imposter):
                 assert np.all((arr >= 0) & (arr <= 1))
+
+    def test_matches_one_pair_matchers(self, corpus, outcome):
+        # all 160 cross pairs are under the cap, so the pairs are every
+        # same-identity pair, then every cross pair, each in triu order
+        features, kept = process_images([r.image for r in corpus.records], PipelineConfig())
+        assert len(kept) == len(corpus.records)
+        ids = [r.identity for r in corpus.records]
+        pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+        pairs = [p for p in pairs if ids[p[0]] == ids[p[1]]] + [p for p in pairs if ids[p[0]] != ids[p[1]]]
+        model = calibrated_covariance([f.own_code for f in features])
+        pool, chromosome = default_selection()
+        raw = {algo: np.empty(len(pairs)) for algo in ALGORITHMS}
+        for k, (i, j) in enumerate(pairs):
+            a, b = features[i], features[j]
+            cm = common_mask(a.polar.mask, b.polar.mask)
+            raw["zerocross"][k] = zc_match(a.template, b.template)
+            raw["euler"][k] = mahalanobis(euler_code(a.polar, cm), euler_code(b.polar, cm), model)
+            raw["gasel"][k] = match_subset(a.raw, b.raw, chromosome, pool)
+        ranges = {a: ScoreRange(a, raw[a].min(), raw[a].max()) for a in ALGORITHMS}
+        scores = normalize_distances(raw, ranges)
+        want = {s.algorithm: s.value for s in scores} | {"fused": fuse(scores, FusionPolicy())}
+        got = {a: outcome.per_algorithm[a] for a in ALGORITHMS} | {"fused": outcome.fused}
+        for name, trials in got.items():
+            assert np.array_equal(np.concatenate([trials.genuine, trials.imposter]), want[name]), name
+
+    def test_pair_with_no_jointly_valid_feature_raises(self, corpus):
+        features, _ = process_images([r.image for r in corpus.records], PipelineConfig())
+        valid = np.stack([f.raw.valid for f in features])
+        block = int(np.flatnonzero(~valid.all(axis=0))[0])  # masked in some image
+        selection = (FeaturePool((block,)), Chromosome(np.ones(1, dtype=np.uint8)))
+        with pytest.raises(IncomparableError, match="no jointly valid features"):
+            run_trials(corpus, selection=selection)
 
     def test_abort_on_mass_segmentation_failure(self):
         blank = GrayImage(np.full((192, 256), 127, dtype=np.uint8))

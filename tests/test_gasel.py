@@ -12,6 +12,7 @@ from irisfuse.gasel import (
     extract_raw,
     fitness_cost,
     ga_select,
+    match_pairs,
     match_subset,
     rank_entropy,
     rank_knn,
@@ -22,7 +23,13 @@ from irisfuse.gasel import (
 from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
 
-from oracles import ScalarSubsetTrial, planted_problem, rank_rfe_per_target, roulette_select_per_draw
+from oracles import (
+    ScalarSubsetTrial,
+    match_subset_compressed,
+    planted_problem,
+    rank_rfe_per_target,
+    roulette_select_per_draw,
+)
 
 
 def polar_of(values, mask=None):
@@ -339,6 +346,38 @@ class TestMatchSubset:
         pool = FeaturePool(tuple(range(10)))
         with pytest.raises(IncomparableError):
             match_subset(a, b, Chromosome(np.ones(10, dtype=np.uint8)), pool)
+
+
+class TestMatchPairs:
+    """The masked city-block over all pairs against the former compressed mean."""
+
+    def test_matches_compressed_oracle_and_match_subset(self):
+        rng = np.random.default_rng(3)
+        feats = [
+            RawFeatureVector(rng.uniform(0, 255, FEATURE_COUNT),
+                             rng.random(FEATURE_COUNT) < rng.choice([0.02, 0.5, 0.9, 1.0]))
+            for _ in range(14)
+        ]
+        first, second = np.triu_indices(len(feats), k=1)
+        incomparable = 0
+        for size in (3, 40, FEATURE_COUNT):
+            pool = FeaturePool(tuple(sorted(rng.choice(FEATURE_COUNT, size, replace=False))))
+            genes = rng.integers(0, 2, size=size, dtype=np.uint8)
+            genes[0] = 1
+            c = Chromosome(genes)
+            got = match_pairs(feats, first, second, c, pool)
+            for k, (i, j) in enumerate(zip(first, second)):
+                try:
+                    want = match_subset_compressed(feats[i], feats[j], c, pool)
+                except IncomparableError:
+                    incomparable += 1
+                    assert np.isnan(got[k])
+                    with pytest.raises(IncomparableError):
+                        match_subset(feats[i], feats[j], c, pool)
+                    continue
+                assert got[k] == pytest.approx(want, abs=1e-12)
+                assert got[k] == match_subset(feats[i], feats[j], c, pool)
+        assert incomparable > 0
 
 
 class TestGaSelect:

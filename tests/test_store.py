@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irisfuse.euler import mahalanobis
 from irisfuse.fusion import FusionPolicy
+from irisfuse.gasel import Chromosome, FeaturePool, RawFeatureVector, match_subset
 from irisfuse.segmentation import SegmentationError
 from irisfuse.imaging import GrayImage
 from irisfuse.pipeline import PipelineConfig
@@ -21,6 +23,7 @@ from irisfuse.store import (
     save,
     to_bytes,
     verify,
+    with_selection,
 )
 from irisfuse.synth import build_corpus
 from irisfuse.zerocross import match as zc_match
@@ -99,6 +102,26 @@ class TestEnroll:
                 for i, a in enumerate(g.records) for b in g.records[i + 1:]
             )
             assert g.score_ranges["zerocross"].max == worst
+
+    def test_euler_and_gasel_ranges_are_the_worst_one_pair_distances(self, gallery):
+        pairs = [(a, b) for i, a in enumerate(gallery.records) for b in gallery.records[i + 1:]]
+        euler = max(mahalanobis(a.euler, b.euler, gallery.covariance) for a, b in pairs)
+        gasel = max(match_subset(a.features, b.features, gallery.chromosome, gallery.pool)
+                    for a, b in pairs)
+        assert gallery.score_ranges["euler"].max == euler
+        assert gallery.score_ranges["gasel"].max == gasel
+
+    def test_gasel_range_skips_pairs_with_nothing_jointly_valid(self, gallery):
+        first, *rest = gallery.records
+        assert all(r.features.valid[0] for r in rest)
+        valid = first.features.valid.copy()
+        valid[0] = False
+        first = replace(first, features=RawFeatureVector(first.features.values, valid))
+        g = with_selection(replace(gallery, records=(first, *rest)), FeaturePool((0,)),
+                           Chromosome(np.ones(1, dtype=np.uint8)))
+        gasel = max(match_subset(a.features, b.features, g.chromosome, g.pool)
+                    for i, a in enumerate(rest) for b in rest[i + 1:])
+        assert g.score_ranges["gasel"].max == gasel
 
     def test_mismatched_template_shapes_are_not_skipped(self, gallery, corpus):
         # only incomparable masks are calibration noise; a gallery that mixes
