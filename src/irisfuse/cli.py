@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     except (ConfigError, PgmError, store.GalleryFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (FileNotFoundError, KeyError, ValueError, RuntimeError) as exc:
+    except (OSError, KeyError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -2,9 +2,9 @@
 
 ``run_trials`` pushes every corpus image through the full pipeline and
 scores one list of pairs (all same-identity pairs, then a deterministic
-subsample of cross-identity pairs) with each matcher.  Only the zerocross
-shift search and the Euler pair codes run pair by pair; the rest, through
-fusion, works on whole score arrays.
+subsample of cross-identity pairs) with each matcher's pair-list kernel;
+the score ranges are ``fit_ranges`` of those trials, and normalization and
+fusion work on whole score arrays.
 ``compute_metrics`` sweeps a threshold grid to produce FAR/FRR curves, the
 equal error rate, and ROC points.
 """
@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import MSB_PLANES, calibrated_covariance, mahalanobis_rows, pair_codes
-from .fusion import FusionPolicy, ScoreRange, fuse, normalize_distances
-from .gasel import Chromosome, FeaturePool, comparable, default_selection, match_pairs
+from . import gasel, zerocross
+from .euler import calibrated_covariance, mahalanobis_rows, pair_codes
+from .fusion import FusionPolicy, fit_ranges, fuse, normalize_distances
+from .gasel import Chromosome, FeaturePool, default_selection
 from .imaging import GrayImage
+from .normalization import comparable
 from .pipeline import PipelineConfig, process_images
 from .synth import Corpus
-from .zerocross import match as zc_match
 
 IMPOSTER_CAP_FACTOR = 10
 MAX_FAILURE_RATE = 0.20
@@ -97,6 +98,8 @@ def run_trials(
 
     iu, ju = np.triu_indices(len(ids), k=1)
     same = ids[iu] == ids[ju]
+    if not same.any():
+        raise ValueError("no genuine pair: no identity kept two processed images")
     genuine = np.flatnonzero(same)
     cross = np.flatnonzero(~same)
     cap = IMPOSTER_CAP_FACTOR * len(genuine)
@@ -107,26 +110,13 @@ def run_trials(
     first, second = iu[order], ju[order]
 
     model = calibrated_covariance([f.own_code for f in features])
-    zc = np.empty(len(order))
-    codes = np.empty((len(order), 2, MSB_PLANES))
-    for p, (i, j) in enumerate(zip(first, second)):
-        a, b = features[i], features[j]
-        zc[p] = zc_match(a.template, b.template, pipeline.max_shift)
-        codes[p] = pair_codes(a.polar, b.polar)
-    raw = {
-        "zerocross": zc,
-        "euler": mahalanobis_rows(codes[:, 0] - codes[:, 1], model),
-        "gasel": comparable(match_pairs([f.raw for f in features], first, second, chromosome, pool)),
-    }
-
-    # score ranges calibrated from the observed trial population, so the
-    # normalized similarities use the full [0, 1] scale for every matcher
-    ranges = {}
-    for algo, d in raw.items():
-        lo, hi = float(d.min()), float(d.max())
-        ranges[algo] = ScoreRange(algo, lo, hi if hi > lo else lo + 1.0)
-
-    scores = normalize_distances(raw, ranges)
+    codes = np.array([pair_codes(features[i].polar, features[j].polar) for i, j in zip(first, second)])
+    zc = zerocross.match_pairs([f.template for f in features], first, second, pipeline.max_shift)
+    blocks = gasel.match_pairs([f.raw for f in features], first, second, chromosome, pool)
+    raw = {"zerocross": comparable(zc, zerocross.INCOMPARABLE),
+           "euler": mahalanobis_rows(codes[:, 0] - codes[:, 1], model),
+           "gasel": comparable(blocks, gasel.INCOMPARABLE)}
+    scores = normalize_distances(raw, fit_ranges(raw))  # each matcher spans [0, 1] over the trials
     fused = fuse(scores, policy)
     g = len(genuine)
     per_algorithm = {s.algorithm: TrialSet(s.value[:g], s.value[g:]) for s in scores}

@@ -93,6 +93,16 @@ class Decision:
         return 0 if self.accepted else 1
 
 
+def fit_ranges(raw: dict) -> dict[str, ScoreRange]:
+    """Min-max range of each algorithm's distances (Jain, Nandakumar & Ross, 2005).
+
+    The range is [nanmin, nanmax], so an incomparable pair (NaN) adds no
+    evidence; a range that collapses to a point widens to [lo, lo + 1].
+    """
+    bounds = {a: (float(np.nanmin(raw[a])), float(np.nanmax(raw[a]))) for a in ALGORITHMS}
+    return {a: ScoreRange(a, lo, hi if hi > lo else lo + 1.0) for a, (lo, hi) in bounds.items()}
+
+
 def normalize(score: MatchScore, score_range: ScoreRange) -> NormalizedScore:
     """Clamped min-max mapping onto [0, 1], flipped so higher = more genuine."""
     if score.algorithm != score_range.algorithm:

@@ -14,10 +14,11 @@ EER operating point.  Everything is deterministic given the configured seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
+from .normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris, comparable
 
 BLOCK = 8
 BLOCK_COLS = POLAR_WIDTH // BLOCK   # 56
@@ -25,6 +26,7 @@ BLOCK_ROWS = POLAR_HEIGHT // BLOCK  # 12
 FEATURE_COUNT = BLOCK_COLS * BLOCK_ROWS  # 672
 
 RANKER_NAMES = ("entropy", "tstat", "knn", "rfe")
+INCOMPARABLE = "no jointly valid features among the selected subset"
 
 _ENTROPY_BINS = 10
 _RIDGE_LAMBDA = 1.0
@@ -69,6 +71,13 @@ class FeaturePool:
     def __len__(self) -> int:
         return len(self.indices)
 
+    @cached_property
+    def index_array(self) -> np.ndarray:
+        """``indices`` as a read-only intp array, built once per pool."""
+        idx = np.asarray(self.indices, dtype=np.intp)
+        idx.setflags(write=False)
+        return idx
+
 
 @dataclass(frozen=True)
 class Chromosome:
@@ -87,7 +96,7 @@ class Chromosome:
     def selected(self, pool: FeaturePool) -> np.ndarray:
         if len(self.genes) != len(pool):
             raise ValueError("chromosome length does not match pool size")
-        return np.asarray(pool.indices, dtype=np.intp)[self.genes.astype(bool)]
+        return pool.index_array[self.genes.astype(bool)]
 
 
 @dataclass(frozen=True)
@@ -327,17 +336,10 @@ def match_pairs(features, first, second, chromosome: Chromosome, pool: FeaturePo
         return dist.sum(axis=1) / joint.sum(axis=1) / 255.0
 
 
-def comparable(distances: np.ndarray) -> np.ndarray:
-    """``distances``, or IncomparableError if any pair had nothing to compare."""
-    if np.isnan(distances).any():
-        raise IncomparableError("no jointly valid features among the selected subset")
-    return distances
-
-
 def match_subset(a: RawFeatureVector, b: RawFeatureVector,
                  chromosome: Chromosome, pool: FeaturePool) -> float:
     """Normalized city-block distance over selected, jointly valid features."""
-    return float(comparable(match_pairs((a, b), [0], [1], chromosome, pool))[0])
+    return float(comparable(match_pairs((a, b), [0], [1], chromosome, pool), INCOMPARABLE)[0])
 
 
 @dataclass(frozen=True)
@@ -362,7 +364,7 @@ class _SubsetTrial:
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, pool: FeaturePool, weights):
-        self.X = np.asarray(X, dtype=np.float64)[:, np.asarray(pool.indices, dtype=np.intp)]
+        self.X = np.asarray(X, dtype=np.float64)[:, pool.index_array]
         self.y = np.asarray(y)
         self.total = len(pool)
         self.weights = weights

@@ -26,6 +26,13 @@ class IncomparableError(ValueError):
     """Raised by a matcher when two templates share no jointly valid sample."""
 
 
+def comparable(distances: np.ndarray, reason: str) -> np.ndarray:
+    """``distances``, or IncomparableError(reason) if a pair got NaN (nothing to compare)."""
+    if np.isnan(distances).any():
+        raise IncomparableError(reason)
+    return distances
+
+
 @dataclass(frozen=True)
 class PolarIris:
     """Unwrapped iris: intensities and validity mask, both (96, 448)."""

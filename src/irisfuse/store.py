@@ -30,14 +30,15 @@ import numpy as np
 
 from .euler import (CovarianceModel, EulerCode, calibrated_covariance, common_mask, euler_code,
                     mahalanobis, mahalanobis_rows)
-from .fusion import ALGORITHMS, Decision, FusionPolicy, ScoreRange, decide, fuse, normalize_distances
+from .fusion import (ALGORITHMS, Decision, FusionPolicy, ScoreRange, decide, fit_ranges, fuse,
+                     normalize_distances)
 from .gasel import (FEATURE_COUNT, Chromosome, FeaturePool, RawFeatureVector, default_selection,
                     match_pairs, match_subset)
 from .imaging import BinaryImage, GrayImage
-from .normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError
+from .normalization import POLAR_HEIGHT, POLAR_WIDTH
 from .pipeline import PipelineConfig, process_image, process_images
 from .segmentation import SegmentationError
-from .zerocross import DEFAULT_MAX_SHIFT, ZeroCrossTemplate, match as zc_match
+from .zerocross import DEFAULT_MAX_SHIFT, ZeroCrossTemplate, match as zc_match, match_pairs as zc_pairs
 
 MAGIC = b"IRF1"
 FORMAT_VERSION = 1
@@ -101,34 +102,25 @@ _RANGE_PAIR_CAP = 300
 def _recalibrate(
     records: tuple[EnrollmentRecord, ...], pool: FeaturePool, chromosome: Chromosome, max_shift: int
 ) -> tuple[CovarianceModel, dict[str, ScoreRange]]:
-    """Covariance and score ranges over the enrolled population.
+    """Covariance, and ``fit_ranges`` over strided cross-identity pairs plus the genuine 0.
 
-    A genuine trial against the gallery's single stored template is a
-    self-match with distance 0, so every range starts at 0; the upper end is
-    the worst cross-identity distance observed for that matcher, zerocross
-    at the shift budget verification uses.  Pair enumeration is stride-capped
-    to keep repeated enrollment affordable.
+    A genuine trial against a record's one stored template is a self-match;
+    zerocross runs at the shift budget verification uses.
     """
     if len(records) < 2:
-        return CovarianceModel(np.eye(4), 1.0), {a: ScoreRange(a, 0.0, 1.0) for a in ALGORITHMS}
+        return CovarianceModel(np.eye(4), 1.0), fit_ranges(dict.fromkeys(ALGORITHMS, 0.0))
     model = calibrated_covariance([r.euler for r in records])
 
     first, second = np.triu_indices(len(records), k=1)
     stride = -(-len(first) // _RANGE_PAIR_CAP)  # 1 up to the cap
     first, second = first[::stride], second[::stride]
-    worst = {algo: 0.0 for algo in ALGORITHMS}
-    for i, j in zip(first, second):
-        a, b = records[i], records[j]
-        try:
-            worst["zerocross"] = max(worst["zerocross"], zc_match(a.template, b.template, max_shift))
-        except IncomparableError:
-            pass  # incomparable masks contribute no calibration evidence
     codes = np.array([r.euler.e for r in records], dtype=np.float64)
-    worst["euler"] = float(mahalanobis_rows(codes[first] - codes[second], model).max())
-    gasel = match_pairs([r.features for r in records], first, second, chromosome, pool)
-    worst["gasel"] = float(np.nanmax(gasel, initial=0.0))  # NaN: no jointly valid feature
-    ranges = {a: ScoreRange(a, 0.0, worst[a] if worst[a] > 0 else 1.0) for a in ALGORITHMS}
-    return model, ranges
+    raw = {
+        "zerocross": zc_pairs([r.template for r in records], first, second, max_shift),
+        "euler": mahalanobis_rows(codes[first] - codes[second], model),
+        "gasel": match_pairs([r.features for r in records], first, second, chromosome, pool),
+    }
+    return model, fit_ranges({algo: np.append(d, 0.0) for algo, d in raw.items()})
 
 
 def enroll(

@@ -34,6 +34,12 @@ counted the four planes of a nibble image through one 12-bit quad code, a
 the former ``gasel.match_subset``, which averaged over the compressed array of
 jointly valid features; both are kept verbatim as the references for the
 per-plane ``count_nonzero`` kernel and the masked city-block over all pairs.
+``trial_ranges`` and ``recalibrate_worst`` are the two former score-range
+fits: the ``[min, max]`` loop of ``evaluation.run_trials`` and
+``store._recalibrate`` with its per-pair zerocross loop that skipped
+incomparable pairs; ``worst_ranges`` is the latter's range rule on given
+distance arrays.  All three are kept verbatim as the references for
+``fusion.fit_ranges``.
 """
 
 import math
@@ -43,8 +49,9 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial.distance import pdist, squareform
 
-from irisfuse.euler import MSB_PLANES, EulerCode
-from irisfuse.gasel import fitness_cost
+from irisfuse.euler import MSB_PLANES, CovarianceModel, EulerCode, calibrated_covariance, mahalanobis_rows
+from irisfuse.fusion import ALGORITHMS, ScoreRange
+from irisfuse.gasel import fitness_cost, match_pairs
 from irisfuse.imaging import BinaryImage, GrayImage, gaussian_kernel
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError
 from irisfuse.segmentation import (
@@ -65,6 +72,7 @@ from irisfuse.zerocross import (
     ZeroCrossTemplate,
     _smoothing_kernel,
     convolve2d,
+    match as zc_match,
 )
 
 
@@ -394,6 +402,65 @@ def match_subset_compressed(a, b, chromosome, pool) -> float:
         raise IncomparableError("no jointly valid features among the selected subset")
     use = sel[joint]
     return float(np.mean(np.abs(a.values[use] - b.values[use])) / 255.0)
+
+
+def trial_ranges(raw):
+    """The former range fit of ``run_trials``: [min, max] of each matcher's trials."""
+    # score ranges calibrated from the observed trial population, so the
+    # normalized similarities use the full [0, 1] scale for every matcher
+    ranges = {}
+    for algo, d in raw.items():
+        lo, hi = float(d.min()), float(d.max())
+        ranges[algo] = ScoreRange(algo, lo, hi if hi > lo else lo + 1.0)
+    return ranges
+
+
+_RANGE_PAIR_CAP = 300
+
+
+def recalibrate_worst(records, pool, chromosome, max_shift):
+    """Covariance and score ranges over the enrolled population.
+
+    A genuine trial against the gallery's single stored template is a
+    self-match with distance 0, so every range starts at 0; the upper end is
+    the worst cross-identity distance observed for that matcher, zerocross
+    at the shift budget verification uses.  Pair enumeration is stride-capped
+    to keep repeated enrollment affordable.
+    """
+    if len(records) < 2:
+        return CovarianceModel(np.eye(4), 1.0), {a: ScoreRange(a, 0.0, 1.0) for a in ALGORITHMS}
+    model = calibrated_covariance([r.euler for r in records])
+
+    first, second = np.triu_indices(len(records), k=1)
+    stride = -(-len(first) // _RANGE_PAIR_CAP)  # 1 up to the cap
+    first, second = first[::stride], second[::stride]
+    worst = {algo: 0.0 for algo in ALGORITHMS}
+    for i, j in zip(first, second):
+        a, b = records[i], records[j]
+        try:
+            worst["zerocross"] = max(worst["zerocross"], zc_match(a.template, b.template, max_shift))
+        except IncomparableError:
+            pass  # incomparable masks contribute no calibration evidence
+    codes = np.array([r.euler.e for r in records], dtype=np.float64)
+    worst["euler"] = float(mahalanobis_rows(codes[first] - codes[second], model).max())
+    gasel = match_pairs([r.features for r in records], first, second, chromosome, pool)
+    worst["gasel"] = float(np.nanmax(gasel, initial=0.0))  # NaN: no jointly valid feature
+    ranges = {a: ScoreRange(a, 0.0, worst[a] if worst[a] > 0 else 1.0) for a in ALGORITHMS}
+    return model, ranges
+
+
+def worst_ranges(raw):
+    """``recalibrate_worst``'s range rule on given cross-identity distances.
+
+    A NaN zerocross distance stands for a pair whose ``match`` raised.
+    """
+    worst = {algo: 0.0 for algo in ALGORITHMS}
+    for d in raw["zerocross"]:
+        if not np.isnan(d):  # incomparable masks contribute no calibration evidence
+            worst["zerocross"] = max(worst["zerocross"], d)
+    worst["euler"] = float(raw["euler"].max())
+    worst["gasel"] = float(np.nanmax(raw["gasel"], initial=0.0))  # NaN: no jointly valid feature
+    return {a: ScoreRange(a, 0.0, worst[a] if worst[a] > 0 else 1.0) for a in ALGORITHMS}
 
 
 def encode_inline(polar, scales=(2, 4)):

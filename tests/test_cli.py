@@ -234,6 +234,12 @@ class TestEvaluate:
         rc = main(["evaluate", "--identities", "1", "--samples", "2", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_no_genuine_pair_exits_2(self, tmp_path, capsys):
+        rc = main(["evaluate", "--identities", "3", "--samples", "1", "--out", str(tmp_path / "e")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: no genuine pair")
+        assert not (tmp_path / "e").exists()
+
     def test_corpus_route_samples_imposters_with_the_seed(self, tmp_path):
         # 45 images: 2700 cross pairs, so the 450 imposter pairs are a seeded sample
         corpus = tmp_path / "corpus"
@@ -245,6 +251,49 @@ class TestEvaluate:
                      "--out", str(tmp_path / "built")]) == 0
         summary = [(tmp_path / sub / "summary.txt").read_text() for sub in ("loaded", "built")]
         assert summary[0] == summary[1]
+
+
+def assert_operational_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+class TestOsErrorsExit2:
+    """A path that is a directory where a file belongs, or a file where a
+    directory belongs, is an operational error, not a REJECT."""
+
+    def test_verify_gallery_is_a_directory(self, corpus_dir, tmp_path, capsys):
+        probe = str(sorted(corpus_dir.glob("*.pgm"))[0])
+        rc = main(["verify", "--gallery", str(tmp_path), "--id", "person-0", probe])
+        assert_operational_error(rc, capsys)
+
+    @pytest.mark.parametrize("where", ["gallery", "image"])
+    def test_enroll_path_is_a_directory(self, corpus_dir, tmp_path, capsys, where):
+        image = str(sorted(corpus_dir.glob("*.pgm"))[0])
+        gallery = str(tmp_path / "g.irf")
+        if where == "gallery":
+            gallery = str(tmp_path)
+        else:
+            image = str(tmp_path)
+        rc = main(["enroll", "--gallery", gallery, "--id", "person-x", image])
+        assert_operational_error(rc, capsys)
+        assert not any(tmp_path.iterdir())  # nothing written
+
+    def test_evaluate_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        rc = main(["evaluate", "--identities", "2", "--samples", "2", "--out", str(out)])
+        assert_operational_error(rc, capsys)
+        assert out.read_text() == "x"
+
+    def test_synth_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        rc = main(["synth", "--identities", "1", "--samples", "1", "--out", str(out)])
+        assert_operational_error(rc, capsys)
+        assert out.read_text() == "x"
 
 
 class TestConfigIntegration:

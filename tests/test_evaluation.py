@@ -145,6 +145,10 @@ class TestRunTrials:
         with pytest.raises(IncomparableError, match="no jointly valid features"):
             run_trials(corpus, selection=selection)
 
+    def test_no_genuine_pair_is_a_plain_error(self):
+        with pytest.raises(ValueError, match="no genuine pair: no identity kept two processed images"):
+            run_trials(build_corpus(3, 1, 2026))
+
     def test_abort_on_mass_segmentation_failure(self):
         blank = GrayImage(np.full((192, 256), 127, dtype=np.uint8))
         records = tuple(

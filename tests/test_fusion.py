@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,13 @@ from irisfuse.fusion import (
     NormalizedScore,
     ScoreRange,
     decide,
+    fit_ranges,
     fuse,
     normalize,
     normalize_distances,
 )
+
+from oracles import trial_ranges, worst_ranges
 
 
 def triple(a, b, c):
@@ -174,3 +179,59 @@ class TestDecide:
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
             decide(0.5, 1.5)
+
+
+def range_bytes(ranges):
+    """Each range's bounds as little-endian f64 bytes, so -0.0 != 0.0."""
+    return {a: (r.algorithm, struct.pack("<dd", r.min, r.max)) for a, r in ranges.items()}
+
+
+def distance_arrays(rng, n):
+    """One distance array per matcher, drawn from a mix of the edge cases."""
+    kind = rng.integers(5)
+    if kind == 0:
+        return {a: rng.random(n) for a in ALGORITHMS}
+    if kind == 1:  # many exact zeros
+        return {a: np.where(rng.random(n) < 0.5, 0.0, rng.random(n)) for a in ALGORITHMS}
+    if kind == 2:  # all equal
+        return {a: np.full(n, rng.choice([0.0, 0.25, 3.0])) for a in ALGORITHMS}
+    if kind == 3:  # a few distinct values
+        return {a: rng.choice([0.0, 0.5, 0.5, 2.0], n) for a in ALGORITHMS}
+    return {a: rng.random(n) * 10.0 ** rng.integers(-3, 3) for a in ALGORITHMS}
+
+
+def with_nans(rng, raw):
+    """Incomparable pairs: NaN in zerocross and gasel, never in Euler."""
+    out = dict(raw)
+    for a in ("zerocross", "gasel"):
+        out[a] = np.where(rng.random(len(raw[a])) < rng.choice([0.0, 0.3, 1.0]), np.nan, raw[a])
+    return out
+
+
+class TestFitRanges:
+    SIZES = (1, 2, 3, 7, 50)
+
+    def test_matches_the_trial_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            raw = distance_arrays(rng, int(rng.choice(self.SIZES)))
+            assert range_bytes(fit_ranges(raw)) == range_bytes(trial_ranges(raw))
+
+    def test_skips_nan_like_the_trial_oracle_without_it(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            raw = with_nans(rng, distance_arrays(rng, int(rng.choice(self.SIZES))))
+            kept = {a: d[~np.isnan(d)] for a, d in raw.items()}
+            if all(len(d) for d in kept.values()):
+                assert range_bytes(fit_ranges(raw)) == range_bytes(trial_ranges(kept))
+
+    def test_matches_the_gallery_oracle_with_the_genuine_zero(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            raw = with_nans(rng, distance_arrays(rng, int(rng.choice(self.SIZES))))
+            got = fit_ranges({a: np.append(d, 0.0) for a, d in raw.items()})
+            assert range_bytes(got) == range_bytes(worst_ranges(raw))
+
+    def test_single_genuine_zero_is_the_unit_range(self):
+        want = {a: ScoreRange(a, 0.0, 1.0) for a in ALGORITHMS}
+        assert range_bytes(fit_ranges(dict.fromkeys(ALGORITHMS, 0.0))) == range_bytes(want)

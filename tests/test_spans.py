@@ -51,3 +51,16 @@ def test_verify_runs_every_segmentation_span(spans):
     assert calls["segmentation.circular_hough"] == 2   # pupil, then iris
     assert calls["segmentation.edge_map"] == 3         # pupil, iris and eyelid edges
     assert calls["segmentation.parabolic_hough"] == 2  # upper and lower eyelid
+
+
+def test_run_trials_records_one_zerocross_match_span_per_pair(spans):
+    evaluation = importlib.import_module("irisfuse.evaluation")
+    corpus = build_corpus(3, 2, 2026)  # 3 genuine + 12 imposter pairs, under the imposter cap
+    with spans.Tracer() as tracer:
+        outcome = evaluation.run_trials(corpus)
+    pairs = len(outcome.fused.genuine) + len(outcome.fused.imposter)
+    assert pairs == 15
+    matches = [s for s in tracer.spans if s.name == "zerocross.match"]
+    assert len(matches) == pairs
+    assert [s.pair for s in matches] == list(range(pairs))
+    assert {tracer.spans[s.parent].name for s in matches} == {"evaluation.run_trials"}

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irisfuse.euler import mahalanobis
-from irisfuse.fusion import FusionPolicy
+from irisfuse.fusion import FusionPolicy, ScoreRange
 from irisfuse.gasel import Chromosome, FeaturePool, RawFeatureVector, match_subset
 from irisfuse.segmentation import SegmentationError
-from irisfuse.imaging import GrayImage
+from irisfuse.imaging import BinaryImage, GrayImage
 from irisfuse.pipeline import PipelineConfig
 from irisfuse.store import (
     EnrollmentRecord,
@@ -26,7 +26,9 @@ from irisfuse.store import (
     with_selection,
 )
 from irisfuse.synth import build_corpus
-from irisfuse.zerocross import match as zc_match
+from irisfuse.zerocross import ZeroCrossTemplate, match as zc_match
+
+from oracles import recalibrate_worst
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +131,60 @@ class TestEnroll:
         samples = [r.image for r in corpus.records if r.identity == 0][:1]
         with pytest.raises(ValueError, match="template shapes differ"):
             enroll(gallery, "one-scale", samples, PipelineConfig(scales=(2,)))
+
+
+def range_bytes(ranges):
+    return {a: (r.algorithm, struct.pack("<dd", r.min, r.max)) for a, r in ranges.items()}
+
+
+def assert_oracle_fit(g: Gallery, max_shift: int = PipelineConfig().max_shift):
+    model, ranges = recalibrate_worst(g.records, g.pool, g.chromosome, max_shift)
+    assert range_bytes(g.score_ranges) == range_bytes(ranges)
+    assert np.array_equal(g.covariance.S, model.S) and g.covariance.epsilon == model.epsilon
+
+
+class TestRangesMatchTheFormerFit:
+    """``_recalibrate`` through ``fit_ranges`` against the former per-pair fit."""
+
+    @pytest.fixture(scope="class")
+    def galleries(self):
+        corpus = build_corpus(6, 2, master_seed=2026)
+        out = [empty_gallery()]
+        for ident in range(6):
+            samples = [r.image for r in corpus.records if r.identity == ident]
+            out.append(enroll(out[-1], f"person-{ident}", samples))
+        return out
+
+    def test_every_enrollment(self, galleries):
+        assert [len(g.records) for g in galleries] == list(range(7))
+        for g in galleries:
+            assert_oracle_fit(g)
+
+    def test_after_with_selection(self, galleries):
+        rng = np.random.default_rng(5)
+        pool = FeaturePool(tuple(sorted(rng.choice(672, 60, replace=False).tolist())))
+        chromosome = Chromosome((rng.random(60) < 0.3).astype(np.uint8))
+        for g in galleries:
+            assert_oracle_fit(with_selection(g, pool, chromosome))
+            assert_oracle_fit(with_selection(g, pool, chromosome, PipelineConfig(max_shift=2)), 2)
+
+    def test_incomparable_templates_and_features(self, galleries):
+        # a fully masked template and a record with one valid feature make
+        # zerocross and gasel pairs with nothing jointly valid
+        first, second, *rest = galleries[-1].records
+        full = np.ones_like(first.template.mask.bits)
+        first = replace(first, template=ZeroCrossTemplate(first.template.bits, BinaryImage(full)))
+        valid = np.zeros_like(second.features.valid)
+        valid[0] = True
+        second = replace(second, features=RawFeatureVector(second.features.values, valid))
+        g = replace(galleries[-1], records=(first, second, *rest))
+        for selection in [(g.pool, g.chromosome), (FeaturePool((1, 2)), Chromosome(np.ones(2, np.uint8)))]:
+            assert_oracle_fit(with_selection(g, *selection))
+        pair = with_selection(replace(g, records=(first, second)), FeaturePool((1,)),
+                              Chromosome(np.ones(1, np.uint8)))
+        assert_oracle_fit(pair)
+        for algo in ("zerocross", "gasel"):  # no comparable imposter pair
+            assert pair.score_ranges[algo] == ScoreRange(algo, 0.0, 1.0)
 
 
 class TestPersistence:

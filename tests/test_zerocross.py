@@ -8,7 +8,7 @@ from irisfuse.euler import EulerCode
 from irisfuse.gasel import FEATURE_COUNT, RawFeatureVector
 from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
-from irisfuse.pipeline import PipelineConfig, process_image
+from irisfuse.pipeline import PipelineConfig, process_image, process_images
 from irisfuse.segmentation import SegmentationError
 from irisfuse.synth import build_corpus
 from irisfuse.zerocross import (
@@ -16,6 +16,7 @@ from irisfuse.zerocross import (
     dyadic_wavelet_1d,
     encode,
     match,
+    match_pairs,
     shifted,
     _smoothing_kernel,
 )
@@ -355,3 +356,41 @@ class TestMatchMatchesRolledOracle:
             for b in loaded:
                 assert_matches_oracle(a, b, 8)
 
+
+
+class TestMatchPairs:
+    """The pair-list kernel against one ``match`` call per pair."""
+
+    @pytest.fixture(scope="class")
+    def templates(self):
+        features, kept = process_images([r.image for r in build_corpus(4, 2, 2026).records],
+                                        PipelineConfig())
+        assert len(kept) == 8
+        t = features[0].template
+        full = np.ones_like(t.mask.bits)
+        return [f.template for f in features] + [ZeroCrossTemplate(t.bits, BinaryImage(full))]
+
+    @pytest.mark.parametrize("max_shift", [0, 8])
+    def test_every_pair_equals_match_and_nan_where_it_raises(self, templates, max_shift):
+        n = len(templates)
+        first, second = np.divmod(np.arange(n * n), n)
+        got = match_pairs(templates, first, second, max_shift)
+        assert got.shape == (n * n,)
+        raised = 0
+        for k, (i, j) in enumerate(zip(first, second)):
+            try:
+                want = match(templates[i], templates[j], max_shift)
+            except IncomparableError:
+                raised += 1
+                assert np.isnan(got[k])
+            else:
+                assert got[k] == want
+        assert raised == 2 * n - 1  # every pair with the fully masked template
+
+    def test_empty_pair_list(self, templates):
+        assert match_pairs(templates, [], []).shape == (0,)
+
+    def test_shape_mismatch_still_raises(self, templates):
+        one_scale = ZeroCrossTemplate(templates[0].bits[:1], templates[0].mask)
+        with pytest.raises(ValueError, match="template shapes differ"):
+            match_pairs([templates[0], one_scale], [0], [1])
