@@ -10,6 +10,7 @@ identities).  Every command is deterministic given its configuration and seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -97,6 +98,22 @@ def cmd_segment(args) -> int:
     return EXIT_OK
 
 
+def _check_output_dir(path: Path) -> Path:
+    """Raise unless ``path`` is, or can be made, a writable directory.
+
+    Commands check their output directory before any work but create it only
+    when they write, so a run that fails leaves nothing behind.
+    """
+    existing = path
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "not a directory", str(existing))
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, "output directory is not writable", str(existing))
+    return path
+
+
 def _load_or_create_gallery(path: Path):
     if path.exists():
         return store.load(path)
@@ -140,6 +157,8 @@ def cmd_train_ga(args) -> int:
     cfg = _apply_seed(_resolve_config(args), args)
     if args.generations is not None:
         cfg = replace(cfg, ga_max_generations=args.generations)
+    gallery_path = Path(args.gallery)
+    out_dir = _check_output_dir(Path(args.out) if args.out else gallery_path.parent)
     corpus = load_corpus(Path(args.corpus))
 
     features, kept = process_images([r.image for r in corpus.records], cfg.pipeline())
@@ -154,13 +173,11 @@ def cmd_train_ga(args) -> int:
     pool = build_pool(rankings, top_k=top_k)
     result = ga_select(pool, X, y, cfg.ga())
 
-    gallery_path = Path(args.gallery)
     gallery = store.with_selection(_load_or_create_gallery(gallery_path), pool, result.best,
                                    cfg.pipeline())
+    out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(gallery_path, store.to_bytes(gallery))
 
-    out_dir = Path(args.out) if args.out else gallery_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     history_lines = ["generation,best_cost"] + [
         f"{g},{c:.9f}" for g, c in enumerate(result.history)
     ]
@@ -177,13 +194,14 @@ def cmd_train_ga(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _apply_seed(_resolve_config(args), args)
+    if not args.corpus and args.identities < 2:
+        print("error: need at least 2 identities to evaluate", file=sys.stderr)
+        return EXIT_ERROR
+    out = _check_output_dir(Path(args.out))
     if args.corpus:
         # the seed samples the imposter pairs, as it does for a built corpus
         corpus = replace(load_corpus(Path(args.corpus)), master_seed=cfg.rng_seed)
     else:
-        if args.identities < 2:
-            print("error: need at least 2 identities to evaluate", file=sys.stderr)
-            return EXIT_ERROR
         corpus = build_corpus(args.identities, args.samples, cfg.rng_seed)
 
     selection = None
@@ -193,7 +211,6 @@ def cmd_evaluate(args) -> int:
 
     outcome = run_trials(corpus, cfg.pipeline(), cfg.fusion_policy(), selection)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
     streams = {**outcome.per_algorithm, "fused": outcome.fused}

@@ -7,8 +7,11 @@ and recursive elimination over a ridge discriminant) nominate their top
 features into a pool; a genetic algorithm then searches bitmasks over the
 pool, scoring each subset by a weighted cost of recognition rate, FAR, FRR,
 and subset size measured with a leave-one-out verification trial at the
-EER operating point.  Everything is deterministic given the configured seed.
-``match_subset`` is the one-pair case of ``match_pairs``.
+EER operating point.  FAR - FRR strictly decreases over the distinct
+similarity thresholds, so after one sort the EER point is found by searching
+the genuine similarities alone (see ``_SubsetTrial``).  Everything is
+deterministic given the configured seed.  ``match_subset`` is the one-pair
+case of ``match_pairs``.
 """
 
 from __future__ import annotations
@@ -164,28 +167,38 @@ def _ranking_from_scores(scores: np.ndarray) -> np.ndarray:
 
 def rank_entropy(X, y) -> np.ndarray:
     """Features ordered by information gain of a 10-bin discretization."""
-    X = np.asarray(X, dtype=np.float64)
+    return _ranking_from_scores(_information_gains(np.asarray(X, dtype=np.float64), y))
+
+
+def _information_gains(X: np.ndarray, y) -> np.ndarray:
+    """Information gain of each column of X, binned into 10 equal-width bins.
+
+    One ``bincount`` counts the samples of every (feature, bin, class).  The
+    conditional entropy is then summed bin by bin in ascending order; an
+    empty bin adds exactly zero, so each gain is, to the bit, the sum over
+    the occupied bins alone.  A constant feature has one bin and zero gain.
+    """
     y, classes = _check_labels(y, 2)
-    n = len(y)
+    n, features = X.shape
     class_ids = np.searchsorted(classes, y)
     prior = np.bincount(class_ids, minlength=len(classes)) / n
     h_y = -np.sum(prior * np.log2(prior, where=prior > 0, out=np.zeros_like(prior)))
 
-    gains = np.zeros(X.shape[1])
-    for f in range(X.shape[1]):
-        col = X[:, f]
-        lo, hi = col.min(), col.max()
-        if hi <= lo:
-            continue  # constant feature: a single bin, zero gain
-        bins = np.minimum(((col - lo) / (hi - lo) * _ENTROPY_BINS).astype(int), _ENTROPY_BINS - 1)
-        cond = 0.0
-        for b in np.unique(bins):
-            sel = bins == b
-            p_b = sel.mean()
-            sub = np.bincount(class_ids[sel], minlength=len(classes)) / sel.sum()
-            cond += p_b * -np.sum(sub * np.log2(sub, where=sub > 0, out=np.zeros_like(sub)))
-        gains[f] = h_y - cond
-    return _ranking_from_scores(gains)
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    varies = hi > lo
+    bins = np.minimum(((X - lo) / np.where(varies, hi - lo, 1.0) * _ENTROPY_BINS).astype(int),
+                      _ENTROPY_BINS - 1)
+    cells = (np.arange(features) * _ENTROPY_BINS + bins) * len(classes) + class_ids[:, None]
+    counts = np.bincount(cells.ravel(), minlength=features * _ENTROPY_BINS * len(classes))
+    counts = counts.reshape(features, _ENTROPY_BINS, len(classes))
+    in_bin = counts.sum(axis=2)
+    sub = counts / np.maximum(in_bin, 1)[:, :, None]
+    entropy = -np.sum(sub * np.log2(sub, where=sub > 0, out=np.zeros_like(sub)), axis=2)
+    p_bin = in_bin / n
+    cond = np.zeros(features)
+    for b in range(_ENTROPY_BINS):
+        cond += p_bin[:, b] * entropy[:, b]
+    return np.where(varies, h_y - cond, 0.0)
 
 
 def _welch_t(Xa: np.ndarray, Xb: np.ndarray) -> np.ndarray:
@@ -228,7 +241,10 @@ def rank_rfe(X, y) -> np.ndarray:
 
     Features are standardized once, the discriminant is retrained after each
     elimination of the smallest-|weight| feature, and the ranking is the
-    reverse elimination order.
+    reverse elimination order.  The ridge gram Z Z^T + lambda I over the
+    active features is built once and downdated by each dropped feature's
+    outer product.  Each refit is one LU solve: at these sizes OpenBLAS's
+    threaded Cholesky is several times slower.
     """
     X = np.asarray(X, dtype=np.float64)
     y, classes = _check_labels(y, 1)
@@ -243,18 +259,15 @@ def rank_rfe(X, y) -> np.ndarray:
     targets = classes[:1] if len(classes) == 2 else classes
     T = np.where(y[:, None] == targets[None, :], 1.0, -1.0)
 
-    def weights(cols: np.ndarray) -> np.ndarray:
-        Zc = Z[:, cols]
-        gram = Zc @ Zc.T + _RIDGE_LAMBDA * np.eye(len(Zc))
-        return np.abs(Zc.T @ np.linalg.solve(gram, T)).max(axis=1)
-
+    gram = Z @ Z.T + _RIDGE_LAMBDA * np.eye(len(Z))
     active = list(range(X.shape[1]))
     eliminated: list[int] = []
     while len(active) > 1:
-        w = weights(np.asarray(active, dtype=np.intp))
-        worst = np.flatnonzero(np.abs(w) == np.abs(w).min())
-        drop_pos = int(worst.max())  # ties: drop the largest index first
+        w = np.abs(Z[:, active].T @ np.linalg.solve(gram, T)).max(axis=1)
+        drop_pos = int(np.flatnonzero(w == w.min()).max())  # ties: drop the largest index first
         eliminated.append(active.pop(drop_pos))
+        dropped = Z[:, eliminated[-1]]
+        gram -= np.outer(dropped, dropped)
     order = [active[0]] + eliminated[::-1]
     return np.asarray(order, dtype=np.intp)
 
@@ -360,7 +373,20 @@ class _SubsetTrial:
 
     Scores a generation at a time: the city-block distances of all its fresh
     chromosomes come from one matmul of their gene matrix with the pool
-    features' |dx| over every sample pair (in pdist order).
+    features' |dx| over every sample pair (in pdist order).  A row of
+    distances carries one trailing +inf, which a precomputed pair-index
+    table reads into the diagonal of the chromosome's n x n distance matrix
+    for the nearest-neighbour recognition rate.
+
+    FAR and FRR are taken at the first distinct similarity threshold that
+    minimises |FAR - FRR|.  Between consecutive distinct thresholds the
+    imposters below grow, or the genuine pairs below do, so FAR - FRR
+    strictly decreases; the minimum lies on either side of the crossing.
+    After one sort, only the genuine similarities are searched: the first
+    genuine threshold past the crossing bounds a segment in which the
+    genuine count is fixed and FAR - FRR is linear in the sorted index, so
+    the crossing index is solved exactly in integers.  The rates are then
+    evaluated at the last threshold before it and the first at or after it.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, pool: FeaturePool, weights):
@@ -371,16 +397,19 @@ class _SubsetTrial:
         n = len(self.y)
         self._pairs = np.triu_indices(n, k=1)
         i, j = self._pairs
-        self._upper, self._lower = i * n + j, j * n + i  # pair positions in an n x n matrix
-        self._pair_same = (self.y[:, None] == self.y[None, :])[self._pairs]
-        self._genuine = int(np.count_nonzero(self._pair_same))
-        self._imposter = len(self._pair_same) - self._genuine
+        # pair index of each (row, col) of an n x n matrix; the diagonal reads
+        # the trailing +inf of a distance row
+        self._square = np.full((n, n), len(i), dtype=np.intp)
+        self._square[i, j] = self._square[j, i] = np.arange(len(i))
+        self._genuine_pairs = np.flatnonzero(self.y[i] == self.y[j])
+        self._genuine = len(self._genuine_pairs)
+        self._imposter = len(i) - self._genuine
         # |dx| in pair blocks of 1/_CACHED_BLOCKS of the bound: that many stay
         # cached, and any further ones (large sample counts) are rebuilt per batch
         rows = max(1, _FITNESS_BYTES // (_CACHED_BLOCKS * 8 * self.total))
-        self._blocks = [slice(s, s + rows) for s in range(0, len(i), rows)]
+        self._blocks = [slice(s, min(s + rows, len(i))) for s in range(0, len(i), rows)]
         self._cached = [self._deltas(block) for block in self._blocks[:_CACHED_BLOCKS]]
-        self._batch = max(1, _FITNESS_BYTES // (8 * len(i)))
+        self._batch = max(1, _FITNESS_BYTES // (8 * (len(i) + 1)))
         self._cache: dict[bytes, float] = {}
         self.evaluations = 0
 
@@ -406,45 +435,56 @@ class _SubsetTrial:
     def _score(self, genes: np.ndarray) -> list[float]:
         sizes = genes.sum(axis=1, dtype=np.intp)
         G = genes.astype(np.float64)
-        dist = np.empty((len(genes), len(self._pair_same)))
+        dist = np.empty((len(genes), len(self._pairs[0]) + 1))
+        dist[:, -1] = np.inf
         for b, block in enumerate(self._blocks):
             deltas = self._cached[b] if b < len(self._cached) else self._deltas(block)
             dist[:, block] = G @ deltas.T
-        values = []
-        for d, size in zip(dist, sizes):
-            if size == 0:
-                values.append(fitness_cost(0.0, 1.0, 1.0, 0, self.total, self.weights))
-                continue
-            d /= size * 255.0
-            far, frr = self._rates_at_eer(1.0 - d)
-            values.append(fitness_cost(self._recognition_rate(d), far, frr,
-                                       int(size), self.total, self.weights))
-        return values
+        pairs = dist[:, :-1]
+        pairs /= np.maximum(sizes, 1)[:, None] * 255.0  # an empty chromosome's row stays 0
+        rr = self._recognition_rates(dist)
+        # the similarities overwrite the distances, which RR has finished reading
+        rates = self._rates_at_eer(np.subtract(1.0, pairs, out=pairs))
+        return [fitness_cost(r, far, frr, size, self.total, self.weights) if size
+                else fitness_cost(0.0, 1.0, 1.0, 0, self.total, self.weights)
+                for r, (far, frr), size in zip(rr, rates, sizes.tolist())]
 
-    def _recognition_rate(self, dist: np.ndarray) -> float:
-        n = len(self.y)
-        square = np.full(n * n, np.inf)
-        square[self._upper] = dist
-        square[self._lower] = dist
-        nearest = np.argmin(square.reshape(n, n), axis=1)
-        return np.count_nonzero(self.y[nearest] == self.y) / n
+    def _recognition_rates(self, dist: np.ndarray) -> list[float]:
+        """Leave-one-out 1-NN recognition rate of each row of pair distances."""
+        nearest = np.stack([row.take(self._square).argmin(axis=1) for row in dist])
+        return (np.count_nonzero(self.y[nearest] == self.y, axis=1) / len(self.y)).tolist()
 
-    def _rates_at_eer(self, sims: np.ndarray) -> tuple[float, float]:
-        """FAR and FRR at the first distinct threshold minimising |FAR - FRR|.
+    def _rates_at_eer(self, sims: np.ndarray) -> list[tuple[float, float]]:
+        """FAR and FRR at the EER of each row of pair similarities.
 
-        The thresholds are the distinct similarities in sorted order.  Below
-        the one first at sorted index k lie k pairs; the genuine ones among
-        them are those whose similarity first occurs before k.
+        Sorts each row in place.  Below the threshold first at sorted index k
+        lie k pairs; FAR - FRR <= 0 there iff (k - g) * G + g * I >= I * G,
+        where g of them are genuine, G are genuine and I imposter in all.
         """
-        ranked = np.sort(sims)
-        first = np.searchsorted(ranked, sims[self._pair_same])
-        genuine_below = np.cumsum(np.bincount(first + 1, minlength=len(ranked))[:len(ranked)])
-        far = 1.0 - (np.arange(len(ranked)) - genuine_below) / self._imposter
-        frr = genuine_below / self._genuine
-        gap = np.abs(far - frr)
-        np.copyto(gap[1:], np.inf, where=ranked[1:] == ranked[:-1])
-        i = int(np.argmin(gap))
-        return float(far[i]), float(frr[i])
+        I, G = self._imposter, self._genuine
+        genuine = np.sort(sims.take(self._genuine_pairs, axis=1), axis=1)
+        below = np.empty(genuine.shape, dtype=np.intp)  # pairs below each genuine similarity
+        gen_below = np.empty_like(below)                 # genuine pairs among them
+        for ranked, gen, b, gb in zip(sims, genuine, below, gen_below):
+            ranked.sort()  # searched while it is still in cache
+            b[:] = ranked.searchsorted(gen)
+            gb[:] = b.searchsorted(b)
+        # the first genuine threshold with FAR - FRR <= 0 (G if there is none)
+        crossed = np.count_nonzero(below * G + gen_below * (I - G) < I * G, axis=1)
+        rates = []
+        for ranked, b, gb, g in zip(sims, below, gen_below, crossed.tolist()):
+            # in the segment after the previous genuine threshold, g pairs
+            # below are genuine; k is its first index with FAR - FRR <= 0
+            start = int(b[g - 1]) if g else -1
+            k = max(g - (I * (g - G)) // G, start + 1)
+            before = int(ranked.searchsorted(ranked[k - 1]))  # the last threshold below k
+            after = int(ranked.searchsorted(ranked[k - 1], side="right"))  # the next one
+            candidates = [(before, g if before > start else int(gb[g - 1]))]
+            if after < len(ranked):
+                candidates.append((after, g))
+            rates.append(min(((1.0 - (t - g_t) / I, g_t / G) for t, g_t in candidates),
+                             key=lambda r: abs(r[0] - r[1])))
+        return rates
 
 
 def ga_select(pool: FeaturePool, X, y, cfg: GaConfig) -> GaResult:

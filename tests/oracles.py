@@ -39,7 +39,13 @@ fits: the ``[min, max]`` loop of ``evaluation.run_trials`` and
 ``store._recalibrate`` with its per-pair zerocross loop that skipped
 incomparable pairs; ``worst_ranges`` is the latter's range rule on given
 distance arrays.  All three are kept verbatim as the references for
-``fusion.fit_ranges``.
+``fusion.fit_ranges``.  ``rank_rfe_rebuild`` is the former ``gasel.rank_rfe``,
+which rebuilt the ridge gram at every elimination step; ``rank_entropy_loop``
+the former ``gasel.rank_entropy``, whose per-feature, per-bin loop is
+``entropy_gains_loop``; and ``rates_at_eer_sweep`` the former
+``_SubsetTrial._rates_at_eer``, a sweep over every distinct threshold.  All
+three are kept verbatim as the references for the downdated gram, the
+whole-matrix information gain and the FAR/FRR crossing search.
 """
 
 import math
@@ -51,7 +57,14 @@ from scipy.spatial.distance import pdist, squareform
 
 from irisfuse.euler import MSB_PLANES, CovarianceModel, EulerCode, calibrated_covariance, mahalanobis_rows
 from irisfuse.fusion import ALGORITHMS, ScoreRange
-from irisfuse.gasel import fitness_cost, match_pairs
+from irisfuse.gasel import (
+    _ENTROPY_BINS,
+    _RIDGE_LAMBDA,
+    _check_labels,
+    _ranking_from_scores,
+    fitness_cost,
+    match_pairs,
+)
 from irisfuse.imaging import BinaryImage, GrayImage, gaussian_kernel
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError
 from irisfuse.segmentation import (
@@ -183,6 +196,94 @@ def rank_rfe_per_target(X, y):
         eliminated.append(active.pop(drop_pos))
     order = [active[0]] + eliminated[::-1]
     return np.asarray(order, dtype=np.intp)
+
+
+def rank_rfe_rebuild(X, y) -> np.ndarray:
+    """Recursive feature elimination over a ridge-regularized discriminant.
+
+    Features are standardized once, the discriminant is retrained after each
+    elimination of the smallest-|weight| feature, and the ranking is the
+    reverse elimination order.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y, classes = _check_labels(y, 1)
+    if len(y) < 2:
+        raise ValueError("need at least 2 samples")
+
+    mu = X.mean(axis=0)
+    sd = X.std(axis=0)
+    Z = (X - mu) / np.where(sd > 0, sd, 1.0)
+
+    # one +/-1 target column per class; a binary problem needs only the first
+    targets = classes[:1] if len(classes) == 2 else classes
+    T = np.where(y[:, None] == targets[None, :], 1.0, -1.0)
+
+    def weights(cols: np.ndarray) -> np.ndarray:
+        Zc = Z[:, cols]
+        gram = Zc @ Zc.T + _RIDGE_LAMBDA * np.eye(len(Zc))
+        return np.abs(Zc.T @ np.linalg.solve(gram, T)).max(axis=1)
+
+    active = list(range(X.shape[1]))
+    eliminated: list[int] = []
+    while len(active) > 1:
+        w = weights(np.asarray(active, dtype=np.intp))
+        worst = np.flatnonzero(np.abs(w) == np.abs(w).min())
+        drop_pos = int(worst.max())  # ties: drop the largest index first
+        eliminated.append(active.pop(drop_pos))
+    order = [active[0]] + eliminated[::-1]
+    return np.asarray(order, dtype=np.intp)
+
+
+def rank_entropy_loop(X, y) -> np.ndarray:
+    """Features ordered by information gain of a 10-bin discretization."""
+    return _ranking_from_scores(entropy_gains_loop(X, y))
+
+
+def entropy_gains_loop(X, y) -> np.ndarray:
+    """Information gain of each feature, one feature and one bin at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    y, classes = _check_labels(y, 2)
+    n = len(y)
+    class_ids = np.searchsorted(classes, y)
+    prior = np.bincount(class_ids, minlength=len(classes)) / n
+    h_y = -np.sum(prior * np.log2(prior, where=prior > 0, out=np.zeros_like(prior)))
+
+    gains = np.zeros(X.shape[1])
+    for f in range(X.shape[1]):
+        col = X[:, f]
+        lo, hi = col.min(), col.max()
+        if hi <= lo:
+            continue  # constant feature: a single bin, zero gain
+        bins = np.minimum(((col - lo) / (hi - lo) * _ENTROPY_BINS).astype(int), _ENTROPY_BINS - 1)
+        cond = 0.0
+        for b in np.unique(bins):
+            sel = bins == b
+            p_b = sel.mean()
+            sub = np.bincount(class_ids[sel], minlength=len(classes)) / sel.sum()
+            cond += p_b * -np.sum(sub * np.log2(sub, where=sub > 0, out=np.zeros_like(sub)))
+        gains[f] = h_y - cond
+    return gains
+
+
+def rates_at_eer_sweep(sims, pair_same) -> tuple[float, float]:
+    """FAR and FRR at the first distinct threshold minimising |FAR - FRR|.
+
+    The thresholds are the distinct similarities in sorted order.  Below
+    the one first at sorted index k lie k pairs; the genuine ones among
+    them are those whose similarity first occurs before k.
+    """
+    pair_same = np.asarray(pair_same, dtype=bool)
+    genuine_count = int(np.count_nonzero(pair_same))
+    imposter_count = len(pair_same) - genuine_count
+    ranked = np.sort(sims)
+    first = np.searchsorted(ranked, sims[pair_same])
+    genuine_below = np.cumsum(np.bincount(first + 1, minlength=len(ranked))[:len(ranked)])
+    far = 1.0 - (np.arange(len(ranked)) - genuine_below) / imposter_count
+    frr = genuine_below / genuine_count
+    gap = np.abs(far - frr)
+    np.copyto(gap[1:], np.inf, where=ranked[1:] == ranked[:-1])
+    i = int(np.argmin(gap))
+    return float(far[i]), float(frr[i])
 
 
 class ScalarSubsetTrial:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irisfuse import store
+from irisfuse import cli, store
 from irisfuse.cli import main
 from irisfuse.config import RunConfig
 from irisfuse.imaging import BinaryImage, GrayImage, save_pgm
@@ -286,6 +286,33 @@ class TestOsErrorsExit2:
         out.write_text("x")
         rc = main(["evaluate", "--identities", "2", "--samples", "2", "--out", str(out)])
         assert_operational_error(rc, capsys)
+        assert out.read_text() == "x"
+
+    def test_evaluate_out_checked_before_any_image(self, tmp_path, capsys, monkeypatch):
+        def run_trials(*args, **kwargs):
+            pytest.fail("evaluate processed images before it checked --out")
+
+        monkeypatch.setattr(cli, "run_trials", run_trials)
+        out = tmp_path / "taken"
+        out.write_text("x")
+        rc = main(["evaluate", "--identities", "2", "--samples", "2", "--out", str(out)])
+        assert_operational_error(rc, capsys)
+        assert out.read_text() == "x"
+
+    def test_train_ga_out_is_a_file_leaves_gallery(self, corpus_dir, gallery_path, tmp_path,
+                                                   capsys, monkeypatch):
+        def process_images(*args, **kwargs):
+            pytest.fail("train-ga processed images before it checked --out")
+
+        monkeypatch.setattr(cli, "process_images", process_images)
+        gallery = tmp_path / "g.irf"
+        gallery.write_bytes(gallery_path.read_bytes())
+        out = tmp_path / "taken"
+        out.write_text("x")
+        rc = main(["train-ga", "--corpus", str(corpus_dir), "--gallery", str(gallery),
+                   "--generations", "0", "--seed", "7", "--out", str(out)])
+        assert_operational_error(rc, capsys)
+        assert gallery.read_bytes() == gallery_path.read_bytes()
         assert out.read_text() == "x"
 
     def test_synth_out_is_a_file(self, tmp_path, capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from irisfuse import gasel
 from irisfuse.gasel import (
@@ -25,9 +28,13 @@ from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError,
 
 from oracles import (
     ScalarSubsetTrial,
+    entropy_gains_loop,
     match_subset_compressed,
     planted_problem,
+    rank_entropy_loop,
     rank_rfe_per_target,
+    rank_rfe_rebuild,
+    rates_at_eer_sweep,
     roulette_select_per_draw,
 )
 
@@ -473,6 +480,105 @@ class TestRfeMatchesPerTargetOracle:
         X, y, _ = planted_problem(9, n_features=30, n_informative=4, classes=3, per_class=5)
         X[:, ::3] = 7.0
         assert np.array_equal(rank_rfe(X, y), rank_rfe_per_target(X, y))
+
+
+
+class TestRfeDowndateMatchesRebuild:
+    """The downdated gram gives the rankings of a gram rebuilt at every step."""
+
+    @pytest.mark.parametrize("classes,per_class", [(2, 12), (6, 6)])
+    def test_small_problems_match_both_oracles(self, classes, per_class):
+        X, y, _ = planted_problem(2026, n_features=FEATURE_COUNT, n_informative=20,
+                                  classes=classes, per_class=per_class)
+        ranking = rank_rfe(X, y)
+        assert np.array_equal(ranking, rank_rfe_rebuild(X, y))
+        assert np.array_equal(ranking, rank_rfe_per_target(X, y))
+
+    @pytest.mark.parametrize("classes,seed", [(40, 2026), (50, 7)])
+    def test_bench_problems_match_rebuild(self, classes, seed):
+        # the per-target oracle needs 12-26 s at these sizes, so only the rebuild runs
+        X, y, _ = planted_problem(seed, n_features=FEATURE_COUNT, n_informative=20,
+                                  classes=classes, per_class=4)
+        assert np.array_equal(rank_rfe(X, y), rank_rfe_rebuild(X, y))
+
+
+class TestEntropyGainsMatchLoop:
+    """One (feature, bin, class) count gives the per-feature loop's gains to the bit."""
+
+    @pytest.mark.parametrize("classes,per_class,seed", [(2, 12, 0), (6, 6, 1), (40, 4, 2026)])
+    def test_planted_gains_bit_equal(self, classes, per_class, seed):
+        X, y, _ = planted_problem(seed, n_features=FEATURE_COUNT, n_informative=20,
+                                  classes=classes, per_class=per_class)
+        assert gasel._information_gains(X, y).tobytes() == entropy_gains_loop(X, y).tobytes()
+        assert np.array_equal(rank_entropy(X, y), rank_entropy_loop(X, y))
+
+    def test_constant_sparse_and_quantised_features_bit_equal(self):
+        rng = np.random.default_rng(11)
+        y = np.repeat(np.arange(5), 6)
+        X = rng.integers(0, 4, size=(30, 12)).astype(np.float64)  # bin edges hit exactly
+        X[:, 0] = 3.0                          # constant: one bin, zero gain
+        X[:, 1] = np.where(y == 2, 9.0, 1.0)   # two values: only the end bins occupied
+        X[:, 2] = 0.0
+        X[5, 2] = 1.0                          # one outlier: 29 samples in bin 0
+        X[:, 3] = np.arange(30.0)              # every bin occupied
+        gains = gasel._information_gains(X, y)
+        assert gains.tobytes() == entropy_gains_loop(X, y).tobytes()
+        assert gains[0] == 0.0
+        assert np.array_equal(rank_entropy(X, y), rank_entropy_loop(X, y))
+
+
+def crossing_trial(sizes):
+    """A fitness trial over classes of the given sizes, and its pairs' sameness."""
+    y = np.repeat(np.arange(len(sizes)), sizes)
+    trial = gasel._SubsetTrial(np.zeros((len(y), 1)), y, FeaturePool((0,)), (1.0, 0.5, 0.5, 0.05))
+    i, j = trial._pairs
+    return trial, y[i] == y[j]
+
+
+def assert_crossing_matches_sweep(sizes, sims):
+    trial, same = crossing_trial(sizes)
+    sims = np.asarray(sims, dtype=np.float64)
+    assert trial._rates_at_eer(sims[None].copy()) == [rates_at_eer_sweep(sims, same)]
+
+
+@st.composite
+def class_sizes_and_sims(draw):
+    sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=7).filter(lambda s: max(s) >= 2))
+    pairs = sum(sizes) * (sum(sizes) - 1) // 2
+    levels = draw(st.sampled_from([1, 2, 3, 5, 17, 0]))
+    if levels == 0:
+        return sizes, draw(arrays(np.float64, pairs, elements=st.floats(0.0, 1.0)))
+    return sizes, draw(arrays(np.int64, pairs, elements=st.integers(0, levels))) / levels
+
+
+class TestCrossingMatchesSweep:
+    """FAR/FRR from the crossing search equal the full threshold sweep's, bit for bit."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(class_sizes_and_sims())
+    def test_random_trials(self, case):
+        assert_crossing_matches_sweep(*case)
+
+    @pytest.mark.parametrize("levels", [1, 2, 4, 9, 50])
+    @pytest.mark.parametrize("sizes", [[20, 2], [2, 1, 1, 1, 1], [4] * 40])
+    def test_quantised_ties(self, sizes, levels):
+        # [20, 2]: more genuine pairs than imposters; [2, 1, 1, 1, 1]: one genuine pair
+        rng = np.random.default_rng(levels)
+        n = sum(sizes)
+        assert_crossing_matches_sweep(sizes, rng.integers(0, levels + 1, n * (n - 1) // 2) / levels)
+
+    @pytest.mark.parametrize("sizes", [[20, 2], [2, 1, 1, 1, 1], [3, 3, 3]])
+    @pytest.mark.parametrize("genuine_high", [True, False])
+    def test_perfect_separation(self, sizes, genuine_high):
+        _, same = crossing_trial(sizes)
+        rng = np.random.default_rng(3)
+        sims = np.where(same == genuine_high, 0.6, 0.0) + rng.random(len(same)) * 0.3
+        assert_crossing_matches_sweep(sizes, sims)
+
+    @pytest.mark.parametrize("sizes", [[20, 2], [2, 1, 1, 1, 1], [3, 3, 3]])
+    def test_all_similarities_equal(self, sizes):
+        n = sum(sizes)
+        assert_crossing_matches_sweep(sizes, np.full(n * (n - 1) // 2, 0.75))
 
 
 def ga_against_oracle(monkeypatch, pool, X, y, cfg):
