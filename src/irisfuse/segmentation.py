@@ -14,12 +14,17 @@ not inside the iris circle (``Circle.encloses``) fails segmentation.  One
 kernel fills the accumulator: it rounds integer point-to-centre distances
 through a table of rint(sqrt(n)) indexed by dx^2 + dy^2, which equals
 rint(hypot(dx, dy)) because no sqrt(n) of an integer n lies within about
-1/(8r) of a half-integer.  Eyelids use a quantized four-parameter vote over tilted
-vertex-form parabolas.  The roots of each (theta, a) quadratic depend only on
-the integer offset x - h, so they come from one cached table, computed by the
-per-pair expressions; and only the pairs whose root lies in a band that
-provably holds every landing vote are voted (7-11 ms per region against
-27 ms for the per-pair solve).  All functions are pure; accumulators are
+1/(8r) of a half-integer; it votes one centre row at a time, so its
+temporaries stay a few hundred KB.  Eyelids use a quantized four-parameter
+vote over tilted vertex-form parabolas.  The roots of each (theta, a)
+quadratic depend only on the integer offset x - h, so they come from one
+cached table, computed by the per-pair expressions; and only the pairs whose
+root lies in a band that provably holds every landing vote are voted, along
+runs of the table that a second cache holds per region height (about 5 ms
+per region on a 2-core host, against 27 ms for the per-pair solve).  Edge
+suppression and the noise mask's circle and eyelid rules run only where
+their outcome is open: at pixels that pass the gradient threshold, and
+inside the iris's bounding box.  All functions are pure; accumulators are
 operation-local and the cached tables read-only, so everything is
 thread-safe.
 """
@@ -186,7 +191,7 @@ def edge_map(gradient: tuple[np.ndarray, np.ndarray], bias: str, grad_threshold:
     (vertically oriented boundaries such as the iris sides),
     "horizontal-edges" keeps |d/dy| (eyelids), "none" the full magnitude.
     Non-maxima are suppressed along x, along y and along the quantized
-    gradient direction, respectively.
+    gradient direction, respectively, at the pixels that pass the threshold.
     """
     if bias not in EDGE_BIASES:
         raise ValueError(f"unknown edge bias {bias!r}; expected one of {EDGE_BIASES}")
@@ -194,39 +199,35 @@ def edge_map(gradient: tuple[np.ndarray, np.ndarray], bias: str, grad_threshold:
         raise ValueError("grad_threshold must be positive")
 
     gy, gx = gradient
+    height, width = gy.shape
+    mag = np.hypot(gx, gy) if bias == "none" else np.abs(gx if bias == "vertical-edges" else gy)
+    # only pixels at or above the threshold can survive, so the direction and
+    # the two neighbours are read at those candidates alone (row-major order)
+    cand = np.flatnonzero(mag >= grad_threshold)
     if bias == "none":
-        mag, sectors = np.hypot(gx, gy), _gradient_sectors(gx, gy)
+        step = _SECTOR_STEPS[_gradient_sectors(gx.flat[cand], gy.flat[cand])]
+        step = step[:, 0] * (width + 2) + step[:, 1]
     else:
-        mag, sectors = (np.abs(gx), 0) if bias == "vertical-edges" else (np.abs(gy), 2)
-    ys, xs = np.nonzero((mag >= grad_threshold) & _directional_maxima(mag, sectors))
-    return EdgeMap(np.column_stack([xs, ys]), mag.shape[1], mag.shape[0])
+        step = width + 2 if bias == "horizontal-edges" else 1
+    # A pixel survives when its magnitude strictly exceeds the neighbour on
+    # one side and is at least the neighbour on the other, so a tied pair
+    # (as on a perfectly symmetric step) keeps exactly one pixel.
+    padded = np.pad(mag, 1, mode="constant", constant_values=-np.inf).ravel()
+    at = cand + 2 * (cand // width) + width + 3  # the candidate's index in the padded frame
+    m = padded[at]
+    cand = cand[(m > padded[at - step]) & (m >= padded[at + step])]
+    ys, xs = np.divmod(cand, width)
+    return EdgeMap(np.column_stack([xs, ys]), width, height)
+
+
+# (dy, dx) of the "positive" neighbour in each gradient sector
+_SECTOR_STEPS = np.array(((0, 1), (1, 1), (1, 0), (1, -1)))
 
 
 def _gradient_sectors(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """Quantize gradient direction into 4 sectors: 0=E/W, 1=NE/SW, 2=N/S, 3=NW/SE."""
     ang = np.mod(np.arctan2(gy, gx), math.pi)
     return (np.rint(ang / (math.pi / 4)).astype(np.uint8)) % 4
-
-
-def _directional_maxima(mag: np.ndarray, sectors) -> np.ndarray:
-    """Non-maximum suppression along the gradient direction.
-
-    ``sectors`` is per pixel or one sector for all; empty sectors are skipped.
-    A pixel survives when its magnitude strictly exceeds the neighbor on one
-    side and is at least the neighbor on the other, so a tied pair (as on a
-    perfectly symmetric step) keeps exactly one pixel.
-    """
-    padded = np.pad(mag, 1, mode="constant", constant_values=-np.inf)
-    keep = np.zeros(mag.shape, dtype=bool)
-    # (dy, dx) of the "positive" neighbor per sector
-    for sector, (dy, dx) in enumerate(((0, 1), (1, 1), (1, 0), (1, -1))):
-        sel = sectors == sector
-        if not np.any(sel):
-            continue
-        fwd = padded[1 + dy : padded.shape[0] - 1 + dy, 1 + dx : padded.shape[1] - 1 + dx]
-        bwd = padded[1 - dy : padded.shape[0] - 1 - dy, 1 - dx : padded.shape[1] - 1 - dx]
-        keep |= sel & (mag > bwd) & (mag >= fwd)
-    return keep
 
 
 def circular_hough(
@@ -293,22 +294,31 @@ def _vote_by_distance(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h):
     rounding boundary, far beyond either function's last-bit error.  Squared
     offsets are capped at (r_max + 1)^2, beyond which every distance rounds
     past r_max; the LUT maps the radii outside [r_min, r_max] to a sink plane.
+    A point whose nearest and farthest window centres both round outside
+    [r_min, r_max] (rint(sqrt(n)) <= r_max iff n <= r_max (r_max + 1)) votes
+    only into the sink, so it is dropped.  One centre row votes at a time,
+    through one small ``bincount`` of plane * acc_w + column, so the working
+    set stays near (acc_w, points) whatever the window height.
     """
+    x_hi, y_hi = x_lo + acc_w - 1, y_lo + acc_h - 1
+    near2 = (np.maximum(np.maximum(x_lo - px, px - x_hi), 0) ** 2
+             + np.maximum(np.maximum(y_lo - py, py - y_hi), 0) ** 2)
+    far2 = np.maximum(px - x_lo, x_hi - px) ** 2 + np.maximum(py - y_lo, y_hi - py) ** 2
+    keep = (near2 <= r_max * (r_max + 1)) & (far2 > r_min * (r_min - 1))
+    px, py = px[keep], py[keep]
     n_r = r_max - r_min + 1
-    cells = acc_h * acc_w
     cap = (r_max + 1) ** 2
     dx2 = np.minimum((px[None, :] - (x_lo + np.arange(acc_w))[:, None]) ** 2, cap).astype(np.int32)
     dy2 = np.minimum((py[None, :] - (y_lo + np.arange(acc_h))[:, None]) ** 2, cap).astype(np.int32)
     ring = _rounded_sqrt(2 * cap + 1) - r_min
-    plane = np.where((ring >= 0) & (ring < n_r), ring, n_r) * cells
-    cell = np.arange(cells).reshape(acc_h, acc_w, 1)
-    acc = np.zeros((n_r + 1) * cells, dtype=np.int64)
-    chunk = max(1, 4_000_000 // cells)
-    for lo in range(0, len(px), chunk):
-        flat = np.take(plane, dy2[:, None, lo : lo + chunk] + dx2[None, :, lo : lo + chunk])
-        flat += cell
-        acc += np.bincount(flat.ravel(), minlength=len(acc))
-    return acc[: n_r * cells].reshape(n_r, acc_h, acc_w).astype(np.int32)
+    plane = np.where((ring >= 0) & (ring < n_r), ring, n_r) * acc_w
+    column = np.arange(acc_w)[:, None]
+    acc = np.empty((n_r, acc_h, acc_w), dtype=np.int32)
+    for row in range(acc_h):
+        flat = np.take(plane, dx2 + dy2[row])
+        flat += column
+        acc[:, row] = np.bincount(flat.ravel(), minlength=(n_r + 1) * acc_w)[: n_r * acc_w].reshape(n_r, acc_w)
+    return acc
 
 
 def _rounded_sqrt(n: int) -> np.ndarray:
@@ -441,6 +451,26 @@ def _parabola_roots(curvature_sign: int, extent: int) -> np.ndarray:
     return roots
 
 
+@lru_cache(maxsize=256)
+def _parabola_runs(curvature_sign: int, extent: int, span: int) -> tuple[np.ndarray, ...]:
+    """The in-band runs (row, X0, X1) of the root table for a region span + 1 rows tall.
+
+    Row ``row`` of the table reshaped to one row per (theta, a, root) has its
+    root inside ``_parabola_band`` exactly at the offsets X0 <= X + extent < X1.
+    The band, and so the runs, depend only on the region's height.
+    """
+    roots = _parabola_roots(curvature_sign, extent)
+    roots = roots.reshape(-1, roots.shape[-1])
+    band_lo, band_hi = _parabola_band(0, span)
+    in_band = (roots >= band_lo) & (roots <= band_hi)
+    steps = np.diff(in_band.astype(np.int8), axis=1, prepend=0, append=0)
+    row, x0 = np.nonzero(steps == 1)
+    x1 = np.nonzero(steps == -1)[1]
+    for arr in (row, x0, x1):
+        arr.setflags(write=False)
+    return row, x0, x1
+
+
 def _parabola_band(y_lo: int, y_hi: int) -> tuple[int, int]:
     """Bounds [lo, hi] on the root Y of every vote that lands in the accumulator.
 
@@ -462,8 +492,9 @@ def _parabola_votes(pts: np.ndarray, search_region, curvature_sign: int) -> np.n
     The root depends only on the integer X = x - h, so it comes from the
     ``_parabola_roots`` table.  With the pairs sorted by X, the pairs whose
     root lies in ``_parabola_band`` form a few contiguous runs per
-    (theta, a, root); only those vote, and their votes outside [0, k_count)
-    land in sink rows at k = -1 and k = k_count.
+    (theta, a, root), read from the cached ``_parabola_runs`` plan; only
+    those vote, and their votes outside [0, k_count) land in sink rows at
+    k = -1 and k = k_count.
     """
     x_lo, x_hi, y_lo, y_hi = search_region
     n_h = len(range(x_lo, x_hi + 1, PARABOLA_STEP))
@@ -480,11 +511,8 @@ def _parabola_votes(pts: np.ndarray, search_region, curvature_sign: int) -> np.n
     col = order % n_h + n_h  # past the k = -1 sink row
     bounds = np.concatenate(([0], np.cumsum(np.bincount(Xi, minlength=roots.shape[1]))))
 
-    band_lo, band_hi = _parabola_band(y_lo, y_hi)
-    in_band = (roots >= band_lo) & (roots <= band_hi)
-    steps = np.diff(in_band.astype(np.int8), axis=1, prepend=0, append=0)
-    run_row, run_lo = np.nonzero(steps == 1)
-    run_lo, run_hi = bounds[run_lo], bounds[np.nonzero(steps == -1)[1]]
+    run_row, run_lo, run_hi = _parabola_runs(curvature_sign, extent, y_hi - y_lo)
+    run_lo, run_hi = bounds[run_lo], bounds[run_hi]
     runs = run_lo < run_hi
 
     acc = np.zeros((len(roots) // 2, (k_count + 2) * n_h), dtype=np.int64)
@@ -492,9 +520,10 @@ def _parabola_votes(pts: np.ndarray, search_region, curvature_sign: int) -> np.n
         k = np.take(roots[row], Xi[lo:hi])  # Y, then ((y - Y) - y_lo) / STEP in place
         np.subtract(y[lo:hi], k, out=k)
         k -= y_lo
-        k /= PARABOLA_STEP
+        k *= 1 / PARABOLA_STEP  # exact: the step is a power of two
         np.rint(k, out=k)
-        np.clip(k, -1, k_count, out=k)
+        np.maximum(k, -1, out=k)
+        np.minimum(k, k_count, out=k)
         flat = k.astype(np.intp)
         flat *= n_h
         flat += col[lo:hi]
@@ -533,15 +562,26 @@ def build_noise_mask(
     if not iris.encloses(pupil):
         raise SegmentationError("pupil circle not contained in iris circle")
 
-    ys, xs = np.mgrid[0 : img.height, 0 : img.width]
+    # every pixel outside the iris circle is masked, so the circle and eyelid
+    # rules run only in its bounding box, widened by 1 px against rounding
+    box_rows, box_cols = _span(iris.cy, iris.r, img.height), _span(iris.cx, iris.r, img.width)
+    ys, xs = np.mgrid[box_rows, box_cols]
     d_pupil = np.hypot(xs - pupil.cx, ys - pupil.cy)
     d_iris = np.hypot(xs - iris.cx, ys - iris.cy)
-    mask = (d_pupil <= pupil.r) | (d_iris > iris.r)
+    box = (d_pupil <= pupil.r) | (d_iris > iris.r)
     for lid in eyelids:
         if lid is not None:
-            mask |= lid.side(xs, ys) > 0
+            box |= lid.side(xs, ys) > 0
+    mask = np.ones(img.pixels.shape, dtype=bool)
+    mask[box_rows, box_cols] = box
     mask |= img.pixels >= specular_threshold
     return BinaryImage(mask.astype(np.uint8))
+
+
+def _span(center: float, radius: float, n: int) -> slice:
+    """The indices in range(n) within 1 px of [center - radius, center + radius]."""
+    lo, hi = np.clip((np.floor(center - radius) - 1, np.ceil(center + radius) + 2), 0, n).astype(int)
+    return slice(lo, hi)
 
 
 def segment(img: GrayImage, cfg: SegmentationConfig) -> SegmentationResult:

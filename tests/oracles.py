@@ -46,6 +46,16 @@ the former ``gasel.rank_entropy``, whose per-feature, per-bin loop is
 ``_SubsetTrial._rates_at_eer``, a sweep over every distinct threshold.  All
 three are kept verbatim as the references for the downdated gram, the
 whole-matrix information gain and the FAR/FRR crossing search.
+``vote_by_distance_bincount`` is the former ``segmentation._vote_by_distance``,
+which voted every centre of the window at once through one chunked
+``bincount``; ``parabola_votes_per_region`` the former
+``segmentation._parabola_votes``, which derived its in-band run plan from the
+root table in every region and clipped with ``np.clip``; and
+``build_noise_mask_full`` the former ``segmentation.build_noise_mask``, which
+evaluated the circle and eyelid rules over the whole frame.  All three are
+kept verbatim as the references for the row-blocked circle vote, the cached
+run plan and the box-bounded noise mask; ``edge_map_image`` above already is
+the whole-frame reference for the candidate-only edge suppression.
 """
 
 import math
@@ -78,6 +88,9 @@ from irisfuse.segmentation import (
     EdgeMap,
     Parabola,
     SegmentationError,
+    _parabola_band,
+    _parabola_roots,
+    _rounded_sqrt,
 )
 from irisfuse.zerocross import (
     _G_NORMALIZED,
@@ -766,3 +779,106 @@ def _directional_maxima(mag: np.ndarray, sectors: np.ndarray) -> np.ndarray:
         sel = sectors == sector
         keep |= sel & (mag > bwd) & (mag >= fwd)
     return keep
+
+
+def vote_by_distance_bincount(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h):
+    """Accumulate votes by rounding point-to-center distances.
+
+    For integer offsets, rint(hypot(dx, dy)) == LUT[dx^2 + dy^2] with
+    LUT[n] = rint(sqrt(n)): sqrt(n) = m + 1/2 would need n = m^2 + m + 1/4,
+    so the nearest integers n leave sqrt(n) at least about 1/(8 m) from a
+    rounding boundary, far beyond either function's last-bit error.  Squared
+    offsets are capped at (r_max + 1)^2, beyond which every distance rounds
+    past r_max; the LUT maps the radii outside [r_min, r_max] to a sink plane.
+    """
+    n_r = r_max - r_min + 1
+    cells = acc_h * acc_w
+    cap = (r_max + 1) ** 2
+    dx2 = np.minimum((px[None, :] - (x_lo + np.arange(acc_w))[:, None]) ** 2, cap).astype(np.int32)
+    dy2 = np.minimum((py[None, :] - (y_lo + np.arange(acc_h))[:, None]) ** 2, cap).astype(np.int32)
+    ring = _rounded_sqrt(2 * cap + 1) - r_min
+    plane = np.where((ring >= 0) & (ring < n_r), ring, n_r) * cells
+    cell = np.arange(cells).reshape(acc_h, acc_w, 1)
+    acc = np.zeros((n_r + 1) * cells, dtype=np.int64)
+    chunk = max(1, 4_000_000 // cells)
+    for lo in range(0, len(px), chunk):
+        flat = np.take(plane, dy2[:, None, lo : lo + chunk] + dx2[None, :, lo : lo + chunk])
+        flat += cell
+        acc += np.bincount(flat.ravel(), minlength=len(acc))
+    return acc[: n_r * cells].reshape(n_r, acc_h, acc_w).astype(np.int32)
+
+
+def parabola_votes_per_region(pts: np.ndarray, search_region, curvature_sign: int) -> np.ndarray:
+    """The (theta, a, k, h) vote accumulator of the points inside the region.
+
+    Each (point, column h) pair votes, for every (theta, a) and each root Y
+    of its quadratic, at k index rint(((y - Y) - y_lo) / PARABOLA_STEP).
+    The root depends only on the integer X = x - h, so it comes from the
+    ``_parabola_roots`` table.  With the pairs sorted by X, the pairs whose
+    root lies in ``_parabola_band`` form a few contiguous runs per
+    (theta, a, root); only those vote, and their votes outside [0, k_count)
+    land in sink rows at k = -1 and k = k_count.
+    """
+    x_lo, x_hi, y_lo, y_hi = search_region
+    n_h = len(range(x_lo, x_hi + 1, PARABOLA_STEP))
+    k_count = (y_hi - y_lo) // PARABOLA_STEP + 1
+    extent = 1 << (x_hi - x_lo).bit_length()  # the next power of two >= the region width
+    roots = _parabola_roots(curvature_sign, extent)
+    roots = roots.reshape(-1, roots.shape[-1])  # one row per (theta, a, root)
+
+    # (point, column) pairs sorted by X, as offsets X + extent into the root table
+    Xi = (pts[:, 0][:, None] - (x_lo + PARABOLA_STEP * np.arange(n_h))[None, :] + extent).ravel()
+    order = np.argsort(Xi.astype(np.min_scalar_type(2 * extent)), kind="stable")
+    Xi = Xi[order]
+    y = pts[order // n_h, 1].astype(np.float64)
+    col = order % n_h + n_h  # past the k = -1 sink row
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(Xi, minlength=roots.shape[1]))))
+
+    band_lo, band_hi = _parabola_band(y_lo, y_hi)
+    in_band = (roots >= band_lo) & (roots <= band_hi)
+    steps = np.diff(in_band.astype(np.int8), axis=1, prepend=0, append=0)
+    run_row, run_lo = np.nonzero(steps == 1)
+    run_lo, run_hi = bounds[run_lo], bounds[np.nonzero(steps == -1)[1]]
+    runs = run_lo < run_hi
+
+    acc = np.zeros((len(roots) // 2, (k_count + 2) * n_h), dtype=np.int64)
+    for row, lo, hi in zip(run_row[runs].tolist(), run_lo[runs].tolist(), run_hi[runs].tolist()):
+        k = np.take(roots[row], Xi[lo:hi])  # Y, then ((y - Y) - y_lo) / STEP in place
+        np.subtract(y[lo:hi], k, out=k)
+        k -= y_lo
+        k /= PARABOLA_STEP
+        np.rint(k, out=k)
+        np.clip(k, -1, k_count, out=k)
+        flat = k.astype(np.intp)
+        flat *= n_h
+        flat += col[lo:hi]
+        acc[row // 2] += np.bincount(flat, minlength=acc.shape[1])
+    shape = (len(PARABOLA_THETAS), len(PARABOLA_CURVATURES), k_count + 2, n_h)
+    return acc.reshape(shape)[:, :, 1:-1].astype(np.int32)
+
+
+def build_noise_mask_full(
+    img: GrayImage,
+    pupil: Circle,
+    iris: Circle,
+    eyelids: tuple[Parabola | None, Parabola | None] = (None, None),
+    specular_threshold: int = 240,
+) -> BinaryImage:
+    """Per-pixel validity mask, 1 = invalid.
+
+    Marks everything outside the iris annulus, inside the pupil, on the
+    occluded side of each eyelid parabola, or at/above the specular
+    intensity threshold.
+    """
+    if not iris.encloses(pupil):
+        raise SegmentationError("pupil circle not contained in iris circle")
+
+    ys, xs = np.mgrid[0 : img.height, 0 : img.width]
+    d_pupil = np.hypot(xs - pupil.cx, ys - pupil.cy)
+    d_iris = np.hypot(xs - iris.cx, ys - iris.cy)
+    mask = (d_pupil <= pupil.r) | (d_iris > iris.r)
+    for lid in eyelids:
+        if lid is not None:
+            mask |= lid.side(xs, ys) > 0
+    mask |= img.pixels >= specular_threshold
+    return BinaryImage(mask.astype(np.uint8))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from irisfuse.segmentation import (
     PARABOLA_CURVATURES,
     SegmentationConfig,
     SegmentationError,
+    Parabola,
     SegmentationResult,
     build_noise_mask,
     circular_hough,
@@ -32,9 +34,14 @@ from irisfuse.segmentation import (
 from irisfuse.synth import SynthEyeSpec, build_corpus, synth_eye
 
 from oracles import (
+    _directional_maxima,
+    _gradient_sectors,
+    build_noise_mask_full,
     edge_map_image,
     hough_circle_normalized,
+    parabola_votes_per_region,
     parabolic_hough_loop,
+    vote_by_distance_bincount,
     vote_by_distance_hypot,
 )
 
@@ -140,7 +147,8 @@ class TestEdgeMapMatchesImageOracle:
 
     def test_noise_and_blank_images(self):
         for seed in (0, 1, 2):
-            self.check(noise_image(seed), thresholds=(0.5, 14.0, 60.0))
+            # 1e6: no pixel passes, so no candidate is suppressed
+            self.check(noise_image(seed), thresholds=(0.5, 14.0, 60.0, 1e6))
         self.check(GrayImage(np.full((192, 256), 128, dtype=np.uint8)), thresholds=(1e-9, 14.0))
 
     def test_small_sizes(self):
@@ -157,6 +165,24 @@ class TestEdgeMapMatchesImageOracle:
             arr[:, shape[1] // 2 :] = 200
             self.check(GrayImage(arr), thresholds=(1.0, 10.0))
             self.check(GrayImage(np.ascontiguousarray(arr.T)), thresholds=(1.0, 10.0))
+
+
+def test_edge_map_breaks_exact_ties_as_the_whole_frame_suppression():
+    # small-integer gradients tie neighbouring magnitudes exactly, along
+    # every sector, which smoothed images rarely do
+    rng = np.random.default_rng(66)
+    for shape in ((5, 5), (1, 9), (9, 1), (17, 23)):
+        gy, gx = (rng.choice([-4.0, 0.0, 3.0, 4.0], size=shape) for _ in range(2))
+        for bias in segmentation.EDGE_BIASES:
+            if bias == "none":
+                mag, sectors = np.hypot(gx, gy), _gradient_sectors(gx, gy)
+            else:
+                mag = np.abs(gx if bias == "vertical-edges" else gy)
+                sectors = np.full(shape, 0 if bias == "vertical-edges" else 2, dtype=np.uint8)
+            for t in (1.0, 3.0, 4.0, 5.0):
+                ys, xs = np.nonzero((mag >= t) & _directional_maxima(mag, sectors))
+                got = edge_map((gy, gx), bias, t).points
+                assert np.array_equal(got, np.column_stack([xs, ys])), (shape, bias, t)
 
 
 def circle_points(cx, cy, r, step_deg=2.0, jitter=None, rng=None):
@@ -329,6 +355,49 @@ class TestDistanceVoteMatchesHypotOracle:
     def test_corpus_images(self, small_corpus):
         for rec in small_corpus.records:
             self.check(*iris_vote_inputs(rec.image, rec.truth.pupil.cx, rec.truth.pupil.cy))
+
+
+class TestRowVoteMatchesBincountOracle:
+    """The one-row-at-a-time circle vote against the former whole-window ``bincount``."""
+
+    @staticmethod
+    def check(edges, r_min, r_max, x_lo, x_hi, y_lo, y_hi):
+        x_lo, y_lo = max(x_lo, 0), max(y_lo, 0)
+        x_hi, y_hi = min(x_hi, edges.width - 1), min(y_hi, edges.height - 1)
+        args = (edges.points[:, 0], edges.points[:, 1], r_min, r_max,
+                x_lo, x_hi - x_lo + 1, y_lo, y_hi - y_lo + 1)
+        got, expect = _vote_by_distance(*args), vote_by_distance_bincount(*args)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+    def test_window_shapes(self):
+        rng = np.random.default_rng(48)
+        for _ in range(30):
+            width, height = (int(v) for v in rng.integers(8, 120, size=2))
+            edges = random_edges(rng, width, height)
+            r_min = int(rng.integers(1, 40))
+            r_max = r_min + int(rng.integers(1, 50))
+            x, y = int(rng.integers(0, width)), int(rng.integers(0, height))
+            for window in [(0, width - 1, 0, height - 1),     # the whole image
+                           (0, width - 1, y, y),              # one row
+                           (x, x, 0, height - 1),             # one column
+                           (x - 15, x + 15, y - 15, y + 15)]:  # clipped at the border
+                self.check(edges, r_min, r_max, *window)
+
+    def test_points_that_reach_only_the_sink(self):
+        # every point is nearer than r_min or farther than r_max from every centre
+        edges = EdgeMap(np.array([[0, 0], [99, 99], [50, 50], [52, 49]]), 100, 100)
+        self.check(edges, 20, 30, 45, 55, 45, 55)
+        self.check(EdgeMap(np.empty((0, 2), dtype=int), 100, 100), 20, 30, 45, 55, 45, 55)
+
+    def test_pupil_and_iris_windows(self, small_corpus):
+        cfg = SegmentationConfig()
+        for img in [rec.image for rec in small_corpus.records] + [noise_image(0), noise_image(1)]:
+            gradient = edge_gradient(img)
+            pupil = segmentation._pupil_prior(img, cfg.pupil_r_min)
+            self.check(edge_map(gradient, "none", cfg.grad_threshold),
+                       cfg.pupil_r_min, cfg.pupil_r_max, *segmentation._center_window(*pupil))
+            self.check(edge_map(gradient, "vertical-edges", cfg.grad_threshold),
+                       cfg.iris_r_min, cfg.iris_r_max, *segmentation._center_window(*pupil))
 
 
 def test_rounded_sqrt_matches_hypot_exhaustively():
@@ -589,6 +658,94 @@ def test_parabola_band_holds_every_vote_the_loop_casts(small_corpus):
         slack.append(band_hi - votes.max())
     # some vote comes within 3 px of the upper edge, so a narrower band shows
     assert min(slack) < 3
+
+
+class TestRunPlanMatchesPerRegionOracle:
+    """The cached eyelid run plan against the plan derived in every region."""
+
+    def test_every_eyelid_span_of_a_corpus(self):
+        cfg = SegmentationConfig()
+        spans = set()
+        for rec in build_corpus(30, 4, 7).records:
+            gradient = edge_gradient(rec.image)
+            try:
+                _, iris = locate_pupil_and_iris(rec.image, cfg, gradient)
+            except SegmentationError:
+                continue  # the corpus's one failure
+            edges = edge_map(gradient, "horizontal-edges", cfg.grad_threshold)
+            pts = edges.points
+            for region, sign in zip(eyelid_regions(iris, edges.width, edges.height), (-1, 1)):
+                x_lo, x_hi, y_lo, y_hi = region
+                inside = (pts[:, 0] >= x_lo) & (pts[:, 0] <= x_hi) & (pts[:, 1] >= y_lo) & (pts[:, 1] <= y_hi)
+                got = _parabola_votes(pts[inside], region, sign)
+                expect = parabola_votes_per_region(pts[inside], region, sign)
+                assert got.dtype == expect.dtype and np.array_equal(got, expect), region
+                spans.add(y_hi - y_lo)
+        assert len(spans) > 10  # so most plans are read back from the cache
+
+
+class TestNoiseMaskMatchesFullFrameOracle:
+    """The box-bounded noise mask against the former whole-frame rules."""
+
+    @staticmethod
+    def check(img, pupil, iris, lids=(None, None), threshold=240):
+        got = build_noise_mask(img, pupil, iris, lids, threshold)
+        expect = build_noise_mask_full(img, pupil, iris, lids, threshold)
+        assert got.bits.dtype == expect.bits.dtype and np.array_equal(got.bits, expect.bits)
+
+    def test_segmented_images(self, small_corpus):
+        cfg = SegmentationConfig()
+        images = [rec.image for rec in small_corpus.records] + [noise_image(0), noise_image(1)]
+        for img in images:
+            res = segment(img, cfg)
+            for threshold in (240, 120):
+                self.check(img, res.pupil, res.iris, (res.upper_eyelid, res.lower_eyelid), threshold)
+
+    def test_circles_leaving_the_frame(self):
+        img = noise_image(0)
+        # noise image 0 segments to this iris, which leaves the frame on three sides
+        self.check(img, Circle(22, 15, 9), Circle(36, 16, 106))
+        lid = Parabola(h=40.0, k=30.0, a=-0.02, theta=0.1)
+        for pupil, iris in [(Circle(0, 0, 3), Circle(0, 0, 50)),
+                            (Circle(255.5, 191.5, 2), Circle(250.25, 190.75, 40.5)),
+                            (Circle(-60, 100, 5), Circle(-60, 100, 40)),      # wholly left
+                            (Circle(128, 300, 5), Circle(128, 300, 90)),      # wholly below
+                            (Circle(128, -40, 5), Circle(128, -40, 39.5)),    # just above
+                            (Circle(128, 96, 10), Circle(128, 96, 1e4)),
+                            (Circle(128, 96, 10), Circle(128, 96, math.inf))]:
+            self.check(img, pupil, iris)
+            self.check(img, pupil, iris, (lid, None))
+
+    def test_random_geometry_and_eyelids(self):
+        rng = np.random.default_rng(65)
+        for _ in range(60):
+            height, width = (int(v) for v in rng.integers(5, 80, size=2))
+            img = GrayImage(rng.integers(0, 256, (height, width), dtype=np.uint8))
+            iris = Circle(rng.uniform(-20, width + 20), rng.uniform(-20, height + 20), rng.uniform(3, 60))
+            pupil = Circle(iris.cx + rng.uniform(-1, 1), iris.cy + rng.uniform(-1, 1),
+                           rng.uniform(0.1, 0.8) * (iris.r - 1.5))
+            lids = [Parabola(h=rng.uniform(0, width), k=rng.uniform(0, height),
+                             a=rng.choice([-1, 1]) * rng.uniform(0.004, 0.08),
+                             theta=rng.uniform(-0.2, 0.2)) if rng.random() < 0.7 else None
+                    for _ in range(2)]
+            self.check(img, pupil, iris, tuple(lids), int(rng.integers(0, 256)))
+
+
+def test_segment_peak_memory_is_bounded(small_corpus):
+    # one segmentation once allocated multi-megabyte vote temporaries; the
+    # cached tables are filled before tracing, as every later image finds them
+    cfg = SegmentationConfig()
+    images = [rec.image for rec in small_corpus.records]
+    for img in images:
+        segment(img, cfg)
+    tracemalloc.start()
+    try:
+        for img in images:
+            segment(img, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"segment peak {peak / 2**20:.1f} MiB"
 
 
 class TestNoiseMask:
