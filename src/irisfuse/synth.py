@@ -6,18 +6,23 @@ optional parabolic eyelid occlusions and saturated specular dots, plus
 clipped Gaussian noise.  The iris texture is a sum of six radial-angular
 sinusoids parameterized in normalized annulus coordinates, so two samples
 of the same identity carry the same unwrapped pattern regardless of circle
-jitter, rotation, or scale.  Every image is a pure function of its spec.
+jitter, rotation, or scale.  Each step renders only the pixels it can
+change: the pupil and iris tests run in the iris bounding box, the inverse
+rubber-sheet map and the texture on the annulus pixels alone, each specular
+dot in its own box, and the eyelids and the noise over the whole frame.
+Every image is a pure function of its spec.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from .imaging import GrayImage, save_pgm
-from .segmentation import Circle, Parabola, SegmentationResult, build_noise_mask
+from .imaging import GrayImage, load_pgm, save_pgm
+from .segmentation import Circle, Parabola, SegmentationResult, _span, build_noise_mask
 
 PUPIL_LEVEL = 30
 IRIS_BASE = 120
@@ -85,9 +90,10 @@ class Corpus:
     def manifest(self) -> str:
         lines = []
         for r in self.records:
-            p, i = r.spec.pupil, r.spec.iris
+            p, i = r.truth.pupil, r.truth.iris
+            seed = "-" if r.spec is None else r.spec.texture_seed
             lines.append(
-                f"eye_{r.identity:03d}_{r.sample:02d}.pgm {r.identity} {r.spec.texture_seed} "
+                f"eye_{r.identity:03d}_{r.sample:02d}.pgm {r.identity} {seed} "
                 f"{p.cx!r} {p.cy!r} {p.r!r} {i.cx!r} {i.cy!r} {i.r!r}"
             )
         return "\n".join(lines) + "\n"
@@ -138,38 +144,38 @@ def _eyelids_for(spec: SynthEyeSpec) -> tuple[Parabola | None, Parabola | None]:
 def synth_eye(spec: SynthEyeSpec) -> tuple[GrayImage, SegmentationResult]:
     """Render the eye described by ``spec`` and its exact ground truth."""
     h, w = spec.height, spec.width
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    ys, xs = np.arange(h, dtype=np.float64)[:, None], np.arange(w, dtype=np.float64)
     pupil, iris = spec.pupil, spec.iris
 
     img = np.full((h, w), float(SCLERA_LEVEL))
 
-    d_iris = np.hypot(xs - iris.cx, ys - iris.cy)
-    d_pupil = np.hypot(xs - pupil.cx, ys - pupil.cy)
-    in_iris = d_iris <= iris.r
-    in_pupil = d_pupil <= pupil.r
-    annulus = in_iris & ~in_pupil
+    # both disks lie inside the iris box, so only its pixels are tested
+    rows, cols = _span(iris.cy, iris.r, h), _span(iris.cx, iris.r, w)
+    box = img[rows, cols]
+    in_pupil = np.hypot(xs[cols] - pupil.cx, ys[rows] - pupil.cy) <= pupil.r
+    annulus = (np.hypot(xs[cols] - iris.cx, ys[rows] - iris.cy) <= iris.r) & ~in_pupil
+    box[in_pupil] = PUPIL_LEVEL
+    ay, ax = np.nonzero(annulus)
+    ya, xa = ys[rows][ay, 0], xs[cols][ax]
 
     # normalized annulus coordinates: the exact inverse of the rubber-sheet
     # map q = c(r) + R(r)*u(theta) with c(r) the blended center and R(r) the
     # blended radius, solved by fixed-point iteration; identity texture lives
     # in this frame so it survives circle jitter and non-concentric centers
-    r_norm = np.zeros((h, w))
-    theta = np.arctan2(ys - pupil.cy, xs - pupil.cx)
-    dcx, dcy = iris.cx - pupil.cx, iris.cy - pupil.cy
-    dr = iris.r - pupil.r
+    r_norm = np.zeros(len(ya))
+    dcx, dcy, dr = iris.cx - pupil.cx, iris.cy - pupil.cy, iris.r - pupil.r
     for _ in range(4):
         cx_r = pupil.cx + r_norm * dcx
         cy_r = pupil.cy + r_norm * dcy
-        theta = np.arctan2(ys - cy_r, xs - cx_r)
-        r_norm = np.clip((np.hypot(xs - cx_r, ys - cy_r) - pupil.r) / max(dr, 1e-9), 0.0, 1.0)
+        r_norm = np.clip((np.hypot(xa - cx_r, ya - cy_r) - pupil.r) / max(dr, 1e-9), 0.0, 1.0)
+    theta = np.arctan2(ya - cy_r, xa - cx_r)
 
     (ln, lf, lph, lps, la), (n_ang, f_rad, phases, amps) = _texture_params(spec.texture_seed)
     t_ang = theta - spec.rotation
     tex = la * np.sin(ln * t_ang + lph) * np.cos(2.0 * math.pi * lf * r_norm + lps)
     for m in range(TEXTURE_WAVES - 1):
         tex += amps[m] * np.sin(n_ang[m] * t_ang + 2.0 * math.pi * f_rad[m] * r_norm + phases[m])
-    img[in_iris] = IRIS_BASE + tex[in_iris]
-    img[in_pupil] = PUPIL_LEVEL
+    box[annulus] = IRIS_BASE + tex
 
     upper, lower = _eyelids_for(spec)
     for lid in (upper, lower):
@@ -186,12 +192,12 @@ def synth_eye(spec: SynthEyeSpec) -> tuple[GrayImage, SegmentationResult]:
         spot_r = rng.uniform(1.5, 2.5)
         sx = pupil.cx + (pupil.r + rad * (iris.r - pupil.r)) * math.cos(ang)
         sy = pupil.cy + (pupil.r + rad * (iris.r - pupil.r)) * math.sin(ang)
-        img[np.hypot(xs - sx, ys - sy) <= spot_r] = SPECULAR_LEVEL
+        rows, cols = _span(sy, spot_r, h), _span(sx, spot_r, w)
+        img[rows, cols][np.hypot(xs[cols] - sx, ys[rows] - sy) <= spot_r] = SPECULAR_LEVEL
 
     gray = GrayImage(np.clip(np.rint(img), 0, 255).astype(np.uint8))
     mask = build_noise_mask(gray, pupil, iris, (upper, lower), specular_threshold=240)
-    truth = SegmentationResult(pupil, iris, upper, lower, mask)
-    return gray, truth
+    return gray, SegmentationResult(pupil, iris, upper, lower, mask)
 
 
 def build_corpus(identities: int, samples_per_identity: int, master_seed: int) -> Corpus:
@@ -238,8 +244,6 @@ def build_corpus(identities: int, samples_per_identity: int, master_seed: int) -
 
 def save_corpus(corpus: Corpus, out_dir) -> None:
     """Write one PGM per record plus the line-oriented manifest."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for r in corpus.records:
@@ -254,20 +258,19 @@ def load_corpus(in_dir) -> Corpus:
     specs and occlusion truth are not serialized, so loaded records carry
     the circles inside a minimal truth (full annulus mask, no eyelids).
     """
-    from pathlib import Path
-
-    from .imaging import load_pgm
-
     root = Path(in_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise FileNotFoundError(f"no manifest.txt under {root}")
     records = []
     counters: dict[int, int] = {}
-    for line in manifest.read_text().splitlines():
-        if not line.strip():
+    for n, line in enumerate(manifest.read_text().splitlines(), 1):
+        fields = line.split()
+        if not fields:
             continue
-        name, ident, _seed, pcx, pcy, pr, icx, icy, ir = line.split()
+        if len(fields) != 9:
+            raise ValueError(f"manifest.txt line {n}: expected 9 fields, got {len(fields)}")
+        name, ident, _seed, pcx, pcy, pr, icx, icy, ir = fields
         image = load_pgm((root / name).read_bytes())
         pupil = Circle(float(pcx), float(pcy), float(pr))
         iris = Circle(float(icx), float(icy), float(ir))

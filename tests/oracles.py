@@ -56,6 +56,11 @@ evaluated the circle and eyelid rules over the whole frame.  All three are
 kept verbatim as the references for the row-blocked circle vote, the cached
 run plan and the box-bounded noise mask; ``edge_map_image`` above already is
 the whole-frame reference for the candidate-only edge suppression.
+``synth_eye_full_frame`` is the former ``synth.synth_eye``, which evaluated
+the circle tests, the fixed-point inverse rubber-sheet map (with an
+``arctan2`` in every iteration) and the texture over the whole frame, and
+tested every specular dot against every pixel; it is kept verbatim as the
+reference for the renderer that touches only the pixels each step writes.
 """
 
 import math
@@ -88,9 +93,22 @@ from irisfuse.segmentation import (
     EdgeMap,
     Parabola,
     SegmentationError,
+    SegmentationResult,
     _parabola_band,
     _parabola_roots,
     _rounded_sqrt,
+    build_noise_mask,
+)
+from irisfuse.synth import (
+    EYELID_LEVEL,
+    IRIS_BASE,
+    PUPIL_LEVEL,
+    SCLERA_LEVEL,
+    SPECULAR_LEVEL,
+    TEXTURE_WAVES,
+    SynthEyeSpec,
+    _eyelids_for,
+    _texture_params,
 )
 from irisfuse.zerocross import (
     _G_NORMALIZED,
@@ -882,3 +900,62 @@ def build_noise_mask_full(
             mask |= lid.side(xs, ys) > 0
     mask |= img.pixels >= specular_threshold
     return BinaryImage(mask.astype(np.uint8))
+
+
+def synth_eye_full_frame(spec: SynthEyeSpec) -> tuple[GrayImage, SegmentationResult]:
+    """Render the eye described by ``spec`` and its exact ground truth."""
+    h, w = spec.height, spec.width
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    pupil, iris = spec.pupil, spec.iris
+
+    img = np.full((h, w), float(SCLERA_LEVEL))
+
+    d_iris = np.hypot(xs - iris.cx, ys - iris.cy)
+    d_pupil = np.hypot(xs - pupil.cx, ys - pupil.cy)
+    in_iris = d_iris <= iris.r
+    in_pupil = d_pupil <= pupil.r
+    annulus = in_iris & ~in_pupil
+
+    # normalized annulus coordinates: the exact inverse of the rubber-sheet
+    # map q = c(r) + R(r)*u(theta) with c(r) the blended center and R(r) the
+    # blended radius, solved by fixed-point iteration; identity texture lives
+    # in this frame so it survives circle jitter and non-concentric centers
+    r_norm = np.zeros((h, w))
+    theta = np.arctan2(ys - pupil.cy, xs - pupil.cx)
+    dcx, dcy = iris.cx - pupil.cx, iris.cy - pupil.cy
+    dr = iris.r - pupil.r
+    for _ in range(4):
+        cx_r = pupil.cx + r_norm * dcx
+        cy_r = pupil.cy + r_norm * dcy
+        theta = np.arctan2(ys - cy_r, xs - cx_r)
+        r_norm = np.clip((np.hypot(xs - cx_r, ys - cy_r) - pupil.r) / max(dr, 1e-9), 0.0, 1.0)
+
+    (ln, lf, lph, lps, la), (n_ang, f_rad, phases, amps) = _texture_params(spec.texture_seed)
+    t_ang = theta - spec.rotation
+    tex = la * np.sin(ln * t_ang + lph) * np.cos(2.0 * math.pi * lf * r_norm + lps)
+    for m in range(TEXTURE_WAVES - 1):
+        tex += amps[m] * np.sin(n_ang[m] * t_ang + 2.0 * math.pi * f_rad[m] * r_norm + phases[m])
+    img[in_iris] = IRIS_BASE + tex[in_iris]
+    img[in_pupil] = PUPIL_LEVEL
+
+    upper, lower = _eyelids_for(spec)
+    for lid in (upper, lower):
+        if lid is not None:
+            img[lid.side(xs, ys) > 0] = EYELID_LEVEL
+
+    rng = np.random.default_rng((spec.noise_seed, spec.texture_seed))
+    if spec.noise_sigma > 0:
+        img += rng.normal(0.0, spec.noise_sigma, size=(h, w))
+
+    for _ in range(spec.specular_spots):
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        rad = rng.uniform(0.25, 0.75)
+        spot_r = rng.uniform(1.5, 2.5)
+        sx = pupil.cx + (pupil.r + rad * (iris.r - pupil.r)) * math.cos(ang)
+        sy = pupil.cy + (pupil.r + rad * (iris.r - pupil.r)) * math.sin(ang)
+        img[np.hypot(xs - sx, ys - sy) <= spot_r] = SPECULAR_LEVEL
+
+    gray = GrayImage(np.clip(np.rint(img), 0, 255).astype(np.uint8))
+    mask = build_noise_mask(gray, pupil, iris, (upper, lower), specular_threshold=240)
+    truth = SegmentationResult(pupil, iris, upper, lower, mask)
+    return gray, truth

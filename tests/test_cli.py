@@ -1,4 +1,5 @@
 import hashlib
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -321,6 +322,28 @@ class TestOsErrorsExit2:
         rc = main(["synth", "--identities", "1", "--samples", "1", "--out", str(out)])
         assert_operational_error(rc, capsys)
         assert out.read_text() == "x"
+
+
+class TestMalformedManifestExit2:
+    """A manifest line without its nine fields is named in the error, and
+    the command exits 2 before it reads the line's image."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "train-ga"])
+    def test_short_line(self, corpus_dir, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        lines = (corpus / "manifest.txt").read_text().splitlines()
+        lines[1] = " ".join(lines[1].split()[:3])
+        (corpus / "manifest.txt").write_text("\n".join(lines) + "\n")
+        if command == "evaluate":
+            argv = ["evaluate", "--corpus", str(corpus), "--out", str(tmp_path / "out")]
+        else:
+            argv = ["train-ga", "--corpus", str(corpus), "--gallery", str(tmp_path / "g.irf"),
+                    "--generations", "0"]
+        rc = main(argv)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: manifest.txt line 2: expected 9 fields, got 3\n"
+        assert not (tmp_path / "out").exists() and not (tmp_path / "g.irf").exists()
 
 
 class TestConfigIntegration:
