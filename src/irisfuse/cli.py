@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import store
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .evaluation import compute_metrics, report_csv, roc_pgm, run_trials
 from .fusion import ALGORITHMS
 from .gasel import (
@@ -30,7 +30,7 @@ from .gasel import (
     rank_rfe,
     rank_tstat,
 )
-from .imaging import PgmError, load_pgm, save_pgm
+from .imaging import load_pgm, save_pgm
 from .normalization import IncomparableError, polar_debug_images
 from .pipeline import process_image, process_images
 from .segmentation import SegmentationError, circles_sidecar, segmentation_overlay
@@ -285,9 +285,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PgmError, store.GalleryFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (OSError, KeyError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .fusion import DEFAULT_THRESHOLD, FUSION_RULES, FusionPolicy
+from .fusion import FUSION_RULES, FusionPolicy
 from .gasel import GaConfig
 from .pipeline import PipelineConfig
 from .segmentation import SegmentationConfig
-from .zerocross import DEFAULT_MAX_SHIFT, DEFAULT_SCALES
 
 
 class ConfigError(ValueError):
@@ -23,37 +22,39 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    pupil_r_min: int = 6
-    pupil_r_max: int = 62
-    iris_r_min: int = 63
-    iris_r_max: int = 110
-    grad_threshold: float = 14.0
-    specular_threshold: int = 240
-    detect_eyelids: bool = True
-    wavelet_scales: tuple[int, ...] = DEFAULT_SCALES
-    max_shift: int = DEFAULT_MAX_SHIFT
-    polar_guard_rows: int = 4
-    ga_population: int = 40
-    ga_w1: float = 1.0
-    ga_w2: float = 0.5
-    ga_w3: float = 0.5
-    ga_w4: float = 0.05
-    ga_pn: float = 0.3
-    ga_nflip: int = 2
-    ga_max_generations: int = 200
-    ga_fitness_goal: float = -1.0
-    ga_stall_generations: int = 30
-    ga_max_evaluations: int = 0
+    """Every tunable of a run, each defaulting to its owning module config's default."""
+
+    pupil_r_min: int = SegmentationConfig.pupil_r_min
+    pupil_r_max: int = SegmentationConfig.pupil_r_max
+    iris_r_min: int = SegmentationConfig.iris_r_min
+    iris_r_max: int = SegmentationConfig.iris_r_max
+    grad_threshold: float = SegmentationConfig.grad_threshold
+    specular_threshold: int = SegmentationConfig.specular_threshold
+    detect_eyelids: bool = SegmentationConfig.detect_eyelids
+    wavelet_scales: tuple[int, ...] = PipelineConfig.scales
+    max_shift: int = PipelineConfig.max_shift
+    polar_guard_rows: int = PipelineConfig.polar_guard_rows
+    ga_population: int = GaConfig.population_size
+    ga_w1: float = GaConfig.weights[0]
+    ga_w2: float = GaConfig.weights[1]
+    ga_w3: float = GaConfig.weights[2]
+    ga_w4: float = GaConfig.weights[3]
+    ga_pn: float = GaConfig.p_n
+    ga_nflip: int = GaConfig.n_flip
+    ga_max_generations: int = GaConfig.max_generations
+    ga_fitness_goal: float = GaConfig.fitness_goal
+    ga_stall_generations: int = 30  # the one own default: GaConfig's 0 disables the stall rule
+    ga_max_evaluations: int = GaConfig.max_evaluations
     ga_top_k: int = 40
-    fusion_rule: str = "sum-average"
-    fusion_weights: tuple[float, float, float] | None = None
-    fusion_threshold: float = DEFAULT_THRESHOLD
+    fusion_rule: str = FusionPolicy.rule
+    fusion_weights: tuple[float, float, float] | None = FusionPolicy.weights
+    fusion_threshold: float = FusionPolicy.threshold
     rng_seed: int = 0
 
     def __post_init__(self):
         # constructing the module configs enforces their preconditions
         self.pipeline()
-        self.ga(rng_seed=self.rng_seed)
+        self.ga()
         self.fusion_policy()
         if self.ga_top_k < 1:
             raise ConfigError("ga_top_k must be >= 1")
@@ -80,7 +81,7 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def ga(self, rng_seed: int | None = None) -> GaConfig:
+    def ga(self) -> GaConfig:
         try:
             return GaConfig(
                 population_size=self.ga_population,
@@ -91,7 +92,7 @@ class RunConfig:
                 fitness_goal=self.ga_fitness_goal,
                 stall_generations=self.ga_stall_generations,
                 max_evaluations=self.ga_max_evaluations,
-                rng_seed=self.rng_seed if rng_seed is None else rng_seed,
+                rng_seed=self.rng_seed,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

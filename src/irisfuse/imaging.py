@@ -106,8 +106,9 @@ SMOOTHING_OPERATOR = Kernel(np.array([[1, 2, 1]] * 3, dtype=np.float64))
 def load_pgm(data: bytes) -> GrayImage:
     """Parse a binary (P5) PGM byte string.
 
-    Accepts `#` comments inside the header; requires maxval <= 255 and an
-    exact-length pixel payload.
+    Accepts `#` comments inside the header; requires maxval <= 255, an
+    exact-length pixel payload and no sample above maxval.  A maxval below
+    255 is rescaled onto 0-255 as round(255 * s / maxval), halves up.
     """
     if not data.startswith(b"P5"):
         raise PgmError("not a binary PGM (missing P5 magic)")
@@ -150,6 +151,11 @@ def load_pgm(data: bytes) -> GrayImage:
     if len(payload) > expected:
         raise PgmError(f"trailing data after pixel payload ({len(payload) - expected} extra bytes)")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    top = int(arr.max())
+    if top > maxval:
+        raise PgmError(f"sample value {top} exceeds maxval {maxval}")
+    if maxval < 255:
+        arr = ((arr.astype(np.uint32) * 510 + maxval) // (2 * maxval)).astype(np.uint8)
     return GrayImage(arr)
 
 

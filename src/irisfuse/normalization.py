@@ -6,7 +6,9 @@ samples the normalized radius r = i/95, and the sample point blends the
 pupil-boundary and iris-boundary points at that angle (each computed from
 its own circle center).  Rotation of the eye therefore becomes a circular
 column shift of the polar image, which the matchers absorb with a shift
-search.
+search.  The angle cosines and sines and the radii form a fixed module-level
+grid, and the intensities come from one bilinear
+``scipy.ndimage.map_coordinates`` call.
 """
 
 from __future__ import annotations
@@ -14,12 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .imaging import BinaryImage, GrayImage
 from .segmentation import SegmentationResult
 
 POLAR_WIDTH = 448   # angular samples
 POLAR_HEIGHT = 96   # radial samples
+
+# the fixed sampling grid: one column per angle, one row per normalized radius
+_THETAS = 2.0 * np.pi * np.arange(POLAR_WIDTH) / POLAR_WIDTH
+_COS, _SIN = np.cos(_THETAS)[None, :], np.sin(_THETAS)[None, :]
+_RADII = (np.arange(POLAR_HEIGHT) / (POLAR_HEIGHT - 1))[:, None]
 
 
 class IncomparableError(ValueError):
@@ -64,42 +72,18 @@ def rubber_sheet(img: GrayImage, seg: SegmentationResult) -> PolarIris:
     its source location falls outside the image or lands on a masked pixel
     of the segmentation noise mask.
     """
-    thetas = 2.0 * np.pi * np.arange(POLAR_WIDTH) / POLAR_WIDTH
-    radii = (np.arange(POLAR_HEIGHT) / (POLAR_HEIGHT - 1))[:, None]
-
-    cos_t, sin_t = np.cos(thetas)[None, :], np.sin(thetas)[None, :]
-    xp = seg.pupil.cx + seg.pupil.r * cos_t
-    yp = seg.pupil.cy + seg.pupil.r * sin_t
-    xi = seg.iris.cx + seg.iris.r * cos_t
-    yi = seg.iris.cy + seg.iris.r * sin_t
-    xs = (1.0 - radii) * xp + radii * xi
-    ys = (1.0 - radii) * yp + radii * yi
+    pupil, iris = seg.pupil, seg.iris
+    xs = (1.0 - _RADII) * (pupil.cx + pupil.r * _COS) + _RADII * (iris.cx + iris.r * _COS)
+    ys = (1.0 - _RADII) * (pupil.cy + pupil.r * _SIN) + _RADII * (iris.cy + iris.r * _SIN)
 
     h, w = img.height, img.width
     inside = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
+    coords = np.array((ys, xs))  # (row, column) of every cell, clipped into the frame
+    np.clip(coords, 0, np.reshape((h - 1, w - 1), (2, 1, 1)), out=coords)
+    val = ndimage.map_coordinates(img.pixels, coords, output=np.float64, order=1, mode="nearest")
 
-    cx = np.clip(xs, 0, w - 1)
-    cy = np.clip(ys, 0, h - 1)
-    x0 = np.floor(cx).astype(np.intp)
-    y0 = np.floor(cy).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = cx - x0
-    fy = cy - y0
-
-    pix = img.pixels.astype(np.float64)
-    val = (
-        pix[y0, x0] * (1 - fx) * (1 - fy)
-        + pix[y0, x1] * fx * (1 - fy)
-        + pix[y1, x0] * (1 - fx) * fy
-        + pix[y1, x1] * fx * fy
-    )
-
-    nearest_masked = seg.noise_mask.bits[
-        np.rint(cy).astype(np.intp), np.rint(cx).astype(np.intp)
-    ].astype(bool)
-    mask = (~inside) | nearest_masked
-
+    nearest = tuple(np.rint(coords, out=coords).astype(np.intp))
+    mask = (~inside) | seg.noise_mask.bits[nearest].astype(bool)
     out = np.where(inside, np.rint(val), 0).astype(np.uint8)
     return PolarIris(out, BinaryImage(mask.astype(np.uint8)))
 

@@ -61,6 +61,11 @@ the circle tests, the fixed-point inverse rubber-sheet map (with an
 ``arctan2`` in every iteration) and the texture over the whole frame, and
 tested every specular dot against every pixel; it is kept verbatim as the
 reference for the renderer that touches only the pixels each step writes.
+``rubber_sheet_bilinear`` is the former ``normalization.rubber_sheet``, which
+recomputed the grid trigonometry on every call and wrote the bilinear
+interpolation out as four gathers weighted by ``fx`` and ``fy``; it is kept
+verbatim as the reference for the fixed grid sampled by one
+``map_coordinates`` call.
 """
 
 import math
@@ -81,7 +86,7 @@ from irisfuse.gasel import (
     match_pairs,
 )
 from irisfuse.imaging import BinaryImage, GrayImage, gaussian_kernel
-from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError
+from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
 from irisfuse.segmentation import (
     EDGE_BIASES,
     MIN_CIRCLE_VOTES,
@@ -959,3 +964,50 @@ def synth_eye_full_frame(spec: SynthEyeSpec) -> tuple[GrayImage, SegmentationRes
     mask = build_noise_mask(gray, pupil, iris, (upper, lower), specular_threshold=240)
     truth = SegmentationResult(pupil, iris, upper, lower, mask)
     return gray, truth
+
+
+def rubber_sheet_bilinear(img: GrayImage, seg: SegmentationResult) -> PolarIris:
+    """Unwrap the segmented annulus into the fixed polar rectangle.
+
+    Intensities come from bilinear interpolation; a polar cell is masked when
+    its source location falls outside the image or lands on a masked pixel
+    of the segmentation noise mask.
+    """
+    thetas = 2.0 * np.pi * np.arange(POLAR_WIDTH) / POLAR_WIDTH
+    radii = (np.arange(POLAR_HEIGHT) / (POLAR_HEIGHT - 1))[:, None]
+
+    cos_t, sin_t = np.cos(thetas)[None, :], np.sin(thetas)[None, :]
+    xp = seg.pupil.cx + seg.pupil.r * cos_t
+    yp = seg.pupil.cy + seg.pupil.r * sin_t
+    xi = seg.iris.cx + seg.iris.r * cos_t
+    yi = seg.iris.cy + seg.iris.r * sin_t
+    xs = (1.0 - radii) * xp + radii * xi
+    ys = (1.0 - radii) * yp + radii * yi
+
+    h, w = img.height, img.width
+    inside = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
+
+    cx = np.clip(xs, 0, w - 1)
+    cy = np.clip(ys, 0, h - 1)
+    x0 = np.floor(cx).astype(np.intp)
+    y0 = np.floor(cy).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = cx - x0
+    fy = cy - y0
+
+    pix = img.pixels.astype(np.float64)
+    val = (
+        pix[y0, x0] * (1 - fx) * (1 - fy)
+        + pix[y0, x1] * fx * (1 - fy)
+        + pix[y1, x0] * (1 - fx) * fy
+        + pix[y1, x1] * fx * fy
+    )
+
+    nearest_masked = seg.noise_mask.bits[
+        np.rint(cy).astype(np.intp), np.rint(cx).astype(np.intp)
+    ].astype(bool)
+    mask = (~inside) | nearest_masked
+
+    out = np.where(inside, np.rint(val), 0).astype(np.uint8)
+    return PolarIris(out, BinaryImage(mask.astype(np.uint8)))

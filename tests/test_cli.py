@@ -87,6 +87,12 @@ class TestSegment:
         bad.write_bytes(b"P6 2 2 255 junk")
         assert main(["segment", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_sample_above_maxval_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "over.pgm"
+        bad.write_bytes(b"P5\n2 1\n100\n" + bytes([200, 50]))
+        assert main(["segment", str(bad), "--out", str(tmp_path)]) == 2
+        assert "sample value 200 exceeds maxval 100" in capsys.readouterr().err
+
     # Eye 57 (identity 14, sample 1) of build_corpus(30, 4, 7).  Its iris
     # radius lies below iris_r_min, so the pupil search finds a circle of
     # radius 62 that the iris circle does not contain; the pipeline rejects it.

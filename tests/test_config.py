@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irisfuse.config import ConfigError, RunConfig, load_config, parse_config
+from irisfuse.fusion import FusionPolicy
+from irisfuse.gasel import GaConfig
+from irisfuse.pipeline import PipelineConfig
 
 
 class TestParsing:
@@ -108,6 +111,13 @@ class TestDerivedConfigs:
         assert ga.weights[3] == 0.2
         assert ga.n_flip == 3
         assert ga.rng_seed == 11
+
+    def test_defaults_are_the_module_defaults(self):
+        cfg = RunConfig()
+        assert cfg.pipeline() == PipelineConfig()
+        assert cfg.fusion_policy() == FusionPolicy()
+        # the stall criterion is the one default RunConfig sets for itself
+        assert cfg.ga() == GaConfig(stall_generations=30)
 
 
 _KEYS = [f.name for f in fields(RunConfig)]

@@ -58,6 +58,23 @@ class TestPgm:
         with pytest.raises(PgmError, match="maxval"):
             load_pgm(b"P5\n1 1\n65535\n\x00")
 
+    def test_sample_above_maxval_rejected(self):
+        with pytest.raises(PgmError, match=r"sample value 200 exceeds maxval 100"):
+            load_pgm(b"P5\n2 1\n100\n" + bytes([200, 50]))
+
+    def test_low_maxval_rescaled_to_full_range(self):
+        img = load_pgm(b"P5\n5 1\n15\n" + bytes([0, 1, 7, 8, 15]))
+        assert img.pixels.tolist() == [[0, 17, 119, 136, 255]]
+        # round(255 * s / maxval) with halves rounded up: 127.5 -> 128
+        assert load_pgm(b"P5\n3 1\n2\n" + bytes([0, 1, 2])).pixels.tolist() == [[0, 128, 255]]
+
+    def test_low_maxval_matches_float_rounding(self):
+        for maxval in range(1, 255):
+            samples = np.arange(maxval + 1, dtype=np.uint8)
+            data = f"P5\n{maxval + 1} 1\n{maxval}\n".encode() + samples.tobytes()
+            expect = np.floor(255.0 * samples / maxval + 0.5).astype(np.uint8)
+            assert np.array_equal(load_pgm(data).pixels[0], expect)
+
     def test_comment_in_header(self):
         data = b"P5\n# made by hand\n2 1\n255\n" + bytes([10, 20])
         img = load_pgm(data)

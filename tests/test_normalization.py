@@ -5,8 +5,17 @@ import pytest
 
 from irisfuse.imaging import BinaryImage, GrayImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris, enhance, rubber_sheet
-from irisfuse.segmentation import Circle, SegmentationResult, build_noise_mask
-from irisfuse.synth import SynthEyeSpec, rotated, synth_eye
+from irisfuse.segmentation import (
+    Circle,
+    SegmentationConfig,
+    SegmentationError,
+    SegmentationResult,
+    build_noise_mask,
+    segment,
+)
+from irisfuse.synth import SynthEyeSpec, build_corpus, rotated, synth_eye
+
+from oracles import rubber_sheet_bilinear
 
 
 def plain_segmentation(img, pupil, iris):
@@ -106,6 +115,78 @@ class TestRubberSheet:
         both = pa.valid & pb.valid
         mad = np.abs(pa.intensities.astype(float)[both] - pb.intensities.astype(float)[both]).mean()
         assert mad <= 3.0
+
+
+def random_geometry(rng, kind):
+    """(image, segmentation) on a random frame; ``kind`` picks the circle family.
+
+    0: float circles anywhere near the frame; 1: integer circles; 2: circles
+    wholly outside the frame; 3: an integer iris whose right and bottom
+    points land exactly on the last column and row, or past them so the
+    clipped coordinates do.
+    """
+    h, w = (int(v) for v in rng.integers(1, 301, size=2))
+    if rng.random() < 0.2:
+        h, w = (1, w) if rng.random() < 0.5 else (h, 1)
+    img = GrayImage(rng.integers(0, 256, (h, w), dtype=np.uint8))
+    mask = BinaryImage(rng.integers(0, 2, (h, w), dtype=np.uint8))
+    r = rng.uniform(2.0, 1.5 * max(h, w) + 4.0)
+    cx, cy = rng.uniform(-0.5 * w, 1.5 * w), rng.uniform(-0.5 * h, 1.5 * h)
+    if kind == 2:
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        reach = math.hypot(w, h) + r + rng.uniform(0.0, 50.0)
+        cx, cy = w / 2 + reach * math.cos(angle), h / 2 + reach * math.sin(angle)
+    if kind in (1, 3):
+        r, cx, cy = float(round(r)), float(round(cx)), float(round(cy))
+    if kind == 3:
+        overshoot = int(rng.integers(0, 3))
+        cx, cy = w - 1 - r + overshoot, h - 1 - r + overshoot
+    iris = Circle(cx, cy, r)
+    pupil_r = r * rng.uniform(0.05, 0.9)
+    angle, slack = rng.uniform(0.0, 2.0 * math.pi), (r - pupil_r) * rng.uniform(0.0, 1.0)
+    pupil = Circle(cx + slack * math.cos(angle), cy + slack * math.sin(angle), pupil_r)
+    if kind in (1, 3):
+        pupil = Circle(round(pupil.cx), round(pupil.cy), max(1, round(pupil_r)))
+        if not iris.encloses(pupil):
+            pupil = Circle(cx, cy, max(1.0, r // 2))
+    return img, SegmentationResult(pupil, iris, None, None, mask)
+
+
+class TestRubberSheetMatchesOracle:
+    """The fixed-grid, one-call unwrap against the former four-gather bilinear one."""
+
+    @staticmethod
+    def check(img, seg):
+        got, expect = rubber_sheet(img, seg), rubber_sheet_bilinear(img, seg)
+        assert np.array_equal(got.intensities, expect.intensities)
+        assert np.array_equal(got.mask.bits, expect.mask.bits)
+
+    @pytest.mark.parametrize("corpus_args", [(6, 2, 2026), (4, 2, 7)])
+    def test_corpus_segmentations_and_float_truth(self, corpus_args):
+        records = build_corpus(*corpus_args).records
+        segmented = 0
+        for rec in records:
+            self.check(rec.image, rec.truth)
+            try:
+                seg = segment(rec.image, SegmentationConfig())
+            except SegmentationError:
+                continue
+            self.check(rec.image, seg)
+            segmented += 1
+        assert segmented >= len(records) - 1
+
+    def test_noise_segmentations_leaving_the_frame(self):
+        for seed in range(4):
+            img = GrayImage(np.random.default_rng(seed).integers(0, 256, (192, 256), dtype=np.uint8))
+            seg = segment(img, SegmentationConfig())
+            if seed == 0:  # an iris circle that leaves the frame at the top and left
+                assert (seg.pupil, seg.iris) == (Circle(22, 15, 9), Circle(36, 16, 106))
+            self.check(img, seg)
+
+    def test_random_geometries(self):
+        rng = np.random.default_rng(14)
+        for k in range(1000):
+            self.check(*random_geometry(rng, k % 4))
 
 
 class TestEnhance:
