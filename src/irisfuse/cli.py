@@ -13,6 +13,7 @@ import argparse
 import errno
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -165,6 +166,14 @@ def cmd_train_ga(args) -> int:
     y = np.asarray([corpus.records[k].identity for k in kept])
     if len(set(y)) < 2:
         print("error: training corpus needs at least 2 segmentable identities", file=sys.stderr)
+        return EXIT_ERROR
+    totals = Counter(r.identity for r in corpus.records)
+    segmented = Counter(y.tolist())
+    short = [f"{i} ({segmented[i]} of {totals[i]} segmented)"
+             for i in sorted(segmented) if segmented[i] < 2]
+    if short:
+        print("error: every identity needs at least 2 segmented samples; too few for identity "
+              + ", ".join(short), file=sys.stderr)
         return EXIT_ERROR
     X = np.vstack([f.raw.values for f in features])
 

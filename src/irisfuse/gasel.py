@@ -4,14 +4,18 @@ The raw feature vector holds the mean intensity of each 8x8 block of the
 polar image (56 x 12 blocks = 672 features, masked pixels excluded).  Four
 rankers (information gain, Welch t-statistic, single-feature 1-NN accuracy,
 and recursive elimination over a ridge discriminant) nominate their top
-features into a pool; a genetic algorithm then searches bitmasks over the
-pool, scoring each subset by a weighted cost of recognition rate, FAR, FRR,
-and subset size measured with a leave-one-out verification trial at the
-EER operating point.  FAR - FRR strictly decreases over the distinct
-similarity thresholds, so after one sort the EER point is found by searching
-the genuine similarities alone (see ``_SubsetTrial``).  Everything is
-deterministic given the configured seed.  ``match_subset`` is the one-pair
-case of ``match_pairs``.
+features into a pool.  The elimination forms the inverse ridge gram and the
+weights of every feature once and updates both by rank one as each feature
+drops; the update divides by d = 1 - z^T M z, which stays in
+[1 / (1 + n / lambda), 1] (see ``rank_rfe``).  The rankers and the GA share
+one problem check: X is 2-D and finite, with one row per label.  A genetic
+algorithm then searches bitmasks over the pool, scoring each subset by a
+weighted cost of recognition rate, FAR, FRR, and subset size measured with
+a leave-one-out verification trial at the EER operating point.  FAR - FRR
+strictly decreases over the distinct similarity thresholds, so after one
+sort the EER point is found by searching the genuine similarities alone
+(see ``_SubsetTrial``).  Everything is deterministic given the configured
+seed.  ``match_subset`` is the one-pair case of ``match_pairs``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import blas
 
 from .normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris, comparable
 
@@ -160,6 +165,23 @@ def _check_labels(y, min_per_class: int):
     return y, classes
 
 
+def _check_problem(X, y, min_per_class: int):
+    """Validated (X as float64, y, classes) of a feature-selection problem.
+
+    X must be a 2-D matrix of finite values with one row per label.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"feature matrix must be 2-D, got {X.ndim}-D")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("feature matrix holds non-finite values")
+    if np.shape(y) != X.shape[:1]:
+        raise ValueError(f"feature matrix has {X.shape[0]} rows but labels have shape "
+                         f"{np.shape(y)}")
+    y, classes = _check_labels(y, min_per_class)
+    return X, y, classes
+
+
 def _ranking_from_scores(scores: np.ndarray) -> np.ndarray:
     """Descending by score, ties broken by ascending feature index."""
     return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
@@ -167,10 +189,10 @@ def _ranking_from_scores(scores: np.ndarray) -> np.ndarray:
 
 def rank_entropy(X, y) -> np.ndarray:
     """Features ordered by information gain of a 10-bin discretization."""
-    return _ranking_from_scores(_information_gains(np.asarray(X, dtype=np.float64), y))
+    return _ranking_from_scores(_information_gains(X, y))
 
 
-def _information_gains(X: np.ndarray, y) -> np.ndarray:
+def _information_gains(X, y) -> np.ndarray:
     """Information gain of each column of X, binned into 10 equal-width bins.
 
     One ``bincount`` counts the samples of every (feature, bin, class).  The
@@ -178,7 +200,7 @@ def _information_gains(X: np.ndarray, y) -> np.ndarray:
     empty bin adds exactly zero, so each gain is, to the bit, the sum over
     the occupied bins alone.  A constant feature has one bin and zero gain.
     """
-    y, classes = _check_labels(y, 2)
+    X, y, classes = _check_problem(X, y, 2)
     n, features = X.shape
     class_ids = np.searchsorted(classes, y)
     prior = np.bincount(class_ids, minlength=len(classes)) / n
@@ -213,8 +235,7 @@ def _welch_t(Xa: np.ndarray, Xb: np.ndarray) -> np.ndarray:
 
 def rank_tstat(X, y) -> np.ndarray:
     """Features ordered by their largest one-vs-rest |Welch t| over the classes."""
-    X = np.asarray(X, dtype=np.float64)
-    y, classes = _check_labels(y, 2)
+    X, y, classes = _check_problem(X, y, 2)
     scores = np.zeros(X.shape[1])
     for c in classes:
         sel = y == c
@@ -224,9 +245,7 @@ def rank_tstat(X, y) -> np.ndarray:
 
 def rank_knn(X, y) -> np.ndarray:
     """Features ordered by leave-one-out 1-NN accuracy using each feature alone."""
-    X = np.asarray(X, dtype=np.float64)
-    y, _ = _check_labels(y, 2)
-    n = len(y)
+    X, y, _ = _check_problem(X, y, 2)
     scores = np.zeros(X.shape[1])
     for f in range(X.shape[1]):
         d = np.abs(X[:, f][:, None] - X[:, f][None, :])
@@ -241,13 +260,17 @@ def rank_rfe(X, y) -> np.ndarray:
 
     Features are standardized once, the discriminant is retrained after each
     elimination of the smallest-|weight| feature, and the ranking is the
-    reverse elimination order.  The ridge gram Z Z^T + lambda I over the
-    active features is built once and downdated by each dropped feature's
-    outer product.  Each refit is one LU solve: at these sizes OpenBLAS's
-    threaded Cholesky is several times slower.
+    reverse elimination order.  The inverse ridge gram M = (Z Z^T + lambda I)^-1
+    and the weights W = Z^T M T of every feature are formed once.  Dropping
+    feature f downdates the gram by z_f z_f^T, so both follow by rank one
+    (Sherman-Morrison): with u = M z_f and d = 1 - z_f^T u, M gains u u^T / d
+    and W gains (Z^T u)(u^T T) / d.  The downdated gram stays >= lambda I, so
+    d = 1 / (1 + z_f^T gram'^-1 z_f) lies in [1 / (1 + n / lambda), 1] for a
+    standardized column: no step divides by a small number.  A column and
+    its exact copy keep bit-equal weights, so such a tie drops the larger
+    index first.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y, classes = _check_labels(y, 1)
+    X, y, classes = _check_problem(X, y, 1)
     if len(y) < 2:
         raise ValueError("need at least 2 samples")
 
@@ -259,16 +282,25 @@ def rank_rfe(X, y) -> np.ndarray:
     targets = classes[:1] if len(classes) == 2 else classes
     T = np.where(y[:, None] == targets[None, :], 1.0, -1.0)
 
-    gram = Z @ Z.T + _RIDGE_LAMBDA * np.eye(len(Z))
-    active = list(range(X.shape[1]))
+    # Fortran order, so BLAS ger updates both in place: an np.outer per step
+    # allocates a temporary that costs several times the update itself
+    M = np.asfortranarray(np.linalg.inv(Z @ Z.T + _RIDGE_LAMBDA * np.eye(len(Z))))
+    W = np.asfortranarray(Z.T @ (M @ T))
+    scores = np.abs(W).max(axis=1)
+    dropped = np.zeros(len(scores))  # +inf once a feature is eliminated
     eliminated: list[int] = []
-    while len(active) > 1:
-        w = np.abs(Z[:, active].T @ np.linalg.solve(gram, T)).max(axis=1)
-        drop_pos = int(np.flatnonzero(w == w.min()).max())  # ties: drop the largest index first
-        eliminated.append(active.pop(drop_pos))
-        dropped = Z[:, eliminated[-1]]
-        gram -= np.outer(dropped, dropped)
-    order = [active[0]] + eliminated[::-1]
+    for _ in range(len(scores) - 1):
+        # the smallest live score; reversed, so ties drop the largest index first
+        f = len(scores) - 1 - int(np.argmin(scores[::-1]))
+        eliminated.append(f)
+        dropped[f] = np.inf
+        u = M @ Z[:, f]
+        d = 1.0 - Z[:, f] @ u
+        M = blas.dger(1.0 / d, u, u, a=M, overwrite_a=True)
+        W = blas.dger(1.0 / d, Z.T @ u, u @ T, a=W, overwrite_a=True)
+        np.abs(W).max(axis=1, out=scores)
+        scores += dropped
+    order = [int(np.argmin(scores))] + eliminated[::-1]
     return np.asarray(order, dtype=np.intp)
 
 
@@ -439,7 +471,7 @@ class _SubsetTrial:
         dist[:, -1] = np.inf
         for b, block in enumerate(self._blocks):
             deltas = self._cached[b] if b < len(self._cached) else self._deltas(block)
-            dist[:, block] = G @ deltas.T
+            np.matmul(G, deltas.T, out=dist[:, block])
         pairs = dist[:, :-1]
         pairs /= np.maximum(sizes, 1)[:, None] * 255.0  # an empty chromosome's row stays 0
         rr = self._recognition_rates(dist)
@@ -499,11 +531,7 @@ def ga_select(pool: FeaturePool, X, y, cfg: GaConfig) -> GaResult:
     """
     if len(pool) == 0:
         raise ValueError("feature pool is empty")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    _check_labels(y, 2)
-    if X.shape[0] != len(y):
-        raise ValueError("feature matrix and labels disagree on sample count")
+    X, y, _ = _check_problem(X, y, 2)
 
     rng = np.random.default_rng(cfg.rng_seed)
     trial = _SubsetTrial(X, y, pool, cfg.weights)

@@ -20,7 +20,8 @@ from .gasel import RawFeatureVector, extract_raw
 from .imaging import BinaryImage, GrayImage
 from .normalization import PolarIris, enhance, rubber_sheet
 from .segmentation import SegmentationConfig, SegmentationError, SegmentationResult, segment
-from .zerocross import DEFAULT_MAX_SHIFT, DEFAULT_SCALES, VALID_SCALES, ZeroCrossTemplate, encode
+from .zerocross import (DEFAULT_MAX_SHIFT, DEFAULT_SCALES, MAX_SHIFT, VALID_SCALES,
+                        ZeroCrossTemplate, encode)
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,8 @@ class PipelineConfig:
         object.__setattr__(self, "scales", tuple(self.scales))
         if not self.scales or not set(self.scales) <= set(VALID_SCALES):
             raise ValueError(f"scales must be a nonempty selection from {VALID_SCALES}")
-        if self.max_shift < 0:
-            raise ValueError("max_shift must be >= 0")
+        if not 0 <= self.max_shift <= MAX_SHIFT:
+            raise ValueError(f"max_shift must lie in [0, {MAX_SHIFT}]")
         if not 0 <= self.polar_guard_rows < 48:
             raise ValueError("polar_guard_rows must lie in [0, 48)")
 

@@ -32,6 +32,7 @@ from .normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIr
 VALID_SCALES = (1, 2, 4, 8)
 DEFAULT_SCALES = (2, 4)
 DEFAULT_MAX_SHIFT = 8
+MAX_SHIFT = POLAR_WIDTH // 2  # wider column shifts repeat
 INCOMPARABLE = "no jointly valid bits at any shift; templates are incomparable"
 
 _G_NORMALIZED = Kernel(SMOOTHING_OPERATOR.weights / SMOOTHING_OPERATOR.weights.sum())
@@ -123,12 +124,12 @@ def match(a: ZeroCrossTemplate, b: ZeroCrossTemplate, max_shift: int = DEFAULT_M
 
     A position contributes only when neither template masks it; the per-shift
     distance averages the per-scale Hamming fractions, and the minimum over
-    shifts in [-max_shift, +max_shift] is returned.
+    shifts in [-max_shift, +max_shift] is returned; max_shift lies in [0, MAX_SHIFT].
     """
     if a.bits.shape != b.bits.shape:
         raise ValueError(f"template shapes differ: {a.bits.shape} vs {b.bits.shape}")
-    if max_shift < 0:
-        raise ValueError("max_shift must be >= 0")
+    if not 0 <= max_shift <= MAX_SHIFT:
+        raise ValueError(f"max_shift must lie in [0, {MAX_SHIFT}]")
 
     bits_a, valid_a = a.words
     bits_b, valid_b = b.words

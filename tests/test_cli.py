@@ -213,6 +213,24 @@ class TestTrainGa:
         assert len(history) == 2  # header + initial generation only
 
 
+    def test_identity_with_one_segmented_sample_is_named(self, gallery_path, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--identities", "3", "--samples", "2", "--seed", "2026",
+                     "--out", str(corpus)]) == 0
+        (corpus / "eye_001_01.pgm").write_bytes(save_pgm(GrayImage(np.full((192, 256), 128, np.uint8))))
+        gallery = tmp_path / "g.irf"
+        gallery.write_bytes(gallery_path.read_bytes())
+        out = tmp_path / "ga"
+        capsys.readouterr()
+        rc = main(["train-ga", "--corpus", str(corpus), "--gallery", str(gallery),
+                   "--generations", "0", "--seed", "7", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: every identity needs at least 2 segmented samples; "
+            "too few for identity 1 (1 of 2 segmented)\n")
+        assert gallery.read_bytes() == gallery_path.read_bytes()
+        assert not out.exists()
+
 class TestEvaluate:
     def test_writes_reports_and_summary(self, tmp_path, capsys):
         out = tmp_path / "eval"

@@ -46,6 +46,13 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("max_shift = eight\n")
 
+    def test_max_shift_bounded_by_half_the_polar_width(self):
+        assert parse_config("max_shift = 224\n").max_shift == 224
+        with pytest.raises(ConfigError, match=r"max_shift must lie in \[0, 224\]"):
+            parse_config("max_shift = 225\n")
+        with pytest.raises(ConfigError, match=r"max_shift must lie in \[0, 224\]"):
+            parse_config("max_shift = -1\n")
+
     def test_module_preconditions_enforced(self):
         with pytest.raises(ConfigError):
             parse_config("pupil_r_max = 80\n")  # overlaps the iris radius range

@@ -25,6 +25,8 @@ from irisfuse.gasel import (
 )
 from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
+from irisfuse.pipeline import PipelineConfig, process_images
+from irisfuse.synth import build_corpus
 
 from oracles import (
     ScalarSubsetTrial,
@@ -32,6 +34,7 @@ from oracles import (
     match_subset_compressed,
     planted_problem,
     rank_entropy_loop,
+    rank_rfe_downdate,
     rank_rfe_per_target,
     rank_rfe_rebuild,
     rates_at_eer_sweep,
@@ -500,6 +503,105 @@ class TestRfeDowndateMatchesRebuild:
         X, y, _ = planted_problem(seed, n_features=FEATURE_COUNT, n_informative=20,
                                   classes=classes, per_class=4)
         assert np.array_equal(rank_rfe(X, y), rank_rfe_rebuild(X, y))
+
+
+def corpus_block_features(identities, samples, seed):
+    corpus = build_corpus(identities, samples, seed)
+    features, kept = process_images([r.image for r in corpus.records], PipelineConfig())
+    return (np.vstack([f.raw.values for f in features]),
+            np.asarray([corpus.records[k].identity for k in kept]))
+
+
+def duplicated_columns_problem(seed):
+    """A binary planted problem whose columns 5k + 1 copy columns 5k."""
+    X, y, _ = planted_problem(seed, n_features=100, n_informative=10, classes=2, per_class=10)
+    X[:, 1::5] = X[:, ::5]
+    return X, y
+
+
+class TestRfeRankOneUpdates:
+    """The rank-one loop against the former downdated-gram loop and the rebuild."""
+
+    def test_block_features_match_both_oracles(self):
+        X, y = corpus_block_features(6, 3, 2026)
+        ranking = rank_rfe(X, y)
+        assert np.array_equal(ranking, rank_rfe_downdate(X, y))
+        assert np.array_equal(ranking, rank_rfe_rebuild(X, y))
+
+    def test_block_features_with_zero_columns_drop_a_minimum(self):
+        # A block masked in every image is a zero column; one unmasked in a
+        # single image standardizes to the same column as any other such block,
+        # up to rounding.  Those near-ties (2e-14 relative here) part all three
+        # loops, so each drop is checked against the rebuilt weights instead.
+        X, y = corpus_block_features(6, 3, 7)
+        zero = np.flatnonzero(~X.any(axis=0))
+        assert len(zero) > 0
+        ranking = rank_rfe(X, y)
+        assert np.array_equal(ranking[-len(zero):], zero)  # dropped first, largest index first
+        Z = (X - X.mean(axis=0)) / np.where(X.std(axis=0) > 0, X.std(axis=0), 1.0)
+        T = np.where(y[:, None] == np.unique(y)[None, :], 1.0, -1.0)
+        active = sorted(ranking.tolist())
+        for f in ranking[:0:-1].tolist():
+            Zc = Z[:, active]
+            w = np.abs(Zc.T @ np.linalg.solve(Zc @ Zc.T + np.eye(len(Zc)), T)).max(axis=1)
+            assert w[active.index(f)] <= w.min() * (1.0 + 1e-12)
+            active.remove(f)
+
+    def test_duplicated_columns_match_both_oracles(self):
+        X, y = duplicated_columns_problem(101)
+        ranking = rank_rfe(X, y)
+        assert np.array_equal(ranking, rank_rfe_downdate(X, y))
+        assert np.array_equal(ranking, rank_rfe_rebuild(X, y))
+
+    @pytest.mark.parametrize("seed", [101, 103, 116])
+    def test_duplicated_columns_tie_to_the_largest_index(self, seed):
+        # A column and its copy keep bit-equal weights, so the copy (the larger
+        # index) always goes first and ranks below its original.  At seeds 103
+        # and 116 both oracles break such a tie the other way by rounding.
+        X, y = duplicated_columns_problem(seed)
+        position = np.argsort(rank_rfe(X, y))
+        assert np.all(position[0::5] < position[1::5])
+
+    @pytest.mark.parametrize("features", [1, 2])
+    def test_one_and_two_features(self, features):
+        X, y, _ = planted_problem(3, n_features=features, n_informative=1, classes=3, per_class=4)
+        ranking = rank_rfe(X, y)
+        assert sorted(ranking.tolist()) == list(range(features))
+        assert np.array_equal(ranking, rank_rfe_downdate(X, y))
+        assert np.array_equal(ranking, rank_rfe_rebuild(X, y))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_binary_problem_matches_both_oracles(self, seed):
+        X, y, _ = planted_problem(seed, n_features=200, n_informative=8, classes=2, per_class=15)
+        ranking = rank_rfe(X, y)
+        assert np.array_equal(ranking, rank_rfe_downdate(X, y))
+        assert np.array_equal(ranking, rank_rfe_rebuild(X, y))
+
+
+BAD_PROBLEMS = {
+    "1-D": (np.arange(12.0), np.repeat([0, 1], 6), "must be 2-D"),
+    "NaN": (np.where(np.eye(12, 4) > 0, np.nan, 1.0), np.repeat([0, 1], 6), "non-finite"),
+    "inf": (np.where(np.eye(12, 4) > 0, np.inf, 1.0), np.repeat([0, 1], 6), "non-finite"),
+    "short y": (np.ones((12, 4)), np.repeat([0, 1], 5), "12 rows but labels have shape"),
+    "long y": (np.ones((12, 4)), np.repeat([0, 1], 7), "12 rows but labels have shape"),
+}
+
+
+class TestProblemValidation:
+    """Every ranker and the GA reject a malformed problem with a ValueError naming it."""
+
+    @pytest.mark.parametrize("ranker", [rank_entropy, rank_tstat, rank_knn, rank_rfe])
+    @pytest.mark.parametrize("bad", sorted(BAD_PROBLEMS))
+    def test_rankers(self, ranker, bad):
+        X, y, message = BAD_PROBLEMS[bad]
+        with pytest.raises(ValueError, match=message):
+            ranker(X, y)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_PROBLEMS))
+    def test_ga_select(self, bad):
+        X, y, message = BAD_PROBLEMS[bad]
+        with pytest.raises(ValueError, match=message):
+            ga_select(FeaturePool((0,)), X, y, GaConfig(max_generations=0))
 
 
 class TestEntropyGainsMatchLoop:

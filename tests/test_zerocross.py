@@ -162,6 +162,16 @@ class TestMatch:
         assert match(t, shifted(t, 5), max_shift=8) == 0.0
         assert match(t, shifted(t, -7), max_shift=8) == 0.0
 
+    def test_max_shift_bounded_by_half_the_polar_width(self):
+        t = random_template(np.random.default_rng(4))
+        # at 224 every circular shift is searched, so a shifted copy matches
+        assert match(t, shifted(t, 200), max_shift=POLAR_WIDTH // 2) == 0.0
+        with pytest.raises(ValueError, match=r"max_shift must lie in \[0, 224\]"):
+            match(t, t, max_shift=POLAR_WIDTH // 2 + 1)
+        with pytest.raises(ValueError, match=r"max_shift must lie in \[0, 224\]"):
+            PipelineConfig(max_shift=POLAR_WIDTH // 2 + 1)
+        assert PipelineConfig(max_shift=POLAR_WIDTH // 2).max_shift == 224
+
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         a, b = random_template(rng), random_template(rng)
@@ -255,8 +265,14 @@ def outcome(fn, *args):
 
 
 def assert_matches_oracle(a, b, max_shift):
-    got = outcome(match, a, b, max_shift)
     want = outcome(zerocross_match_rolled, a, b, max_shift)
+    if max_shift > POLAR_WIDTH // 2:
+        # wider shifts repeat: the kernel rejects them, and the oracle's answer
+        # is the kernel's at the bound
+        with pytest.raises(ValueError, match=r"max_shift must lie in \[0, 224\]"):
+            match(a, b, max_shift)
+        max_shift = POLAR_WIDTH // 2
+    got = outcome(match, a, b, max_shift)
     assert got == want
     if isinstance(got, float):
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -265,7 +281,7 @@ def assert_matches_oracle(a, b, max_shift):
 class TestMatchMatchesRolledOracle:
     """The bit-packed all-shifts kernel against the former np.roll loop."""
 
-    SHIFTS = (0, 1, 8, 300, 500)  # 300 and 500 wrap the partner more than once
+    SHIFTS = (0, 1, 8, 300, 500)  # 300 and 500 lie past the bound of 224
 
     @staticmethod
     def template(rng, scales, mask):
@@ -322,14 +338,16 @@ class TestMatchMatchesRolledOracle:
         for k in self.SHIFTS:
             assert_matches_oracle(a, b, k)
             with pytest.raises(IncomparableError, match="incomparable"):
-                match(b, a, k)
+                match(b, a, min(k, POLAR_WIDTH // 2))
 
     def test_invalid_arguments_raise_like_oracle(self):
         rng = np.random.default_rng(10)
         zeros = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         a, b = self.template(rng, 2, zeros), self.template(rng, 4, zeros)
         assert_matches_oracle(a, b, 8)
-        assert_matches_oracle(a, a, -1)
+        for fn in (match, zerocross_match_rolled):
+            with pytest.raises(ValueError, match="max_shift must"):
+                fn(a, a, -1)
 
     def test_real_templates(self, corpus_templates):
         for i, a in enumerate(corpus_templates):
