@@ -170,7 +170,7 @@ def cmd_train_ga(args) -> int:
     totals = Counter(r.identity for r in corpus.records)
     segmented = Counter(y.tolist())
     short = [f"{i} ({segmented[i]} of {totals[i]} segmented)"
-             for i in sorted(segmented) if segmented[i] < 2]
+             for i in sorted(totals) if segmented[i] < 2]
     if short:
         print("error: every identity needs at least 2 segmented samples; too few for identity "
               + ", ".join(short), file=sys.stderr)
@@ -228,6 +228,7 @@ def cmd_evaluate(args) -> int:
         (out / f"{name}.csv").write_text(report_csv(report))
         _atomic_write(out / f"roc_{name}.pgm", save_pgm(roc_pgm(report)))
         summary.append(f"{name} EER {report.eer:.6f} at threshold {report.eer_threshold:.6f}")
+    summary.append(f"failures {outcome.failures} of {len(corpus.records)} images")
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     (out / "effective_config.txt").write_text(cfg.to_text())
     for line in summary:

@@ -14,14 +14,19 @@ not inside the iris circle (``Circle.encloses``) fails segmentation.  One
 kernel fills the accumulator: it rounds integer point-to-centre distances
 through a table of rint(sqrt(n)) indexed by dx^2 + dy^2, which equals
 rint(hypot(dx, dy)) because no sqrt(n) of an integer n lies within about
-1/(8r) of a half-integer; it votes one centre row at a time, so its
-temporaries stay a few hundred KB.  Eyelids use a quantized four-parameter
-vote over tilted vertex-form parabolas.  The roots of each (theta, a)
-quadratic depend only on the integer offset x - h, so they come from one
-cached table, computed by the per-pair expressions; and only the pairs whose
-root lies in a band that provably holds every landing vote are voted, along
-runs of the table that a second cache holds per region height (about 5 ms
-per region on a 2-core host, against 27 ms for the per-pair solve).  Edge
+1/(8r) of a half-integer; it votes one centre row at a time, point-major, so
+its temporaries stay a few hundred KB.  Eyelids use a quantized
+four-parameter vote over tilted vertex-form parabolas.  The roots of each
+(theta, a) quadratic depend only on the integer offset x - h, so they come
+from one cached table, computed by the per-pair expressions; and only the
+pairs whose root lies in a band that provably holds every landing vote are
+voted, along runs of the table that a second cache holds per region height.
+A vote is integer work: a third cache holds floor(2 - Y) for every root Y,
+and rint((m - Y) / 4) = (m + floor(2 - Y)) // 4 for the integer m = y - y_lo
+except at half-integers.  The float expression the vote is defined by is off
+the real value by at most about ulp(2 * height), so the two agree for every
+root at least 1e-6 from an integer; the pairs on the few roots nearer one
+than that are voted again by the float expression.  Edge
 suppression and the noise mask's circle and eyelid rules run only where
 their outcome is open: at pixels that pass the gradient threshold, and
 inside the iris's bounding box.  All functions are pure; accumulators are
@@ -49,6 +54,10 @@ PARABOLA_THETAS = tuple(math.radians(d) for d in (-10.0, -5.0, 0.0, 5.0, 10.0))
 PARABOLA_CURVATURES = tuple(np.geomspace(0.004, 0.08, 20))
 PARABOLA_STEP = 4
 PARABOLA_VOTE_FLOOR = 0.05
+# A root within this distance of an integer may vote differently in integer
+# and float arithmetic, so ``_parabola_votes`` casts its votes by the float
+# expression.
+_NEAR_INTEGER = 1e-6
 
 # Half-width of both centre windows: the pupil search around the dark-region
 # prior, and the iris search around the pupil ("near but not necessarily
@@ -298,7 +307,10 @@ def _vote_by_distance(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h):
     [r_min, r_max] (rint(sqrt(n)) <= r_max iff n <= r_max (r_max + 1)) votes
     only into the sink, so it is dropped.  One centre row votes at a time,
     through one small ``bincount`` of plane * acc_w + column, so the working
-    set stays near (acc_w, points) whatever the window height.
+    set stays near (points, acc_w) whatever the window height.  The votes go
+    point-major: consecutive votes are one point's columns, which land in
+    distinct counters even in the sink plane, where about half the pupil
+    votes go and column-major order made ``bincount`` stall on one counter.
     """
     x_hi, y_hi = x_lo + acc_w - 1, y_lo + acc_h - 1
     near2 = (np.maximum(np.maximum(x_lo - px, px - x_hi), 0) ** 2
@@ -308,14 +320,14 @@ def _vote_by_distance(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h):
     px, py = px[keep], py[keep]
     n_r = r_max - r_min + 1
     cap = (r_max + 1) ** 2
-    dx2 = np.minimum((px[None, :] - (x_lo + np.arange(acc_w))[:, None]) ** 2, cap).astype(np.int32)
+    dx2 = np.minimum((px[:, None] - (x_lo + np.arange(acc_w))[None, :]) ** 2, cap).astype(np.int32)
     dy2 = np.minimum((py[None, :] - (y_lo + np.arange(acc_h))[:, None]) ** 2, cap).astype(np.int32)
     ring = _rounded_sqrt(2 * cap + 1) - r_min
     plane = np.where((ring >= 0) & (ring < n_r), ring, n_r) * acc_w
-    column = np.arange(acc_w)[:, None]
+    column = np.arange(acc_w)
     acc = np.empty((n_r, acc_h, acc_w), dtype=np.int32)
     for row in range(acc_h):
-        flat = np.take(plane, dx2 + dy2[row])
+        flat = np.take(plane, dx2 + dy2[row, :, None])
         flat += column
         acc[:, row] = np.bincount(flat.ravel(), minlength=(n_r + 1) * acc_w)[: n_r * acc_w].reshape(n_r, acc_w)
     return acc
@@ -471,6 +483,26 @@ def _parabola_runs(curvature_sign: int, extent: int, span: int) -> tuple[np.ndar
     return row, x0, x1
 
 
+@lru_cache(maxsize=8)
+def _parabola_floors(curvature_sign: int, extent: int) -> tuple[np.ndarray, ...]:
+    """floor(2 - Y) of every ``_parabola_roots`` entry, and the entries near an integer.
+
+    Returns (floors, near_row, near_x).  ``floors`` has one row per
+    (theta, a, root), like the reshaped root table, and holds 1 where the
+    root does not exist (such an entry is never in band).  The entries
+    (near_row, near_x) are the roots within ``_NEAR_INTEGER`` of an integer:
+    212 of the 72,744 roots at extent 256, of which 192 are integers.
+    """
+    roots = _parabola_roots(curvature_sign, extent)
+    roots = roots.reshape(-1, roots.shape[-1])
+    roots = np.where(np.isfinite(roots), roots, 0.5)
+    floors = np.floor(2 - roots).astype(np.intp)
+    near_row, near_x = np.nonzero(np.abs(roots - np.rint(roots)) < _NEAR_INTEGER)
+    for arr in (floors, near_row, near_x):
+        arr.setflags(write=False)
+    return floors, near_row, near_x
+
+
 def _parabola_band(y_lo: int, y_hi: int) -> tuple[int, int]:
     """Bounds [lo, hi] on the root Y of every vote that lands in the accumulator.
 
@@ -478,7 +510,9 @@ def _parabola_band(y_lo: int, y_hi: int) -> tuple[int, int]:
     v >= -1/2, so Y <= y - y_lo + 2 <= (y_hi - y_lo) + 2; the last index
     k_count - 1 needs v <= k_count - 1/2, so Y >= y - y_lo - 4 k_count + 2
     >= -4 k_count + 2.  The computed v is off by a few ulps of a value
-    below 1e3, far inside the 2 px added on each side.
+    below 1e3, far inside the 2 px added on each side.  In the band,
+    floor(2 - Y) >= -(y_hi - y_lo) - 2, which sets the offset that keeps the
+    integer vote's bin indices non-negative.
     """
     k_count = (y_hi - y_lo) // PARABOLA_STEP + 1
     return -PARABOLA_STEP * k_count - PARABOLA_STEP, (y_hi - y_lo) + PARABOLA_STEP
@@ -493,8 +527,19 @@ def _parabola_votes(pts: np.ndarray, search_region, curvature_sign: int) -> np.n
     ``_parabola_roots`` table.  With the pairs sorted by X, the pairs whose
     root lies in ``_parabola_band`` form a few contiguous runs per
     (theta, a, root), read from the cached ``_parabola_runs`` plan; only
-    those vote, and their votes outside [0, k_count) land in sink rows at
-    k = -1 and k = k_count.
+    those vote.
+
+    The vote is integer work.  With m = y - y_lo, real arithmetic gives
+    rint((m - Y) / 4) = (m + floor(2 - Y)) // 4 except where (m - Y) / 4 is
+    a half-integer, and the float expression is off the real value by at
+    most about ulp(2 * height), below 2.5e-7 for any height under 2^30; so
+    the two agree wherever Y lies at least ``_NEAR_INTEGER`` from an integer.
+    A run therefore repeats each entry's cached ``_parabola_floors`` value
+    over that entry's pairs (they are sorted by X), adds m, and counts the
+    sums in 1 px bins, which fold four to a k row.  The offset 4 * base keeps
+    every sum non-negative; votes outside [0, k_count) land in bins that are
+    sliced off.  The pairs on an in-band entry near an integer are then
+    voted again: the integer vote is taken back and the float vote cast.
     """
     x_lo, x_hi, y_lo, y_hi = search_region
     n_h = len(range(x_lo, x_hi + 1, PARABOLA_STEP))
@@ -502,34 +547,48 @@ def _parabola_votes(pts: np.ndarray, search_region, curvature_sign: int) -> np.n
     extent = 1 << (x_hi - x_lo).bit_length()  # the next power of two >= the region width
     roots = _parabola_roots(curvature_sign, extent)
     roots = roots.reshape(-1, roots.shape[-1])  # one row per (theta, a, root)
+    floors, near_row, near_x = _parabola_floors(curvature_sign, extent)
 
     # (point, column) pairs sorted by X, as offsets X + extent into the root table
     Xi = (pts[:, 0][:, None] - (x_lo + PARABOLA_STEP * np.arange(n_h))[None, :] + extent).ravel()
     order = np.argsort(Xi.astype(np.min_scalar_type(2 * extent)), kind="stable")
-    Xi = Xi[order]
-    y = pts[order // n_h, 1].astype(np.float64)
-    col = order % n_h + n_h  # past the k = -1 sink row
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(Xi, minlength=roots.shape[1]))))
+    m = pts[order // n_h, 1] - y_lo
+    col = order % n_h
+    base = -(-(y_hi - y_lo + 2) // PARABOLA_STEP)  # see _parabola_band
+    cell = (m + PARABOLA_STEP * base) * n_h + col
+    counts = np.bincount(Xi[order], minlength=roots.shape[1])
+    bounds = np.concatenate(([0], np.cumsum(counts)))
 
-    run_row, run_lo, run_hi = _parabola_runs(curvature_sign, extent, y_hi - y_lo)
-    run_lo, run_hi = bounds[run_lo], bounds[run_hi]
+    lo_bin, hi_bin = PARABOLA_STEP * base * n_h, PARABOLA_STEP * (base + k_count) * n_h
+    run_row, run_x0, run_x1 = _parabola_runs(curvature_sign, extent, y_hi - y_lo)
+    run_lo, run_hi = bounds[run_x0], bounds[run_x1]
     runs = run_lo < run_hi
+    acc = np.zeros((len(roots) // 2, k_count, n_h), dtype=np.int64)
+    for row, x0, x1, lo, hi in zip(run_row[runs].tolist(), run_x0[runs].tolist(),
+                                   run_x1[runs].tolist(), run_lo[runs].tolist(), run_hi[runs].tolist()):
+        flat = np.repeat(floors[row, x0:x1] * n_h, counts[x0:x1])
+        flat += cell[lo:hi]
+        bins = np.bincount(flat, minlength=hi_bin)[lo_bin:hi_bin]
+        acc[row // 2] += bins.reshape(k_count, PARABOLA_STEP, n_h).sum(axis=1)
 
-    acc = np.zeros((len(roots) // 2, (k_count + 2) * n_h), dtype=np.int64)
-    for row, lo, hi in zip(run_row[runs].tolist(), run_lo[runs].tolist(), run_hi[runs].tolist()):
-        k = np.take(roots[row], Xi[lo:hi])  # Y, then ((y - Y) - y_lo) / STEP in place
-        np.subtract(y[lo:hi], k, out=k)
-        k -= y_lo
-        k *= 1 / PARABOLA_STEP  # exact: the step is a power of two
-        np.rint(k, out=k)
-        np.maximum(k, -1, out=k)
-        np.minimum(k, k_count, out=k)
-        flat = k.astype(np.intp)
-        flat *= n_h
-        flat += col[lo:hi]
-        acc[row // 2] += np.bincount(flat, minlength=acc.shape[1])
-    shape = (len(PARABOLA_THETAS), len(PARABOLA_CURVATURES), k_count + 2, n_h)
-    return acc.reshape(shape)[:, :, 1:-1].astype(np.int32)
+    # in-band roots near an integer: take the integer votes back, cast the float ones
+    band_lo, band_hi = _parabola_band(y_lo, y_hi)
+    Y = roots[near_row, near_x]
+    near = (Y >= band_lo) & (Y <= band_hi)
+    row, x, Y = near_row[near], near_x[near], Y[near]
+    n = counts[x]
+    entry = np.repeat(np.arange(len(x)), n)  # each entry's pairs, in turn
+    pair = np.arange(len(entry)) + np.repeat(bounds[x] - (np.cumsum(n) - n), n)
+    k_int = (m[pair] + floors[row, x][entry]) // PARABOLA_STEP
+    y = (m[pair] + y_lo).astype(np.float64)
+    k_float = np.rint(((y - Y[entry]) - y_lo) * (1 / PARABOLA_STEP)).astype(np.intp)
+    moved = (k_int != k_float).nonzero()[0]
+    plane, column = row[entry[moved]] // 2, col[pair[moved]]
+    for k, vote in ((k_int[moved], -1), (k_float[moved], 1)):
+        lands = (k >= 0) & (k < k_count)
+        np.add.at(acc, (plane[lands], k[lands], column[lands]), vote)
+    shape = (len(PARABOLA_THETAS), len(PARABOLA_CURVATURES), k_count, n_h)
+    return acc.reshape(shape).astype(np.int32)
 
 
 def detect_eyelids(

@@ -69,7 +69,11 @@ verbatim as the reference for the fixed grid sampled by one
 ``gasel.rank_rfe``, which built the ridge gram once, downdated it by each
 dropped feature and refit every live weight with one LU solve per step; it
 is kept verbatim as the reference for the rank-one updates of the inverse
-gram and of the weights.
+gram and of the weights.  ``parabola_votes_float`` is the later
+``segmentation._parabola_votes``, which read the cached run plan but cast
+every vote by the float expression rint(((y - Y) - y_lo) / 4) with a clip to
+sink rows; it is kept verbatim as the reference for the integer vote from the
+cached floor table and its near-integer re-vote.
 """
 
 import math
@@ -105,6 +109,7 @@ from irisfuse.segmentation import (
     SegmentationResult,
     _parabola_band,
     _parabola_roots,
+    _parabola_runs,
     _rounded_sqrt,
     build_noise_mask,
 )
@@ -912,6 +917,54 @@ def parabola_votes_per_region(pts: np.ndarray, search_region, curvature_sign: in
         k /= PARABOLA_STEP
         np.rint(k, out=k)
         np.clip(k, -1, k_count, out=k)
+        flat = k.astype(np.intp)
+        flat *= n_h
+        flat += col[lo:hi]
+        acc[row // 2] += np.bincount(flat, minlength=acc.shape[1])
+    shape = (len(PARABOLA_THETAS), len(PARABOLA_CURVATURES), k_count + 2, n_h)
+    return acc.reshape(shape)[:, :, 1:-1].astype(np.int32)
+
+
+def parabola_votes_float(pts: np.ndarray, search_region, curvature_sign: int) -> np.ndarray:
+    """The (theta, a, k, h) vote accumulator of the points inside the region.
+
+    Each (point, column h) pair votes, for every (theta, a) and each root Y
+    of its quadratic, at k index rint(((y - Y) - y_lo) / PARABOLA_STEP).
+    The root depends only on the integer X = x - h, so it comes from the
+    ``_parabola_roots`` table.  With the pairs sorted by X, the pairs whose
+    root lies in ``_parabola_band`` form a few contiguous runs per
+    (theta, a, root), read from the cached ``_parabola_runs`` plan; only
+    those vote, and their votes outside [0, k_count) land in sink rows at
+    k = -1 and k = k_count.
+    """
+    x_lo, x_hi, y_lo, y_hi = search_region
+    n_h = len(range(x_lo, x_hi + 1, PARABOLA_STEP))
+    k_count = (y_hi - y_lo) // PARABOLA_STEP + 1
+    extent = 1 << (x_hi - x_lo).bit_length()  # the next power of two >= the region width
+    roots = _parabola_roots(curvature_sign, extent)
+    roots = roots.reshape(-1, roots.shape[-1])  # one row per (theta, a, root)
+
+    # (point, column) pairs sorted by X, as offsets X + extent into the root table
+    Xi = (pts[:, 0][:, None] - (x_lo + PARABOLA_STEP * np.arange(n_h))[None, :] + extent).ravel()
+    order = np.argsort(Xi.astype(np.min_scalar_type(2 * extent)), kind="stable")
+    Xi = Xi[order]
+    y = pts[order // n_h, 1].astype(np.float64)
+    col = order % n_h + n_h  # past the k = -1 sink row
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(Xi, minlength=roots.shape[1]))))
+
+    run_row, run_lo, run_hi = _parabola_runs(curvature_sign, extent, y_hi - y_lo)
+    run_lo, run_hi = bounds[run_lo], bounds[run_hi]
+    runs = run_lo < run_hi
+
+    acc = np.zeros((len(roots) // 2, (k_count + 2) * n_h), dtype=np.int64)
+    for row, lo, hi in zip(run_row[runs].tolist(), run_lo[runs].tolist(), run_hi[runs].tolist()):
+        k = np.take(roots[row], Xi[lo:hi])  # Y, then ((y - Y) - y_lo) / STEP in place
+        np.subtract(y[lo:hi], k, out=k)
+        k -= y_lo
+        k *= 1 / PARABOLA_STEP  # exact: the step is a power of two
+        np.rint(k, out=k)
+        np.maximum(k, -1, out=k)
+        np.minimum(k, k_count, out=k)
         flat = k.astype(np.intp)
         flat *= n_h
         flat += col[lo:hi]

@@ -231,6 +231,27 @@ class TestTrainGa:
         assert gallery.read_bytes() == gallery_path.read_bytes()
         assert not out.exists()
 
+    def test_identity_with_no_segmented_sample_is_named(self, gallery_path, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--identities", "3", "--samples", "2", "--seed", "2026",
+                     "--out", str(corpus)]) == 0
+        for sample in ("00", "01"):
+            (corpus / f"eye_001_{sample}.pgm").write_bytes(
+                save_pgm(GrayImage(np.full((192, 256), 128, np.uint8))))
+        gallery = tmp_path / "g.irf"
+        gallery.write_bytes(gallery_path.read_bytes())
+        out = tmp_path / "ga"
+        capsys.readouterr()
+        rc = main(["train-ga", "--corpus", str(corpus), "--gallery", str(gallery),
+                   "--generations", "0", "--seed", "7", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: every identity needs at least 2 segmented samples; "
+            "too few for identity 1 (0 of 2 segmented)\n")
+        assert gallery.read_bytes() == gallery_path.read_bytes()
+        assert not out.exists()
+
+
 class TestEvaluate:
     def test_writes_reports_and_summary(self, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -238,7 +259,9 @@ class TestEvaluate:
                    "--out", str(out)])
         assert rc == 0
         summary = (out / "summary.txt").read_text().splitlines()
-        assert len(summary) == 4  # three algorithms + fused
+        assert len(summary) == 5  # three algorithms + fused, then the failure count
+        assert summary[-1] == "failures 0 of 9 images"
+        assert capsys.readouterr().out.splitlines() == summary
         for name in ("zerocross", "euler", "gasel", "fused"):
             assert (out / f"{name}.csv").exists()
             assert (out / f"roc_{name}.pgm").exists()
@@ -254,6 +277,18 @@ class TestEvaluate:
         for name in ("zerocross", "euler", "gasel", "fused"):
             assert (outs[0] / f"{name}.csv").read_bytes() == (outs[1] / f"{name}.csv").read_bytes()
         assert (outs[0] / "summary.txt").read_bytes() == (outs[1] / "summary.txt").read_bytes()
+
+    def test_failure_count_names_the_uniform_image(self, tmp_path, capsys):
+        # 1 of 6 images fails, under the 20% limit that aborts a run
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--identities", "3", "--samples", "2", "--seed", "2026",
+                     "--out", str(corpus)]) == 0
+        (corpus / "eye_002_01.pgm").write_bytes(save_pgm(GrayImage(np.full((192, 256), 128, np.uint8))))
+        capsys.readouterr()
+        assert main(["evaluate", "--corpus", str(corpus), "--out", str(tmp_path / "e")]) == 0
+        summary = (tmp_path / "e" / "summary.txt").read_text().splitlines()
+        assert summary[-1] == "failures 1 of 6 images"
+        assert capsys.readouterr().out.splitlines()[-1] == "failures 1 of 6 images"
 
     def test_too_few_identities_exits_2(self, tmp_path):
         rc = main(["evaluate", "--identities", "1", "--samples", "2", "--out", str(tmp_path)])

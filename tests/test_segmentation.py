@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from irisfuse.segmentation import (
     Circle,
     EdgeMap,
     PARABOLA_CURVATURES,
+    PARABOLA_STEP,
     SegmentationConfig,
     SegmentationError,
     Parabola,
@@ -27,6 +29,8 @@ from irisfuse.segmentation import (
     segment,
     segmentation_overlay,
     _parabola_band,
+    _parabola_floors,
+    _parabola_roots,
     _parabola_votes,
     _rounded_sqrt,
     _vote_by_distance,
@@ -39,6 +43,7 @@ from oracles import (
     build_noise_mask_full,
     edge_map_image,
     hough_circle_normalized,
+    parabola_votes_float,
     parabola_votes_per_region,
     parabolic_hough_loop,
     vote_by_distance_bincount,
@@ -593,19 +598,24 @@ def image_lid_cases(small_corpus):
         yield edges, lower, 1
 
 
+def region_points(edges, region):
+    x_lo, x_hi, y_lo, y_hi = region
+    pts = edges.points
+    return pts[(pts[:, 0] >= x_lo) & (pts[:, 0] <= x_hi) & (pts[:, 1] >= y_lo) & (pts[:, 1] <= y_hi)]
+
+
 class TestParabolaVotesMatchLoopOracle:
-    """The root-table eyelid vote against the former per-pair loop."""
+    """The integer eyelid vote against the former per-pair loop and the former float vote."""
 
     @staticmethod
     def check(edges, region, sign):
         expect, acc = parabolic_hough_loop(edges, region, sign)
         assert parabolic_hough(edges, region, sign) == expect
         if acc is not None:
-            x_lo, x_hi, y_lo, y_hi = region
-            pts = edges.points
-            inside = (pts[:, 0] >= x_lo) & (pts[:, 0] <= x_hi) & (pts[:, 1] >= y_lo) & (pts[:, 1] <= y_hi)
-            got = _parabola_votes(pts[inside], region, sign)
+            pts = region_points(edges, region)
+            got = _parabola_votes(pts, region, sign)
             assert got.dtype == acc.dtype and np.array_equal(got, acc)
+            assert np.array_equal(got, parabola_votes_float(pts, region, sign))
 
     def test_random_edge_sets(self):
         for edges, region in lid_cases(np.random.default_rng(61), 40):
@@ -673,15 +683,71 @@ class TestRunPlanMatchesPerRegionOracle:
             except SegmentationError:
                 continue  # the corpus's one failure
             edges = edge_map(gradient, "horizontal-edges", cfg.grad_threshold)
-            pts = edges.points
             for region, sign in zip(eyelid_regions(iris, edges.width, edges.height), (-1, 1)):
-                x_lo, x_hi, y_lo, y_hi = region
-                inside = (pts[:, 0] >= x_lo) & (pts[:, 0] <= x_hi) & (pts[:, 1] >= y_lo) & (pts[:, 1] <= y_hi)
-                got = _parabola_votes(pts[inside], region, sign)
-                expect = parabola_votes_per_region(pts[inside], region, sign)
+                inside = region_points(edges, region)
+                got = _parabola_votes(inside, region, sign)
+                expect = parabola_votes_per_region(inside, region, sign)
                 assert got.dtype == expect.dtype and np.array_equal(got, expect), region
-                spans.add(y_hi - y_lo)
+                assert np.array_equal(got, parabola_votes_float(inside, region, sign)), region
+                spans.add(region[3] - region[2])
         assert len(spans) > 10  # so most plans are read back from the cache
+
+
+def near_integer_moves(pts, region, sign):
+    """Votes on a near-integer root whose float k differs from the integer k, either landing.
+
+    The integer k is (m + floor(2 - Y)) // 4 with the floor taken in exact
+    arithmetic, so these are the votes the near-integer re-vote must move.
+    """
+    x_lo, x_hi, y_lo, y_hi = region
+    extent = 1 << (x_hi - x_lo).bit_length()
+    roots = _parabola_roots(sign, extent).reshape(-1, 2 * extent + 1)
+    _, near_row, near_x = _parabola_floors(sign, extent)
+    k_count = (y_hi - y_lo) // PARABOLA_STEP + 1
+    columns = np.arange(x_lo, x_hi + 1, PARABOLA_STEP)
+    moves = 0
+    for row, xi in zip(near_row.tolist(), near_x.tolist()):
+        Y = roots[row, xi]
+        ys = pts[np.isin(pts[:, 0] - (xi - extent), columns), 1]  # one column per point at most
+        k_float = np.rint(((ys - Y) - y_lo) / PARABOLA_STEP)
+        k_int = (ys - y_lo + math.floor(2 - Fraction(Y))) // PARABOLA_STEP
+        lands = ((k_float >= 0) & (k_float < k_count)) | ((k_int >= 0) & (k_int < k_count))
+        moves += int(np.count_nonzero((k_float != k_int) & lands))
+    return moves
+
+
+class TestNearIntegerRevote:
+    """The roots that integer arithmetic may round differently from the float vote."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_floor_table_classes_every_root(self, sign):
+        for extent in (1 << e for e in range(11)):
+            roots = _parabola_roots(sign, extent).reshape(-1, 2 * extent + 1)
+            floors, near_row, near_x = _parabola_floors(sign, extent)
+            near = np.zeros(roots.shape, dtype=bool)
+            near[near_row, near_x] = True
+            plain = np.isfinite(roots) & ~near
+            dist = np.abs(roots - np.rint(roots))
+            assert np.all(dist[plain] >= 1e-6) and np.all(dist[near] < 1e-6), extent
+            lifted = 2 - roots[plain]
+            assert np.all((floors[plain] < lifted) & (lifted < floors[plain] + 1)), extent
+            assert near.any()
+
+    def test_root_half_an_ulp_above_an_integer(self):
+        # theta 0, a = -0.08, X = 35: Y = -98.00000000000001, and y - Y = 40 - Y
+        # rounds to 138, so the float vote is rint(34.5) = 34 where the exact
+        # (40 + floor(2 - Y)) // 4 is 35
+        edges = EdgeMap(np.array([[35, 40], [20, 3], [38, 90], [0, 140]]), 64, 160)
+        region = (0, 40, 0, 140)
+        assert near_integer_moves(region_points(edges, region), region, -1) > 0
+        TestParabolaVotesMatchLoopOracle.check(edges, region, -1)
+
+    def test_corpus_regions_cast_near_integer_votes(self, small_corpus):
+        # an X = 0 pair has the integer root Y = 0, where the float vote at
+        # m = 2 mod 8 rounds half to even and the integer vote rounds up
+        moves = [near_integer_moves(region_points(edges, region), region, sign)
+                 for edges, region, sign in list(image_lid_cases(small_corpus))[:4]]
+        assert min(moves) > 0
 
 
 class TestNoiseMaskMatchesFullFrameOracle:

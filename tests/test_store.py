@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irisfuse.euler import mahalanobis
+from irisfuse.euler import EulerCode, mahalanobis
 from irisfuse.fusion import FusionPolicy, ScoreRange
 from irisfuse.gasel import Chromosome, FeaturePool, RawFeatureVector, match_subset
 from irisfuse.segmentation import SegmentationError
 from irisfuse.imaging import BinaryImage, GrayImage
 from irisfuse.pipeline import PipelineConfig
 from irisfuse.store import (
+    _RANGE_PAIR_CAP,
     EnrollmentRecord,
     Gallery,
     GalleryFormatError,
@@ -26,7 +27,7 @@ from irisfuse.store import (
     with_selection,
 )
 from irisfuse.synth import build_corpus
-from irisfuse.zerocross import ZeroCrossTemplate, match as zc_match
+from irisfuse.zerocross import ZeroCrossTemplate, match as zc_match, shifted
 
 from oracles import recalibrate_worst
 
@@ -167,6 +168,25 @@ class TestRangesMatchTheFormerFit:
         for g in galleries:
             assert_oracle_fit(with_selection(g, pool, chromosome))
             assert_oracle_fit(with_selection(g, pool, chromosome, PipelineConfig(max_shift=2)), 2)
+
+    def test_strided_pairs_of_a_large_gallery(self, galleries):
+        # 30 records give 435 cross pairs, past the 300-pair cap, so every
+        # second pair is fitted; each record is a base record with a shifted
+        # template, a rolled feature vector and an offset Euler code
+        base = galleries[-1].records
+        records = []
+        for i in range(30):
+            rec = base[i % len(base)]
+            lap = i // len(base)
+            records.append(EnrollmentRecord(
+                f"copy-{i}", shifted(rec.template, 3 * lap),
+                EulerCode(tuple(e + lap * (k + 1) for k, e in enumerate(rec.euler.e))),
+                RawFeatureVector(np.roll(rec.features.values, 5 * i), np.roll(rec.features.valid, 5 * i))))
+        g = replace(galleries[-1], records=tuple(records))
+        assert len(records) * (len(records) - 1) // 2 > _RANGE_PAIR_CAP
+        for selection in [(g.pool, g.chromosome), (FeaturePool((3, 9, 40)), Chromosome(np.ones(3, np.uint8)))]:
+            assert_oracle_fit(with_selection(g, *selection))
+            assert_oracle_fit(with_selection(g, *selection, PipelineConfig(max_shift=2)), 2)
 
     def test_incomparable_templates_and_features(self, galleries):
         # a fully masked template and a record with one valid feature make
