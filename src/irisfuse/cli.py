@@ -21,7 +21,7 @@ import numpy as np
 
 from . import store
 from .config import RunConfig, load_config
-from .evaluation import compute_metrics, report_csv, roc_pgm, run_trials
+from .evaluation import compute_metrics, error_rates, report_csv, roc_pgm, run_trials
 from .fusion import ALGORITHMS
 from .gasel import (
     build_pool,
@@ -218,7 +218,8 @@ def cmd_evaluate(args) -> int:
         gallery = store.load(Path(args.gallery))
         selection = (gallery.pool, gallery.chromosome)
 
-    outcome = run_trials(corpus, cfg.pipeline(), cfg.fusion_policy(), selection)
+    policy = cfg.fusion_policy()
+    outcome = run_trials(corpus, cfg.pipeline(), policy, selection)
 
     out.mkdir(parents=True, exist_ok=True)
     summary = []
@@ -227,7 +228,9 @@ def cmd_evaluate(args) -> int:
         report = compute_metrics(trials)
         (out / f"{name}.csv").write_text(report_csv(report))
         _atomic_write(out / f"roc_{name}.pgm", save_pgm(roc_pgm(report)))
-        summary.append(f"{name} EER {report.eer:.6f} at threshold {report.eer_threshold:.6f}")
+        far, frr = error_rates(trials, policy.threshold)
+        summary.append(f"{name} EER {report.eer:.6f} at threshold {report.eer_threshold:.6f}; "
+                       f"FAR {far:.6f} FRR {frr:.6f} at fusion_threshold {policy.threshold:.6f}")
     summary.append(f"failures {outcome.failures} of {len(corpus.records)} images")
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     (out / "effective_config.txt").write_text(cfg.to_text())

@@ -57,7 +57,7 @@ class CovarianceModel:
             raise ValueError(f"covariance must be {MSB_PLANES}x{MSB_PLANES}, got {S.shape}")
         if not np.allclose(S, S.T, atol=1e-9):
             raise ValueError("covariance matrix must be symmetric")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("regularization epsilon must be positive")
         S = (S + S.T) / 2.0
         S.setflags(write=False)

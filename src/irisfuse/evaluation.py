@@ -6,7 +6,8 @@ subsample of cross-identity pairs) with each matcher's pair-list kernel;
 the score ranges are ``fit_ranges`` of those trials, and normalization and
 fusion work on whole score arrays.
 ``compute_metrics`` sweeps a threshold grid to produce FAR/FRR curves, the
-equal error rate, and ROC points.
+equal error rate, and ROC points from ``error_rates``, which gives FAR and
+FRR at any threshold under ``decide``'s inclusive rule.
 """
 
 from __future__ import annotations
@@ -119,27 +120,31 @@ def run_trials(
     scores = normalize_distances(raw, fit_ranges(raw))  # each matcher spans [0, 1] over the trials
     fused = fuse(scores, policy)
     g = len(genuine)
-    per_algorithm = {s.algorithm: TrialSet(s.value[:g], s.value[g:]) for s in scores}
+    per_algorithm = {a: TrialSet(s[:g], s[g:]) for a, s in scores.items()}
     return TrialOutcome(per_algorithm, TrialSet(fused[:g], fused[g:]), len(ids), failures)
+
+
+def error_rates(trials: TrialSet, thresholds):
+    """FAR (imposter scores >= t) and FRR (genuine scores < t) at a threshold or array of them."""
+    genuine = np.sort(trials.genuine)
+    imposter = np.sort(trials.imposter)
+    if len(genuine) == 0 or len(imposter) == 0:
+        raise ValueError("both genuine and imposter score lists must be nonempty")
+    far = 1.0 - np.searchsorted(imposter, thresholds, side="left") / len(imposter)
+    frr = np.searchsorted(genuine, thresholds, side="left") / len(genuine)
+    return far, frr
 
 
 def compute_metrics(trials: TrialSet, threshold_count: int = 201) -> EvalReport:
     """FAR/FRR curves over an even threshold grid and the equal error rate.
 
-    FAR(t) counts imposter scores >= t, FRR(t) genuine scores < t; the EER
-    is the midpoint of the two rates at the threshold minimizing their gap
-    (first such threshold on ties).
+    The EER is the midpoint of the two ``error_rates`` at the threshold
+    minimizing their gap (first such threshold on ties).
     """
-    genuine = np.sort(np.asarray(trials.genuine, dtype=np.float64))
-    imposter = np.sort(np.asarray(trials.imposter, dtype=np.float64))
-    if len(genuine) == 0 or len(imposter) == 0:
-        raise ValueError("both genuine and imposter score lists must be nonempty")
     if threshold_count < 2:
         raise ValueError("need at least 2 thresholds")
-
     thresholds = np.linspace(0.0, 1.0, threshold_count)
-    far = 1.0 - np.searchsorted(imposter, thresholds, side="left") / len(imposter)
-    frr = np.searchsorted(genuine, thresholds, side="left") / len(genuine)
+    far, frr = error_rates(trials, thresholds)
     best = int(np.argmin(np.abs(far - frr)))
     eer = float((far[best] + frr[best]) / 2.0)
     return EvalReport(thresholds, far, frr, eer, float(thresholds[best]))

@@ -1,62 +1,34 @@
 """Score normalization, rule-based fusion, and the accept/reject decision.
 
-Raw matcher outputs have mixed polarity (Hamming and Mahalanobis are
-distances, smaller = better), so every score is first mapped onto a common
-[0, 1] similarity scale via clamped min-max normalization with a polarity
-flip for distances.  Fusion then combines the three per-algorithm scores
-with a simple rule; the final decision accepts when the fused score reaches
-the threshold (boundary inclusive).  ``normalize`` and ``fuse`` take a scalar
-score or a whole array of scores per algorithm and apply the same
-element-wise arithmetic to either.
+Scores are plain floats or numpy arrays in dicts keyed by algorithm name.
+Every matcher reports a distance (Hamming and Mahalanobis, smaller = better),
+so each distance is mapped onto a common [0, 1] similarity scale by clamped
+min-max normalization over a finite range, flipped so higher = more genuine.
+Fusion then combines the three per-algorithm similarities with a simple
+rule; the final decision accepts when the fused score reaches the threshold
+(boundary inclusive).  ``normalize`` and ``fuse`` take a scalar or a whole
+array per algorithm and apply the same element-wise arithmetic to either.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 ALGORITHMS = ("zerocross", "euler", "gasel")
 FUSION_RULES = ("sum-average", "min", "max", "weighted")
-POLARITIES = ("distance", "similarity")
-
-
-@dataclass(frozen=True)
-class MatchScore:
-    algorithm: str
-    raw: float | np.ndarray
-    polarity: str
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.polarity not in POLARITIES:
-            raise ValueError(f"polarity must be one of {POLARITIES}")
-        if not np.all(np.isfinite(self.raw)):
-            raise ValueError("raw score must be finite")
 
 
 @dataclass(frozen=True)
 class ScoreRange:
-    algorithm: str
     min: float
     max: float
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not (self.min < self.max):
-            raise ValueError(f"score range needs min < max, got [{self.min}, {self.max}]")
-
-
-@dataclass(frozen=True)
-class NormalizedScore:
-    algorithm: str
-    value: float | np.ndarray
-
-    def __post_init__(self):
-        if not np.all((self.value >= 0.0) & (self.value <= 1.0)):
-            raise ValueError(f"normalized score {self.value} outside [0, 1]")
+        if not (math.isfinite(self.min) and math.isfinite(self.max) and self.min < self.max):
+            raise ValueError(f"score range needs finite min < max, got [{self.min}, {self.max}]")
 
 
 DEFAULT_THRESHOLD = 0.42
@@ -100,42 +72,22 @@ def fit_ranges(raw: dict) -> dict[str, ScoreRange]:
     evidence; a range that collapses to a point widens to [lo, lo + 1].
     """
     bounds = {a: (float(np.nanmin(raw[a])), float(np.nanmax(raw[a]))) for a in ALGORITHMS}
-    return {a: ScoreRange(a, lo, hi if hi > lo else lo + 1.0) for a, (lo, hi) in bounds.items()}
+    return {a: ScoreRange(lo, hi if hi > lo else lo + 1.0) for a, (lo, hi) in bounds.items()}
 
 
-def normalize(score: MatchScore, score_range: ScoreRange) -> NormalizedScore:
-    """Clamped min-max mapping onto [0, 1], flipped so higher = more genuine."""
-    if score.algorithm != score_range.algorithm:
-        raise ValueError(
-            f"score is for {score.algorithm!r} but range is for {score_range.algorithm!r}"
-        )
-    s = np.clip((score.raw - score_range.min) / (score_range.max - score_range.min), 0.0, 1.0)
-    if score.polarity == "distance":
-        s = 1.0 - s
-    return NormalizedScore(score.algorithm, s)
+def normalize(distance, score_range: ScoreRange) -> float | np.ndarray:
+    """Clamped min-max mapping of a distance onto [0, 1], flipped so higher = more genuine."""
+    return 1.0 - np.clip((distance - score_range.min) / (score_range.max - score_range.min), 0.0, 1.0)
 
 
-def normalize_distances(raw: dict, ranges: dict[str, ScoreRange]) -> list[NormalizedScore]:
-    """Similarities of one raw distance (or distance array) per algorithm.
-
-    Every matcher reports a distance, so this is the one place that fixes
-    their polarity.
-    """
-    return [normalize(MatchScore(a, raw[a], "distance"), ranges[a]) for a in ALGORITHMS]
+def normalize_distances(raw: dict, ranges: dict[str, ScoreRange]) -> dict:
+    """Similarities of one raw distance (or distance array) per algorithm."""
+    return {a: normalize(raw[a], ranges[a]) for a in ALGORITHMS}
 
 
-def fuse(scores, policy: FusionPolicy) -> float | np.ndarray:
-    """Combine exactly one normalized score (or score array) per algorithm."""
-    by_algo = {}
-    for s in scores:
-        if s.algorithm in by_algo:
-            raise ValueError(f"duplicate score for algorithm {s.algorithm!r}")
-        by_algo[s.algorithm] = s.value
-    missing = [a for a in ALGORITHMS if a not in by_algo]
-    if missing:
-        raise ValueError(f"missing scores for: {', '.join(missing)}")
-    vals = [by_algo[a] for a in ALGORITHMS]
-
+def fuse(scores: dict, policy: FusionPolicy) -> float | np.ndarray:
+    """Combine the normalized score (or score array) of every algorithm (Ross & Jain, 2003)."""
+    vals = [scores[a] for a in ALGORITHMS]
     if policy.rule == "sum-average":
         return sum(vals) / len(vals)
     if policy.rule == "min":

@@ -322,7 +322,7 @@ def _parse(r: _Reader) -> Gallery:
             algo = ALGORITHMS[algo_id]
         except IndexError:
             raise GalleryFormatError(f"unknown algorithm id {algo_id}") from None
-        ranges[algo] = ScoreRange(algo, lo, hi)
+        ranges[algo] = ScoreRange(lo, hi)
 
     records = []
     for _ in range(count):

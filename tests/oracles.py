@@ -593,7 +593,7 @@ def trial_ranges(raw):
     ranges = {}
     for algo, d in raw.items():
         lo, hi = float(d.min()), float(d.max())
-        ranges[algo] = ScoreRange(algo, lo, hi if hi > lo else lo + 1.0)
+        ranges[algo] = ScoreRange(lo, hi if hi > lo else lo + 1.0)
     return ranges
 
 
@@ -610,7 +610,7 @@ def recalibrate_worst(records, pool, chromosome, max_shift):
     to keep repeated enrollment affordable.
     """
     if len(records) < 2:
-        return CovarianceModel(np.eye(4), 1.0), {a: ScoreRange(a, 0.0, 1.0) for a in ALGORITHMS}
+        return CovarianceModel(np.eye(4), 1.0), {a: ScoreRange(0.0, 1.0) for a in ALGORITHMS}
     model = calibrated_covariance([r.euler for r in records])
 
     first, second = np.triu_indices(len(records), k=1)
@@ -627,7 +627,7 @@ def recalibrate_worst(records, pool, chromosome, max_shift):
     worst["euler"] = float(mahalanobis_rows(codes[first] - codes[second], model).max())
     gasel = match_pairs([r.features for r in records], first, second, chromosome, pool)
     worst["gasel"] = float(np.nanmax(gasel, initial=0.0))  # NaN: no jointly valid feature
-    ranges = {a: ScoreRange(a, 0.0, worst[a] if worst[a] > 0 else 1.0) for a in ALGORITHMS}
+    ranges = {a: ScoreRange(0.0, worst[a] if worst[a] > 0 else 1.0) for a in ALGORITHMS}
     return model, ranges
 
 
@@ -642,7 +642,7 @@ def worst_ranges(raw):
             worst["zerocross"] = max(worst["zerocross"], d)
     worst["euler"] = float(raw["euler"].max())
     worst["gasel"] = float(np.nanmax(raw["gasel"], initial=0.0))  # NaN: no jointly valid feature
-    return {a: ScoreRange(a, 0.0, worst[a] if worst[a] > 0 else 1.0) for a in ALGORITHMS}
+    return {a: ScoreRange(0.0, worst[a] if worst[a] > 0 else 1.0) for a in ALGORITHMS}
 
 
 def encode_inline(polar, scales=(2, 4)):

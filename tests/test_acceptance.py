@@ -9,7 +9,7 @@ import pytest
 
 from irisfuse.euler import CovarianceModel, EulerCode, euler_number, mahalanobis
 from irisfuse.evaluation import compute_metrics, report_csv, run_trials
-from irisfuse.fusion import FusionPolicy, MatchScore, NormalizedScore, ScoreRange, decide, fuse, normalize
+from irisfuse.fusion import ALGORITHMS, FusionPolicy, ScoreRange, decide, fuse, normalize
 from irisfuse.gasel import FeaturePool, GaConfig, ga_select, roulette_select
 from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, rubber_sheet
@@ -202,14 +202,12 @@ def test_c08_ga_planted_subset_recovery():
 
 
 def test_c09_fusion_chain():
-    s = normalize(MatchScore("gasel", 50.0, "similarity"), ScoreRange("gasel", 0.0, 100.0))
-    assert s.value == 0.5
+    assert normalize(50.0, ScoreRange(0.0, 100.0)) == 0.5  # 1 - 50 / 100
 
     rng = np.random.default_rng(909)
     for _ in range(200):
         a, b, c = rng.random(3)
-        scores = [NormalizedScore("zerocross", a), NormalizedScore("euler", b),
-                  NormalizedScore("gasel", c)]
+        scores = dict(zip(ALGORITHMS, (a, b, c)))
         lo = fuse(scores, FusionPolicy("min"))
         mid = fuse(scores, FusionPolicy("sum-average"))
         hi = fuse(scores, FusionPolicy("max"))

@@ -1,5 +1,8 @@
 import hashlib
+import re
 import shutil
+import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -148,6 +151,25 @@ class TestEnrollVerify:
         assert rc == 1
         assert "REJECT" in capsys.readouterr().out
 
+    def test_verify_against_an_infinite_range_exits_2(self, gallery_path, corpus_dir, tmp_path, capsys):
+        # a zerocross range of [0, inf] maps every zerocross distance to
+        # similarity 1, which lifts this imposter claim from fused 0.198 to 0.529
+        image = str(sorted(corpus_dir.glob("eye_001_*.pgm"))[0])
+        assert main(["verify", "--gallery", str(gallery_path), "--id", "person-0", image]) == 1
+        r = store.load(gallery_path).score_ranges["zerocross"]
+        data = gallery_path.read_bytes()[:-4]
+        old = struct.pack("<Bdd", 0, r.min, r.max)
+        assert data.count(old) == 1
+        data = data.replace(old, struct.pack("<Bdd", 0, 0.0, float("inf")))
+        path = tmp_path / "infinite.irf"
+        path.write_bytes(data + struct.pack("<I", zlib.crc32(data) & 0xFFFFFFFF))
+        capsys.readouterr()
+        rc = main(["verify", "--gallery", str(path), "--id", "person-0", image])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "invalid gallery contents: score range needs finite min < max" in captured.err
+        assert "ACCEPT" not in captured.out
+
     def test_verify_with_nothing_jointly_valid_exits_1(self, gallery_path, corpus_dir, tmp_path, capsys):
         gallery = store.load(gallery_path)
         records = []
@@ -260,6 +282,9 @@ class TestEvaluate:
         assert rc == 0
         summary = (out / "summary.txt").read_text().splitlines()
         assert len(summary) == 5  # three algorithms + fused, then the failure count
+        for name, line in zip(("zerocross", "euler", "gasel", "fused"), summary):
+            assert re.fullmatch(rf"{name} EER \d\.\d{{6}} at threshold \d\.\d{{6}}; "
+                                r"FAR \d\.\d{6} FRR \d\.\d{6} at fusion_threshold 0\.420000", line), line
         assert summary[-1] == "failures 0 of 9 images"
         assert capsys.readouterr().out.splitlines() == summary
         for name in ("zerocross", "euler", "gasel", "fused"):
@@ -414,6 +439,18 @@ class TestConfigIntegration:
         rc = main(["synth", "--identities", "2", "--samples", "2", "--out", str(out)])
         assert rc == 0
         assert "rng_seed = 13" in (out / "effective_config.txt").read_text()
+
+    def test_evaluate_under_the_weighted_rule(self, tmp_path):
+        cfg = tmp_path / "weighted.cfg"
+        cfg.write_text("fusion_rule = weighted\nfusion_weights = 0.5,0.25,0.25\n")
+        out = tmp_path / "eval"
+        rc = main(["--config", str(cfg), "evaluate", "--identities", "3", "--samples", "3",
+                   "--seed", "11", "--out", str(out)])
+        assert rc == 0
+        effective = (out / "effective_config.txt").read_text().splitlines()
+        assert "fusion_rule = weighted" in effective
+        assert "fusion_weights = 0.5,0.25,0.25" in effective
+        assert (out / "fused.csv").exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -6,11 +6,12 @@ from irisfuse.evaluation import (
     TrialSet,
     compute_metrics,
     default_selection,
+    error_rates,
     report_csv,
     roc_pgm,
     run_trials,
 )
-from irisfuse.fusion import ALGORITHMS, FusionPolicy, ScoreRange, fuse, normalize_distances
+from irisfuse.fusion import ALGORITHMS, FUSION_RULES, FusionPolicy, ScoreRange, decide, fuse, normalize_distances
 from irisfuse.gasel import Chromosome, FeaturePool, match_subset
 from irisfuse.imaging import GrayImage
 from irisfuse.normalization import IncomparableError
@@ -75,6 +76,20 @@ class TestComputeMetrics:
         with pytest.raises(ValueError):
             compute_metrics(TrialSet(np.array([]), np.array([0.5])))
 
+    def test_rates_at_one_threshold_equal_the_grid_curves(self):
+        # scores on the grid itself exercise the inclusive boundary
+        rng = np.random.default_rng(8)
+        grid = np.linspace(0.0, 1.0, 201)
+        ts = TrialSet(np.concatenate([rng.beta(6, 2, 70), rng.choice(grid, 30)]),
+                      np.concatenate([rng.beta(2, 6, 90), rng.choice(grid, 30)]))
+        rep = compute_metrics(ts)
+        for k in (0, 1, 84, 100, 137, 200):
+            t = float(rep.thresholds[k])
+            far, frr = error_rates(ts, t)
+            assert (far, frr) == (rep.far[k], rep.frr[k])
+            assert far == pytest.approx(np.mean([decide(s, t).accepted for s in ts.imposter]), abs=1e-12)
+            assert frr == pytest.approx(np.mean([not decide(s, t).accepted for s in ts.genuine]), abs=1e-12)
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -130,12 +145,20 @@ class TestRunTrials:
             raw["zerocross"][k] = zc_match(a.template, b.template)
             raw["euler"][k] = mahalanobis(euler_code(a.polar, cm), euler_code(b.polar, cm), model)
             raw["gasel"][k] = match_subset(a.raw, b.raw, chromosome, pool)
-        ranges = {a: ScoreRange(a, raw[a].min(), raw[a].max()) for a in ALGORITHMS}
+        ranges = {a: ScoreRange(raw[a].min(), raw[a].max()) for a in ALGORITHMS}
         scores = normalize_distances(raw, ranges)
-        want = {s.algorithm: s.value for s in scores} | {"fused": fuse(scores, FusionPolicy())}
+        want = scores | {"fused": fuse(scores, FusionPolicy())}
         got = {a: outcome.per_algorithm[a] for a in ALGORITHMS} | {"fused": outcome.fused}
         for name, trials in got.items():
             assert np.array_equal(np.concatenate([trials.genuine, trials.imposter]), want[name]), name
+
+    @pytest.mark.parametrize("rule", FUSION_RULES)
+    def test_fused_stream_is_the_fusion_of_its_own_streams(self, corpus, rule):
+        policy = FusionPolicy(rule, weights=(0.5, 0.25, 0.25) if rule == "weighted" else None)
+        got = run_trials(corpus, policy=policy)
+        streams = {a: np.concatenate([t.genuine, t.imposter]) for a, t in got.per_algorithm.items()}
+        fused = np.concatenate([got.fused.genuine, got.fused.imposter])
+        assert fused.tobytes() == fuse(streams, policy).tobytes()
 
     def test_pair_with_no_jointly_valid_feature_raises(self, corpus):
         features, _ = process_images([r.image for r in corpus.records], PipelineConfig())

@@ -5,10 +5,7 @@ import pytest
 
 from irisfuse.fusion import (
     ALGORITHMS,
-    POLARITIES,
     FusionPolicy,
-    MatchScore,
-    NormalizedScore,
     ScoreRange,
     decide,
     fit_ranges,
@@ -21,78 +18,48 @@ from oracles import trial_ranges, worst_ranges
 
 
 def triple(a, b, c):
-    return [
-        NormalizedScore("zerocross", a),
-        NormalizedScore("euler", b),
-        NormalizedScore("gasel", c),
-    ]
+    return dict(zip(ALGORITHMS, (a, b, c)))
 
 
 class TestNormalize:
     def test_divide_by_100_example(self):
-        s = normalize(MatchScore("gasel", 50.0, "similarity"), ScoreRange("gasel", 0.0, 100.0))
-        assert s.value == 0.5
+        assert normalize(50.0, ScoreRange(0.0, 100.0)) == 0.5
 
     def test_zero_distance_is_perfect_similarity(self):
-        s = normalize(MatchScore("zerocross", 0.0, "distance"), ScoreRange("zerocross", 0.0, 1.0))
-        assert s.value == 1.0
+        assert normalize(0.0, ScoreRange(0.0, 1.0)) == 1.0
 
     def test_overrange_clamped(self):
-        s = normalize(MatchScore("gasel", 120.0, "similarity"), ScoreRange("gasel", 0.0, 100.0))
-        assert s.value == 1.0
-        d = normalize(MatchScore("gasel", 120.0, "distance"), ScoreRange("gasel", 0.0, 100.0))
-        assert d.value == 0.0
+        assert normalize(120.0, ScoreRange(0.0, 100.0)) == 0.0
+        assert normalize(-20.0, ScoreRange(0.0, 100.0)) == 1.0
 
     def test_monotone_similarity_and_antitone_distance(self):
-        r = ScoreRange("euler", 0.0, 10.0)
-        sims = [normalize(MatchScore("euler", v, "similarity"), r).value for v in (1, 3, 7, 9)]
+        r = ScoreRange(0.0, 10.0)
+        sims = [normalize(v, r) for v in (9, 7, 3, 1)]
         assert sims == sorted(sims)
-        dists = [normalize(MatchScore("euler", v, "distance"), r).value for v in (1, 3, 7, 9)]
-        assert dists == sorted(dists, reverse=True)
-
-    def test_algorithm_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            normalize(MatchScore("euler", 1.0, "distance"), ScoreRange("gasel", 0.0, 1.0))
+        assert len(set(sims)) == 4
 
     def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError):
-            ScoreRange("euler", 1.0, 1.0)
+        for lo, hi in [(1.0, 1.0), (2.0, 1.0), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)]:
+            with pytest.raises(ValueError, match="finite min < max"):
+                ScoreRange(lo, hi)
 
     def test_array_equals_elementwise_scalar_calls(self):
         rng = np.random.default_rng(17)
         raws = np.concatenate([rng.uniform(-5.0, 15.0, 200), [0.0, 10.0, -0.0, 2.5, 1e-300]])
-        r = ScoreRange("euler", 0.0, 10.0)
-        for polarity in POLARITIES:
-            whole = normalize(MatchScore("euler", raws, polarity), r)
-            each = [normalize(MatchScore("euler", float(v), polarity), r).value for v in raws]
-            assert whole.algorithm == "euler"
-            assert whole.value.tobytes() == np.array(each).tobytes()
-
-    def test_non_finite_raw_rejected_in_array(self):
-        raws = np.array([0.1, 0.2, np.nan])
-        with pytest.raises(ValueError, match="finite"):
-            MatchScore("gasel", raws, "distance")
-        with pytest.raises(ValueError, match="finite"):
-            MatchScore("gasel", np.array([np.inf]), "distance")
+        r = ScoreRange(0.0, 10.0)
+        whole = normalize(raws, r)
+        each = [normalize(float(v), r) for v in raws]
+        assert whole.tobytes() == np.array(each).tobytes()
 
     def test_distances_map_to_flipped_similarities_per_algorithm(self):
-        ranges = {a: ScoreRange(a, 0.0, hi) for a, hi in zip(ALGORITHMS, (0.5, 4.0, 1.0))}
+        ranges = {a: ScoreRange(0.0, hi) for a, hi in zip(ALGORITHMS, (0.5, 4.0, 1.0))}
         raw = {"euler": np.array([0.0, 2.0, 9.0]), "zerocross": 0.25, "gasel": np.array([0.1])}
         scores = normalize_distances(raw, ranges)
-        assert [s.algorithm for s in scores] == list(ALGORITHMS)
-        assert scores[0].value == 0.5
-        assert np.array_equal(scores[1].value, [1.0, 0.5, 0.0])
-        for s in scores:
-            want = normalize(MatchScore(s.algorithm, raw[s.algorithm], "distance"), ranges[s.algorithm])
-            assert np.asarray(s.value).tobytes() == np.asarray(want.value).tobytes()
-
-    def test_normalized_score_rejects_one_out_of_range_element(self):
-        NormalizedScore("gasel", np.array([0.0, 0.5, 1.0]))
-        for bad in (1.0000001, -1e-12, np.nan):
-            with pytest.raises(ValueError):
-                NormalizedScore("gasel", np.array([0.0, 0.5, bad, 1.0]))
-            with pytest.raises(ValueError):
-                NormalizedScore("gasel", bad)
+        assert list(scores) == list(ALGORITHMS)
+        assert scores["zerocross"] == 0.5
+        assert np.array_equal(scores["euler"], [1.0, 0.5, 0.0])
+        for a, s in scores.items():
+            assert np.asarray(s).tobytes() == np.asarray(normalize(raw[a], ranges[a])).tobytes()
 
 
 class TestFuse:
@@ -110,7 +77,7 @@ class TestFuse:
             w = [0.0, 0.0, 0.0]
             w[i] = 1.0
             value = fuse(scores, FusionPolicy("weighted", weights=tuple(w)))
-            assert value == pytest.approx(scores[i].value)
+            assert value == pytest.approx(scores[algo])
 
     def test_order_consistency(self):
         rng = np.random.default_rng(0)
@@ -123,13 +90,9 @@ class TestFuse:
             assert lo <= mid <= hi
 
     def test_missing_algorithm_rejected(self):
-        scores = triple(0.1, 0.2, 0.3)[:2]
-        with pytest.raises(ValueError, match="missing"):
-            fuse(scores, FusionPolicy())
-
-    def test_duplicate_algorithm_rejected(self):
-        scores = triple(0.1, 0.2, 0.3) + [NormalizedScore("euler", 0.5)]
-        with pytest.raises(ValueError, match="duplicate"):
+        scores = triple(0.1, 0.2, 0.3)
+        del scores["gasel"]
+        with pytest.raises(KeyError, match="gasel"):
             fuse(scores, FusionPolicy())
 
     def test_array_equals_elementwise_scalar_calls(self):
@@ -183,7 +146,7 @@ class TestDecide:
 
 def range_bytes(ranges):
     """Each range's bounds as little-endian f64 bytes, so -0.0 != 0.0."""
-    return {a: (r.algorithm, struct.pack("<dd", r.min, r.max)) for a, r in ranges.items()}
+    return {a: struct.pack("<dd", r.min, r.max) for a, r in ranges.items()}
 
 
 def distance_arrays(rng, n):
@@ -233,5 +196,5 @@ class TestFitRanges:
             assert range_bytes(got) == range_bytes(worst_ranges(raw))
 
     def test_single_genuine_zero_is_the_unit_range(self):
-        want = {a: ScoreRange(a, 0.0, 1.0) for a in ALGORITHMS}
+        want = {a: ScoreRange(0.0, 1.0) for a in ALGORITHMS}
         assert range_bytes(fit_ranges(dict.fromkeys(ALGORITHMS, 0.0))) == range_bytes(want)

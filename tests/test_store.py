@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irisfuse.euler import EulerCode, mahalanobis
-from irisfuse.fusion import FusionPolicy, ScoreRange
+from irisfuse.fusion import FUSION_RULES, FusionPolicy, ScoreRange, decide, fuse, normalize_distances
 from irisfuse.gasel import Chromosome, FeaturePool, RawFeatureVector, match_subset
 from irisfuse.segmentation import SegmentationError
 from irisfuse.imaging import BinaryImage, GrayImage
@@ -135,7 +135,7 @@ class TestEnroll:
 
 
 def range_bytes(ranges):
-    return {a: (r.algorithm, struct.pack("<dd", r.min, r.max)) for a, r in ranges.items()}
+    return {a: struct.pack("<dd", r.min, r.max) for a, r in ranges.items()}
 
 
 def assert_oracle_fit(g: Gallery, max_shift: int = PipelineConfig().max_shift):
@@ -204,7 +204,7 @@ class TestRangesMatchTheFormerFit:
                               Chromosome(np.ones(1, np.uint8)))
         assert_oracle_fit(pair)
         for algo in ("zerocross", "gasel"):  # no comparable imposter pair
-            assert pair.score_ranges[algo] == ScoreRange(algo, 0.0, 1.0)
+            assert pair.score_ranges[algo] == ScoreRange(0.0, 1.0)
 
 
 class TestPersistence:
@@ -297,7 +297,8 @@ class TestPersistence:
             load(path)
 
 
-    @pytest.mark.parametrize("mutation", ["non-PD covariance", "NaN range", "bad UTF-8 id",
+    @pytest.mark.parametrize("mutation", ["non-PD covariance", "NaN epsilon", "NaN range",
+                                          "[0, inf] range", "[-inf, 1] range", "bad UTF-8 id",
                                           "duplicate id"])
     def test_invalid_contents_are_format_errors(self, gallery, tmp_path, mutation):
         path = tmp_path / "bad.irf"
@@ -309,8 +310,14 @@ class TestPersistence:
         ranges = covariance + 17 * 8 + 2 + 2 * pool + (pool + 7) // 8
         if mutation == "non-PD covariance":
             data[covariance:covariance + 8] = struct.pack("<d", -5.0)  # S[0, 0]
+        elif mutation == "NaN epsilon":
+            data[covariance + 16 * 8:covariance + 17 * 8] = struct.pack("<d", float("nan"))
         elif mutation == "NaN range":
             data[ranges + 1:ranges + 9] = struct.pack("<d", float("nan"))
+        elif mutation == "[0, inf] range":
+            data[ranges + 1:ranges + 17] = struct.pack("<dd", 0.0, float("inf"))
+        elif mutation == "[-inf, 1] range":
+            data[ranges + 1:ranges + 17] = struct.pack("<dd", float("-inf"), 1.0)
         elif mutation == "bad UTF-8 id":
             data[data.find(b"person-0")] = 0xFF
         else:
@@ -357,6 +364,16 @@ class TestVerify:
                 decision, _, _ = verify(gallery, f"person-{ident}", r.image, FusionPolicy())
                 outcomes.append(decision.accepted)
         assert np.mean(outcomes) <= 0.05  # >= 95% of imposter claims rejected
+
+    @pytest.mark.parametrize("rule", FUSION_RULES)
+    def test_fused_score_is_the_fusion_of_the_returned_distances(self, gallery, corpus, rule):
+        policy = FusionPolicy(rule, weights=(0.5, 0.25, 0.25) if rule == "weighted" else None)
+        for r in corpus.records[::4]:
+            for ident in range(4):
+                decision, raw, fused = verify(gallery, f"person-{ident}", r.image, policy)
+                want = fuse(normalize_distances(raw, gallery.score_ranges), policy)
+                assert np.float64(fused).tobytes() == np.float64(want).tobytes()
+                assert decision == decide(want, policy.threshold)
 
     def test_unknown_id_rejected(self, gallery, corpus):
         with pytest.raises(KeyError):
