@@ -3,10 +3,10 @@
 The Euler number of a binary image is its count of connected components
 minus its count of holes; foreground uses 8-connectivity, background
 4-connectivity (the standard complementary pair), and a hole is a
-background component that never reaches the image border.  A 4-tuple of
-Euler numbers over the b7..b4 planes of the masked polar image forms the
-code; codes compare under Mahalanobis distance with a covariance estimated
-over the enrolled population (regularized to stay positive-definite).
+background component that never reaches the image border.  The code, a
+read-only (4,) int64 array, holds the Euler numbers of the b7..b4 planes of
+the masked polar image; codes compare under Mahalanobis distance with a
+covariance over the enrolled population (regularized to stay positive-definite).
 
 Euler numbers come from Gray's (1971) bit-quad counts, E = (Q1 - Q3 -
 2*QD) / 4 over the 2x2 quads of the zero-padded plane (Q1, Q3: one or three
@@ -28,22 +28,6 @@ from .imaging import BinaryImage
 from .normalization import PolarIris
 
 MSB_PLANES = 4
-
-
-@dataclass(frozen=True)
-class EulerCode:
-    """Euler numbers of the (b7, b6, b5, b4) planes, in that order."""
-
-    e: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        vals = tuple(int(v) for v in self.e)
-        if len(vals) != MSB_PLANES:
-            raise ValueError(f"Euler code needs {MSB_PLANES} components, got {len(vals)}")
-        object.__setattr__(self, "e", vals)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.e, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -84,15 +68,17 @@ def common_mask(ma: BinaryImage, mb: BinaryImage) -> BinaryImage:
     return BinaryImage(ma.bits | mb.bits)
 
 
-def euler_code(polar: PolarIris, cm: BinaryImage) -> EulerCode:
-    """Euler numbers of the four MSB planes of the masked polar image.
+def euler_code(polar: PolarIris, cm: BinaryImage) -> np.ndarray:
+    """Euler numbers of the (b7, b6, b5, b4) planes of the masked polar image.
 
     Invalid pixels are zeroed before plane decomposition; zeroing can alter
     topology right at mask borders, an accepted approximation.
     """
     if cm.bits.shape != polar.intensities.shape:
         raise ValueError("common mask must be congruent with the polar image")
-    return EulerCode(tuple(_plane_euler(polar.intensities * (cm.bits ^ 1))[:MSB_PLANES]))
+    code = _plane_euler(polar.intensities * (cm.bits ^ 1))[:MSB_PLANES]
+    code.setflags(write=False)
+    return code
 
 
 def pair_codes(a: PolarIris, b: PolarIris) -> np.ndarray:
@@ -124,7 +110,7 @@ def calibrated_covariance(codes) -> CovarianceModel:
     every code is identical, while still damping high-variance components
     relative to stable ones.
     """
-    mat = np.array([c.e for c in codes], dtype=np.float64)
+    mat = np.asarray(codes, dtype=np.float64)
     if len(mat) < 2:
         raise ValueError(f"need at least 2 codes to estimate covariance, got {len(mat)}")
     epsilon = max(1.0, float(np.mean(np.var(mat, axis=0, ddof=1))))
@@ -137,6 +123,6 @@ def mahalanobis_rows(diffs: np.ndarray, model: CovarianceModel) -> np.ndarray:
     return np.sqrt(np.vecdot(diffs, sla.cho_solve(model.cholesky, diffs.T).T))
 
 
-def mahalanobis(x: EulerCode, y: EulerCode, model: CovarianceModel) -> float:
+def mahalanobis(x: np.ndarray, y: np.ndarray, model: CovarianceModel) -> float:
     """sqrt((x-y)^T S^-1 (x-y)), solved via Cholesky rather than inversion."""
-    return float(mahalanobis_rows((x.as_array() - y.as_array())[None], model)[0])
+    return float(mahalanobis_rows(np.subtract(x, y, dtype=np.float64)[None], model)[0])

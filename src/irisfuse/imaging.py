@@ -2,9 +2,9 @@
 
 Pixel storage convention (fixed here for the whole package): row-major
 arrays with the origin at the top-left corner, x growing rightward and
-y growing downward.  All containers are immutable after construction and
-every operation is a pure function, so everything in this module is safe
-to share across threads.
+y growing downward.  Images are immutable, kernels are read-only float64
+arrays, and every operation is a pure function, so everything in this
+module is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -73,34 +73,9 @@ class BinaryImage:
         return self.bits.shape[0]
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Odd-sized convolution kernel."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.weights, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"Kernel needs a 2-D weight matrix, got shape {arr.shape}")
-        if arr.shape[0] % 2 == 0 or arr.shape[1] % 2 == 0:
-            raise ValueError(f"Kernel dimensions must be odd, got {arr.shape}")
-        if not np.any(arr):
-            raise ValueError("Kernel must have at least one nonzero weight")
-        object.__setattr__(self, "weights", _freeze(arr.copy()))
-
-    @property
-    def width(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.weights.shape[0]
-
-
 # The 3x3 cross-row smoothing operator used by the zero-crossing encoder:
 # every row is [1, 2, 1], total weight 12.
-SMOOTHING_OPERATOR = Kernel(np.array([[1, 2, 1]] * 3, dtype=np.float64))
+SMOOTHING_OPERATOR = _freeze(np.array([[1, 2, 1]] * 3, dtype=np.float64))
 
 
 def load_pgm(data: bytes) -> GrayImage:
@@ -165,17 +140,14 @@ def save_pgm(img: GrayImage) -> bytes:
     return header + img.pixels.tobytes()
 
 
-def convolve2d(arr: np.ndarray, kernel: Kernel) -> np.ndarray:
+def convolve2d(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """2-D convolution with edge-replication padding, same-size float64 output."""
-    if kernel.height > arr.shape[0] or kernel.width > arr.shape[1]:
-        raise ValueError(
-            f"kernel {kernel.height}x{kernel.width} larger than image "
-            f"{arr.shape[0]}x{arr.shape[1]}"
-        )
-    return ndimage.convolve(np.asarray(arr, dtype=np.float64), kernel.weights, mode="nearest")
+    if kernel.shape[0] > arr.shape[0] or kernel.shape[1] > arr.shape[1]:
+        raise ValueError(f"kernel {kernel.shape} larger than image {arr.shape}")
+    return ndimage.convolve(np.asarray(arr, dtype=np.float64), kernel, mode="nearest")
 
 
-def gaussian_kernel(size: int, sigma: float) -> Kernel:
+def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Sampled, normalized 2-D Gaussian; `size` must be odd."""
     if size % 2 == 0 or size < 1:
         raise ValueError(f"Gaussian kernel size must be odd and positive, got {size}")
@@ -185,4 +157,4 @@ def gaussian_kernel(size: int, sigma: float) -> Kernel:
     coords = np.arange(-half, half + 1, dtype=np.float64)
     g1 = np.exp(-(coords**2) / (2.0 * sigma**2))
     g2 = np.outer(g1, g1)
-    return Kernel(g2 / g2.sum())
+    return _freeze(g2 / g2.sum())

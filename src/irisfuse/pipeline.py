@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .euler import EulerCode, euler_code
+import numpy as np
+
+from .euler import euler_code
 from .gasel import RawFeatureVector, extract_raw
 from .imaging import BinaryImage, GrayImage
 from .normalization import PolarIris, enhance, rubber_sheet
@@ -49,7 +51,7 @@ class IrisFeatures:
     polar: PolarIris                  # guarded, un-equalized polar image (Euler path)
     enhanced: PolarIris               # equalized variant (wavelet + block features)
     template: ZeroCrossTemplate
-    own_code: EulerCode               # Euler code under the image's own mask
+    own_code: np.ndarray              # Euler code under the image's own mask
     raw: RawFeatureVector
 
 

@@ -185,10 +185,10 @@ _EDGE_SMOOTHING = gaussian_kernel(5, 1.0)
 
 def edge_gradient(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     """(d/dy, d/dx) of the image after 5x5 Gaussian smoothing, shared by all edge maps."""
-    if img.width < _EDGE_SMOOTHING.width or img.height < _EDGE_SMOOTHING.height:
+    if img.height < _EDGE_SMOOTHING.shape[0] or img.width < _EDGE_SMOOTHING.shape[1]:
         raise SegmentationError(
             f"image {img.height}x{img.width} is smaller than the "
-            f"{_EDGE_SMOOTHING.height}x{_EDGE_SMOOTHING.width} edge-smoothing kernel"
+            f"{_EDGE_SMOOTHING.shape[0]}x{_EDGE_SMOOTHING.shape[1]} edge-smoothing kernel"
         )
     return np.gradient(convolve2d(img.pixels, _EDGE_SMOOTHING), edge_order=1)
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .euler import (CovarianceModel, EulerCode, calibrated_covariance, common_mask, euler_code,
-                    mahalanobis, mahalanobis_rows)
+from .euler import (CovarianceModel, calibrated_covariance, common_mask, euler_code, mahalanobis,
+                    mahalanobis_rows)
 from .fusion import (ALGORITHMS, Decision, FusionPolicy, ScoreRange, decide, fit_ranges, fuse,
                      normalize_distances)
 from .gasel import (FEATURE_COUNT, Chromosome, FeaturePool, RawFeatureVector, default_selection,
@@ -56,7 +56,7 @@ class GalleryFormatError(ValueError):
 class EnrollmentRecord:
     identity: str
     template: ZeroCrossTemplate
-    euler: EulerCode
+    euler: np.ndarray  # read-only (4,) int64 Euler code
     features: RawFeatureVector
 
     def __post_init__(self):
@@ -109,12 +109,12 @@ def _recalibrate(
     """
     if len(records) < 2:
         return CovarianceModel(np.eye(4), 1.0), fit_ranges(dict.fromkeys(ALGORITHMS, 0.0))
-    model = calibrated_covariance([r.euler for r in records])
+    codes = np.array([r.euler for r in records], dtype=np.float64)
+    model = calibrated_covariance(codes)
 
     first, second = np.triu_indices(len(records), k=1)
     stride = -(-len(first) // _RANGE_PAIR_CAP)  # 1 up to the cap
     first, second = first[::stride], second[::stride]
-    codes = np.array([r.euler.e for r in records], dtype=np.float64)
     raw = {
         "zerocross": zc_pairs([r.template for r in records], first, second, max_shift),
         "euler": mahalanobis_rows(codes[first] - codes[second], model),
@@ -241,7 +241,7 @@ def to_bytes(gallery: Gallery) -> bytes:
         out += struct.pack("<B", rec.template.scale_count)
         out += _pack_bits(rec.template.bits)
         out += _pack_bits(rec.template.mask.bits)
-        out += np.asarray(rec.euler.e, dtype="<i4").tobytes()
+        out += np.asarray(rec.euler, dtype="<i4").tobytes()
         out += rec.features.values.astype("<f4").tobytes()
         out += _pack_bits(rec.features.valid)
 
@@ -323,19 +323,25 @@ def _parse(r: _Reader) -> Gallery:
         except IndexError:
             raise GalleryFormatError(f"unknown algorithm id {algo_id}") from None
         ranges[algo] = ScoreRange(lo, hi)
+        # a written range is [0, worst distance]; zerocross and gasel distances are fractions
+        if lo != 0.0 or (algo != "euler" and hi > 1.0):
+            raise ValueError(f"{algo} score range [{lo}, {hi}] is not [0, worst distance]")
 
     records = []
     for _ in range(count):
         (id_len,) = r.unpack("<B")
         identity = r.take(id_len).decode("utf-8")
         (scale_count,) = r.unpack("<B")
+        if scale_count < 1 or (records and scale_count != records[0].template.scale_count):
+            raise ValueError(f"record {identity!r}: {scale_count} scales (need one shared count >= 1)")
         bits = _unpack_bits(
             r.take(scale_count * _PLANE_BYTES), scale_count * POLAR_HEIGHT * POLAR_WIDTH
         ).reshape(scale_count, POLAR_HEIGHT, POLAR_WIDTH)
         mask = _unpack_bits(r.take(_PLANE_BYTES), POLAR_HEIGHT * POLAR_WIDTH).reshape(
             POLAR_HEIGHT, POLAR_WIDTH
         )
-        euler = EulerCode(tuple(int(v) for v in np.frombuffer(r.take(16), dtype="<i4")))
+        euler = np.frombuffer(r.take(16), dtype="<i4").astype(np.int64)
+        euler.setflags(write=False)
         values = np.frombuffer(r.take(FEATURE_COUNT * 4), dtype="<f4").astype(np.float64)
         valid = _unpack_bits(r.take((FEATURE_COUNT + 7) // 8), FEATURE_COUNT).astype(bool)
         records.append(

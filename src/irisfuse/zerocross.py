@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .imaging import BinaryImage, Kernel, SMOOTHING_OPERATOR, convolve2d
+from .imaging import BinaryImage, SMOOTHING_OPERATOR, convolve2d
 from .normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris, comparable
 
 VALID_SCALES = (1, 2, 4, 8)
@@ -35,7 +35,7 @@ DEFAULT_MAX_SHIFT = 8
 MAX_SHIFT = POLAR_WIDTH // 2  # wider column shifts repeat
 INCOMPARABLE = "no jointly valid bits at any shift; templates are incomparable"
 
-_G_NORMALIZED = Kernel(SMOOTHING_OPERATOR.weights / SMOOTHING_OPERATOR.weights.sum())
+_G_NORMALIZED = SMOOTHING_OPERATOR / SMOOTHING_OPERATOR.sum()
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial.distance import pdist, squareform
 
-from irisfuse.euler import MSB_PLANES, CovarianceModel, EulerCode, calibrated_covariance, mahalanobis_rows
+from irisfuse.euler import MSB_PLANES, CovarianceModel, calibrated_covariance, mahalanobis_rows
 from irisfuse.fusion import ALGORITHMS, ScoreRange
 from irisfuse.gasel import (
     _ENTROPY_BINS,
@@ -528,7 +528,7 @@ def euler_code_per_plane(polar, cm):
         raise ValueError("common mask must be congruent with the polar image")
     masked = np.where(cm.bits == 1, 0, polar.intensities).astype(np.uint8)
     planes = [(masked >> k) & 1 for k in range(7, 7 - MSB_PLANES, -1)]  # b7..b4
-    return EulerCode(tuple(euler_number_quads(BinaryImage(p)) for p in planes))
+    return np.array([euler_number_quads(BinaryImage(p)) for p in planes])
 
 
 def euler_number_quads(b: BinaryImage) -> int:
@@ -623,7 +623,7 @@ def recalibrate_worst(records, pool, chromosome, max_shift):
             worst["zerocross"] = max(worst["zerocross"], zc_match(a.template, b.template, max_shift))
         except IncomparableError:
             pass  # incomparable masks contribute no calibration evidence
-    codes = np.array([r.euler.e for r in records], dtype=np.float64)
+    codes = np.array([r.euler for r in records], dtype=np.float64)
     worst["euler"] = float(mahalanobis_rows(codes[first] - codes[second], model).max())
     gasel = match_pairs([r.features for r in records], first, second, chromosome, pool)
     worst["gasel"] = float(np.nanmax(gasel, initial=0.0))  # NaN: no jointly valid feature
@@ -796,10 +796,10 @@ def edge_map_image(img: GrayImage, bias: str, grad_threshold: float) -> EdgeMap:
     """
     if bias not in EDGE_BIASES:
         raise ValueError(f"unknown edge bias {bias!r}; expected one of {EDGE_BIASES}")
-    if img.width < _EDGE_SMOOTHING.width or img.height < _EDGE_SMOOTHING.height:
+    if img.height < _EDGE_SMOOTHING.shape[0] or img.width < _EDGE_SMOOTHING.shape[1]:
         raise SegmentationError(
             f"image {img.height}x{img.width} is smaller than the "
-            f"{_EDGE_SMOOTHING.height}x{_EDGE_SMOOTHING.width} edge-smoothing kernel"
+            f"{_EDGE_SMOOTHING.shape[0]}x{_EDGE_SMOOTHING.shape[1]} edge-smoothing kernel"
         )
     if grad_threshold <= 0:
         raise ValueError("grad_threshold must be positive")

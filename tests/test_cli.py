@@ -152,23 +152,25 @@ class TestEnrollVerify:
         assert "REJECT" in capsys.readouterr().out
 
     def test_verify_against_an_infinite_range_exits_2(self, gallery_path, corpus_dir, tmp_path, capsys):
-        # a zerocross range of [0, inf] maps every zerocross distance to
-        # similarity 1, which lifts this imposter claim from fused 0.198 to 0.529
+        # a zerocross range of [0, inf] or [0, 1e300] maps every zerocross distance
+        # to similarity 1, which lifts this imposter claim from fused 0.198 to 0.529
         image = str(sorted(corpus_dir.glob("eye_001_*.pgm"))[0])
         assert main(["verify", "--gallery", str(gallery_path), "--id", "person-0", image]) == 1
         r = store.load(gallery_path).score_ranges["zerocross"]
-        data = gallery_path.read_bytes()[:-4]
+        original = gallery_path.read_bytes()[:-4]
         old = struct.pack("<Bdd", 0, r.min, r.max)
-        assert data.count(old) == 1
-        data = data.replace(old, struct.pack("<Bdd", 0, 0.0, float("inf")))
-        path = tmp_path / "infinite.irf"
-        path.write_bytes(data + struct.pack("<I", zlib.crc32(data) & 0xFFFFFFFF))
-        capsys.readouterr()
-        rc = main(["verify", "--gallery", str(path), "--id", "person-0", image])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "invalid gallery contents: score range needs finite min < max" in captured.err
-        assert "ACCEPT" not in captured.out
+        assert original.count(old) == 1
+        for hi, error in [(float("inf"), "score range needs finite min < max"),
+                          (1e300, "zerocross score range [0.0, 1e+300] is not [0, worst distance]")]:
+            data = original.replace(old, struct.pack("<Bdd", 0, 0.0, hi))
+            path = tmp_path / "infinite.irf"
+            path.write_bytes(data + struct.pack("<I", zlib.crc32(data) & 0xFFFFFFFF))
+            capsys.readouterr()
+            rc = main(["verify", "--gallery", str(path), "--id", "person-0", image])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert f"invalid gallery contents: {error}" in captured.err
+            assert "ACCEPT" not in captured.out
 
     def test_verify_with_nothing_jointly_valid_exits_1(self, gallery_path, corpus_dir, tmp_path, capsys):
         gallery = store.load(gallery_path)

@@ -9,7 +9,6 @@ from scipy import linalg as sla
 
 from irisfuse.euler import (
     CovarianceModel,
-    EulerCode,
     _plane_euler,
     calibrated_covariance,
     common_mask,
@@ -21,7 +20,7 @@ from irisfuse.euler import (
 )
 from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris
-from irisfuse.pipeline import PipelineConfig, process_image
+from irisfuse.pipeline import PipelineConfig, process_image, process_images
 from irisfuse.segmentation import SegmentationError
 from irisfuse.synth import build_corpus
 
@@ -110,12 +109,12 @@ class TestEulerCode:
         vals = rng.integers(0, 256, size=(POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         full = np.ones((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         code = euler_code(polar_of(vals), BinaryImage(full))
-        assert code.e == (0, 0, 0, 0)
+        assert np.array_equal(code, [0, 0, 0, 0])
 
     def test_constant_240_gives_unit_code(self):
         vals = np.full((POLAR_HEIGHT, POLAR_WIDTH), 240, dtype=np.uint8)  # 11110000
         code = euler_code(polar_of(vals), BinaryImage(np.zeros_like(vals)))
-        assert code.e == (1, 1, 1, 1)
+        assert np.array_equal(code, [1, 1, 1, 1])
 
     def test_matches_bitplane_flood_fill_composition(self):
         rng = np.random.default_rng(5)
@@ -125,7 +124,7 @@ class TestEulerCode:
         masked = np.where(cm == 1, 0, vals)
         for i, k in enumerate((7, 6, 5, 4)):
             plane = (masked >> k) & 1
-            assert code.e[i] == flood_fill_euler(plane)
+            assert code[i] == flood_fill_euler(plane)
 
     def test_invariant_to_masked_pixel_changes(self):
         rng = np.random.default_rng(6)
@@ -135,12 +134,21 @@ class TestEulerCode:
         altered[cm == 1] = rng.integers(0, 256, size=int(cm.sum()), dtype=np.uint8)
         a = euler_code(polar_of(vals), BinaryImage(cm))
         b = euler_code(polar_of(altered), BinaryImage(cm))
-        assert a.e == b.e
+        assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
         vals = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         with pytest.raises(ValueError):
             euler_code(polar_of(vals), BinaryImage(np.zeros((4, 4), dtype=np.uint8)))
+
+    def test_codes_are_read_only_int64_arrays(self):
+        features, _ = process_images([r.image for r in build_corpus(2, 1, master_seed=2026).records],
+                                     PipelineConfig())
+        polar = features[0].polar
+        for code in (euler_code(polar, polar.mask), features[0].own_code):
+            assert code.dtype == np.int64 and code.shape == (4,)
+            with pytest.raises(ValueError):
+                code[0] = 99
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +184,7 @@ class TestEulerCodeMatchesPerPlaneOracle:
                 polar = SimpleNamespace(intensities=rng.integers(0, 256, size=shape, dtype=np.uint8))
                 for mask in self.masks(rng, shape):
                     cm = BinaryImage(mask)
-                    assert euler_code(polar, cm) == euler_code_per_plane(polar, cm)
+                    assert np.array_equal(euler_code(polar, cm), euler_code_per_plane(polar, cm))
 
     def test_extreme_intensities(self):
         rng = np.random.default_rng(12)
@@ -185,15 +193,15 @@ class TestEulerCodeMatchesPerPlaneOracle:
             vals[rng.random(vals.shape) < 0.5] = 255 - values
             for mask in self.masks(rng, vals.shape):
                 polar, cm = polar_of(vals), BinaryImage(mask)
-                assert euler_code(polar, cm) == euler_code_per_plane(polar, cm)
+                assert np.array_equal(euler_code(polar, cm), euler_code_per_plane(polar, cm))
 
     def test_real_polar_images_and_common_masks(self, corpus_polars):
         for i, a in enumerate(corpus_polars):
-            assert euler_code(a, a.mask) == euler_code_per_plane(a, a.mask)
+            assert np.array_equal(euler_code(a, a.mask), euler_code_per_plane(a, a.mask))
             for b in corpus_polars[i + 1:]:
                 cm = common_mask(a.mask, b.mask)
-                assert euler_code(a, cm) == euler_code_per_plane(a, cm)
-                assert euler_code(b, cm) == euler_code_per_plane(b, cm)
+                assert np.array_equal(euler_code(a, cm), euler_code_per_plane(a, cm))
+                assert np.array_equal(euler_code(b, cm), euler_code_per_plane(b, cm))
 
 
 def nibble_oracle(img):
@@ -227,13 +235,13 @@ class TestPairCodes:
             for b in corpus_polars:
                 cm = common_mask(a.mask, b.mask)
                 codes = pair_codes(a, b)
-                assert tuple(codes[0]) == euler_code(a, cm).e
-                assert tuple(codes[1]) == euler_code(b, cm).e
+                assert np.array_equal(codes[0], euler_code(a, cm))
+                assert np.array_equal(codes[1], euler_code(b, cm))
 
 
 class TestCovariance:
     def test_identical_codes_give_pure_regularization(self):
-        codes = [EulerCode((3, -1, 2, 0))] * 5
+        codes = [np.array([3, -1, 2, 0])] * 5
         model = calibrated_covariance(codes)
         assert model.epsilon == 1.0
         assert np.allclose(model.S, np.eye(4))
@@ -241,7 +249,7 @@ class TestCovariance:
     def test_standard_normal_sampling(self):
         rng = np.random.default_rng(7)
         draws = rng.standard_normal((10_000, 4)) * 10.0
-        model = calibrated_covariance([EulerCode(tuple(row)) for row in np.round(draws)])
+        model = calibrated_covariance(np.round(draws))
         # epsilon is the mean sample variance, so S is about 2 * 100 * I
         assert model.epsilon == pytest.approx(100.0, rel=0.05)
         assert np.max(np.abs(model.S - model.epsilon * np.eye(4) - 100.0 * np.eye(4))) < 5.0
@@ -250,12 +258,12 @@ class TestCovariance:
         rng = np.random.default_rng(8)
         for _ in range(20):
             codes = rng.integers(-50, 50, size=(rng.integers(2, 30), 4))
-            model = calibrated_covariance([EulerCode(tuple(row)) for row in codes])
+            model = calibrated_covariance(codes)
             np.linalg.cholesky(model.S)  # raises if not PD
 
     def test_needs_two_codes(self):
         with pytest.raises(ValueError):
-            calibrated_covariance([EulerCode((1, 2, 3, 4))])
+            calibrated_covariance([np.array([1, 2, 3, 4])])
 
 
 class TestMahalanobis:
@@ -263,18 +271,18 @@ class TestMahalanobis:
         return CovarianceModel(np.eye(4), 1.0)
 
     def test_zero_for_equal_codes(self):
-        x = EulerCode((5, -3, 2, 7))
+        x = np.array([5, -3, 2, 7])
         assert mahalanobis(x, x, self.identity_model()) == 0.0
 
     def test_identity_reduces_to_euclidean(self):
-        x = EulerCode((3, 4, 0, 0))
-        y = EulerCode((0, 0, 0, 0))
+        x = np.array([3, 4, 0, 0])
+        y = np.array([0, 0, 0, 0])
         assert mahalanobis(x, y, self.identity_model()) == pytest.approx(5.0, abs=1e-9)
 
     def test_high_variance_damps_component(self):
         model = CovarianceModel(np.diag([4.0, 1.0, 1.0, 1.0]), 1.0)
-        x = EulerCode((2, 0, 0, 0))
-        y = EulerCode((0, 0, 0, 0))
+        x = np.array([2, 0, 0, 0])
+        y = np.array([0, 0, 0, 0])
         assert mahalanobis(x, y, model) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_whitened_euclidean(self):
@@ -283,21 +291,21 @@ class TestMahalanobis:
             a = rng.normal(size=(4, 4))
             S = a @ a.T + 0.5 * np.eye(4)
             model = CovarianceModel(S, 0.5)
-            x = EulerCode(tuple(rng.integers(-20, 20, 4)))
-            y = EulerCode(tuple(rng.integers(-20, 20, 4)))
+            x = rng.integers(-20, 20, 4)
+            y = rng.integers(-20, 20, 4)
             L = np.linalg.cholesky(S)
-            z = np.linalg.solve(L, x.as_array() - y.as_array())
+            z = np.linalg.solve(L, (x - y).astype(np.float64))
             assert mahalanobis(x, y, model) == pytest.approx(float(np.linalg.norm(z)), abs=1e-9)
 
     def test_symmetric(self):
         model = CovarianceModel(np.diag([2.0, 3.0, 1.0, 5.0]), 1.0)
-        x = EulerCode((1, 2, 3, 4))
-        y = EulerCode((-2, 0, 5, 1))
+        x = np.array([1, 2, 3, 4])
+        y = np.array([-2, 0, 5, 1])
         assert mahalanobis(x, y, model) == pytest.approx(mahalanobis(y, x, model), abs=1e-12)
 
     def test_variance_increase_never_increases_distance(self):
-        x = EulerCode((3, 1, 1, 1))
-        y = EulerCode((0, 1, 1, 1))
+        x = np.array([3, 1, 1, 1])
+        y = np.array([0, 1, 1, 1])
         dists = [
             mahalanobis(x, y, CovarianceModel(np.diag([v, 1.0, 1.0, 1.0]), 0.1))
             for v in (0.5, 1.0, 2.0, 4.0, 16.0)
@@ -310,7 +318,7 @@ class TestMahalanobis:
         object.__setattr__(model, "S", bad)
         object.__setattr__(model, "epsilon", 1.0)
         with pytest.raises(ValueError):
-            mahalanobis(EulerCode((1, 0, 0, 0)), EulerCode((0, 0, 0, 0)), model)
+            mahalanobis(np.array([1, 0, 0, 0]), np.array([0, 0, 0, 0]), model)
 
     def test_cached_factor_bit_identical_to_fresh_factor(self):
         rng = np.random.default_rng(13)
@@ -320,7 +328,7 @@ class TestMahalanobis:
             fresh = sla.cho_factor(model.S, lower=True)
             for _ in range(4):
                 d = rng.integers(-40, 40, size=4).astype(np.float64)
-                x, y = EulerCode(tuple(d)), EulerCode((0, 0, 0, 0))
+                x, y = d.astype(np.int64), np.zeros(4, dtype=np.int64)
                 want = float(np.sqrt(d @ sla.cho_solve(fresh, d)))
                 assert np.float64(mahalanobis(x, y, model)).tobytes() == np.float64(want).tobytes()
             assert model.cholesky is model.cholesky  # factored once per model
@@ -334,7 +342,7 @@ class TestMahalanobis:
             y = rng.integers(-40, 40, size=(60, 4))
             d = (x - y).astype(np.float64)
             rows = mahalanobis_rows(d, model)
-            scalar = [mahalanobis(EulerCode(tuple(p)), EulerCode(tuple(q)), model) for p, q in zip(x, y)]
+            scalar = [mahalanobis(p, q, model) for p, q in zip(x, y)]
             per_pair = [np.sqrt(v @ sla.cho_solve(model.cholesky, v)) for v in d]
             assert rows.tobytes() == np.array(scalar).tobytes()
             assert rows.tobytes() == np.array(per_pair).tobytes()
@@ -343,4 +351,4 @@ class TestMahalanobis:
         model = CovarianceModel(np.diag([1.0, 1.0, 1.0, -1.0]), 1.0)
         for _ in range(2):
             with pytest.raises(ValueError, match="positive-definite"):
-                mahalanobis(EulerCode((1, 0, 0, 0)), EulerCode((0, 0, 0, 0)), model)
+                mahalanobis(np.array([1, 0, 0, 0]), np.array([0, 0, 0, 0]), model)

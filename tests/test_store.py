@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irisfuse.euler import EulerCode, mahalanobis
+from irisfuse.euler import mahalanobis
 from irisfuse.fusion import FUSION_RULES, FusionPolicy, ScoreRange, decide, fuse, normalize_distances
 from irisfuse.gasel import Chromosome, FeaturePool, RawFeatureVector, match_subset
 from irisfuse.segmentation import SegmentationError
@@ -180,7 +180,7 @@ class TestRangesMatchTheFormerFit:
             lap = i // len(base)
             records.append(EnrollmentRecord(
                 f"copy-{i}", shifted(rec.template, 3 * lap),
-                EulerCode(tuple(e + lap * (k + 1) for k, e in enumerate(rec.euler.e))),
+                rec.euler + lap * np.arange(1, 5),
                 RawFeatureVector(np.roll(rec.features.values, 5 * i), np.roll(rec.features.valid, 5 * i))))
         g = replace(galleries[-1], records=tuple(records))
         assert len(records) * (len(records) - 1) // 2 > _RANGE_PAIR_CAP
@@ -217,7 +217,11 @@ class TestPersistence:
             assert a.identity == b.identity
             assert np.array_equal(a.template.bits, b.template.bits)
             assert np.array_equal(a.template.mask.bits, b.template.mask.bits)
-            assert a.euler.e == b.euler.e
+            assert np.array_equal(a.euler, b.euler)
+            for code in (a.euler, b.euler):  # enrolled and loaded codes are read-only
+                assert code.dtype == np.int64 and code.shape == (4,)
+                with pytest.raises(ValueError):
+                    code[0] = 99
             assert np.array_equal(a.features.values, b.features.values)
             assert np.array_equal(a.features.valid, b.features.valid)
         assert np.array_equal(back.covariance.S, gallery.covariance.S)
@@ -298,16 +302,23 @@ class TestPersistence:
 
 
     @pytest.mark.parametrize("mutation", ["non-PD covariance", "NaN epsilon", "NaN range",
-                                          "[0, inf] range", "[-inf, 1] range", "bad UTF-8 id",
-                                          "duplicate id"])
+                                          "[0, inf] range", "[-inf, 1] range",
+                                          "zerocross [0, 1e300]", "zerocross [0.4, 0.5]",
+                                          "gasel [0, 2]", "zero-scale record",
+                                          "mixed scale counts", "bad UTF-8 id", "duplicate id"])
     def test_invalid_contents_are_format_errors(self, gallery, tmp_path, mutation):
         path = tmp_path / "bad.irf"
         data = bytearray(to_bytes(gallery)[:-4])
         # magic, version u8, count u32, 16 f64 covariance, f64 epsilon, pool size u16,
         # pool indices u16, packed genes, then the three score ranges {u8, f64, f64}
+        # (zerocross, euler, gasel), then the records
         covariance = 4 + struct.calcsize("<BI")
         pool = len(gallery.pool)
         ranges = covariance + 17 * 8 + 2 + 2 * pool + (pool + 7) // 8
+        # the first record: id length u8, id, scale count u8, one packed plane per scale
+        scales = ranges + 3 * 17 + 1 + len(gallery.records[0].identity.encode())
+        plane = gallery.records[0].template.bits[0].size // 8
+        assert data[scales] == 2
         if mutation == "non-PD covariance":
             data[covariance:covariance + 8] = struct.pack("<d", -5.0)  # S[0, 0]
         elif mutation == "NaN epsilon":
@@ -318,6 +329,18 @@ class TestPersistence:
             data[ranges + 1:ranges + 17] = struct.pack("<dd", 0.0, float("inf"))
         elif mutation == "[-inf, 1] range":
             data[ranges + 1:ranges + 17] = struct.pack("<dd", float("-inf"), 1.0)
+        elif mutation == "zerocross [0, 1e300]":
+            data[ranges + 1:ranges + 17] = struct.pack("<dd", 0.0, 1e300)
+        elif mutation == "zerocross [0.4, 0.5]":
+            data[ranges + 1:ranges + 17] = struct.pack("<dd", 0.4, 0.5)
+        elif mutation == "gasel [0, 2]":
+            data[ranges + 35:ranges + 51] = struct.pack("<dd", 0.0, 2.0)
+        elif mutation == "zero-scale record":
+            data[scales] = 0
+            del data[scales + 1:scales + 1 + 2 * plane]
+        elif mutation == "mixed scale counts":  # the first record keeps one of its two scales
+            data[scales] = 1
+            del data[scales + 1 + plane:scales + 1 + 2 * plane]
         elif mutation == "bad UTF-8 id":
             data[data.find(b"person-0")] = 0xFF
         else:

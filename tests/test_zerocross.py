@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from irisfuse import store
-from irisfuse.euler import EulerCode
 from irisfuse.gasel import FEATURE_COUNT, RawFeatureVector
 from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
@@ -362,7 +361,7 @@ class TestMatchMatchesRolledOracle:
         records = []
         for i, t in enumerate(corpus_templates[:4]):
             match(t, t)  # fill the cached words before the save
-            records.append(store.EnrollmentRecord(f"id-{i}", t, EulerCode((0, 0, 0, 0)), features))
+            records.append(store.EnrollmentRecord(f"id-{i}", t, np.zeros(4, dtype=np.int64), features))
         path = tmp_path / "g.irf"
         store.save(replace(store.empty_gallery(), records=tuple(records)), path)
         loaded = [r.template for r in store.load(path).records]
