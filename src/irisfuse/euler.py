@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy import linalg as sla
 
-from .imaging import BinaryImage
+from .imaging import freeze
 from .normalization import PolarIris
 
 MSB_PLANES = 4
@@ -56,34 +56,33 @@ class CovarianceModel:
             raise ValueError(f"covariance model is not positive-definite: {exc}") from None
 
 
-def euler_number(b: BinaryImage) -> int:
-    """Connected components (8-connected) minus holes (4-connected background)."""
-    return int(_plane_euler(b.bits)[-1])
+def euler_number(b: np.ndarray) -> int:
+    """Connected components (8-connected) minus holes (4-connected background)
+    of a 2-D 0/1 array."""
+    return int(_plane_euler(b)[-1])
 
 
-def common_mask(ma: BinaryImage, mb: BinaryImage) -> BinaryImage:
+def common_mask(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
     """Union of invalid regions: bitwise OR under the 1 = invalid convention."""
-    if ma.bits.shape != mb.bits.shape:
-        raise ValueError(f"mask shapes differ: {ma.bits.shape} vs {mb.bits.shape}")
-    return BinaryImage(ma.bits | mb.bits)
+    if ma.shape != mb.shape:
+        raise ValueError(f"mask shapes differ: {ma.shape} vs {mb.shape}")
+    return freeze(ma | mb)
 
 
-def euler_code(polar: PolarIris, cm: BinaryImage) -> np.ndarray:
+def euler_code(polar: PolarIris, cm: np.ndarray) -> np.ndarray:
     """Euler numbers of the (b7, b6, b5, b4) planes of the masked polar image.
 
     Invalid pixels are zeroed before plane decomposition; zeroing can alter
     topology right at mask borders, an accepted approximation.
     """
-    if cm.bits.shape != polar.intensities.shape:
+    if cm.shape != polar.intensities.shape:
         raise ValueError("common mask must be congruent with the polar image")
-    code = _plane_euler(polar.intensities * (cm.bits ^ 1))[:MSB_PLANES]
-    code.setflags(write=False)
-    return code
+    return freeze(_plane_euler(polar.intensities * (cm ^ 1))[:MSB_PLANES])
 
 
 def pair_codes(a: PolarIris, b: PolarIris) -> np.ndarray:
     """Rows: ``euler_code`` of ``a`` and of ``b`` under ``common_mask(a.mask, b.mask)``."""
-    valid = (a.mask.bits | b.mask.bits) ^ 1
+    valid = (a.mask | b.mask) ^ 1
     return _plane_euler(((a.intensities & 0xF0) | (b.intensities >> 4)) * valid).reshape(2, MSB_PLANES)
 
 

@@ -2,9 +2,11 @@
 
 Pixel storage convention (fixed here for the whole package): row-major
 arrays with the origin at the top-left corner, x growing rightward and
-y growing downward.  Images are immutable, kernels are read-only float64
-arrays, and every operation is a pure function, so everything in this
-module is safe to share across threads.
+y growing downward.  Images are immutable; kernels are read-only float64
+arrays, masks read-only uint8 arrays with values in {0, 1} (1 = invalid)
+and edge maps read-only (N, 2) int64 arrays of (x, y); every operation is
+a pure function, so everything in this module is safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ class PgmError(ValueError):
     """Raised for malformed or unsupported PGM payloads."""
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def freeze(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, made read-only."""
     arr.setflags(write=False)
     return arr
 
@@ -38,7 +41,7 @@ class GrayImage:
             if arr.min() < 0 or arr.max() > 255:
                 raise ValueError("GrayImage intensities must lie in [0, 255]")
             arr = arr.astype(np.uint8)
-        object.__setattr__(self, "pixels", _freeze(arr.copy()))
+        object.__setattr__(self, "pixels", freeze(arr.copy()))
 
     @property
     def width(self) -> int:
@@ -49,33 +52,9 @@ class GrayImage:
         return self.pixels.shape[0]
 
 
-@dataclass(frozen=True)
-class BinaryImage:
-    """1-bit raster with values in {0, 1}, shape (height, width)."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.bits)
-        if arr.ndim != 2:
-            raise ValueError(f"BinaryImage needs a 2-D array, got shape {arr.shape}")
-        arr = arr.astype(np.uint8)
-        if not np.all((arr == 0) | (arr == 1)):
-            raise ValueError("BinaryImage bits must be 0 or 1")
-        object.__setattr__(self, "bits", _freeze(arr.copy()))
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-
 # The 3x3 cross-row smoothing operator used by the zero-crossing encoder:
 # every row is [1, 2, 1], total weight 12.
-SMOOTHING_OPERATOR = _freeze(np.array([[1, 2, 1]] * 3, dtype=np.float64))
+SMOOTHING_OPERATOR = freeze(np.array([[1, 2, 1]] * 3, dtype=np.float64))
 
 
 def load_pgm(data: bytes) -> GrayImage:
@@ -157,4 +136,4 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     coords = np.arange(-half, half + 1, dtype=np.float64)
     g1 = np.exp(-(coords**2) / (2.0 * sigma**2))
     g2 = np.outer(g1, g1)
-    return _freeze(g2 / g2.sum())
+    return freeze(g2 / g2.sum())

@@ -8,7 +8,8 @@ its own circle center).  Rotation of the eye therefore becomes a circular
 column shift of the polar image, which the matchers absorb with a shift
 search.  The angle cosines and sines and the radii form a fixed module-level
 grid, and the intensities come from one bilinear
-``scipy.ndimage.map_coordinates`` call.
+``scipy.ndimage.map_coordinates`` call.  The polar mask is a read-only
+(96, 448) uint8 array, 1 = invalid.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .imaging import BinaryImage, GrayImage
+from .imaging import GrayImage, freeze
 from .segmentation import SegmentationResult
 
 POLAR_WIDTH = 448   # angular samples
@@ -43,10 +44,10 @@ def comparable(distances: np.ndarray, reason: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolarIris:
-    """Unwrapped iris: intensities and validity mask, both (96, 448)."""
+    """Unwrapped iris: intensities and validity mask (uint8, 1 = invalid), both (96, 448)."""
 
     intensities: np.ndarray
-    mask: BinaryImage
+    mask: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.intensities)
@@ -54,15 +55,17 @@ class PolarIris:
             raise ValueError(
                 f"polar intensities must be {POLAR_HEIGHT}x{POLAR_WIDTH}, got {arr.shape}"
             )
-        if self.mask.bits.shape != (POLAR_HEIGHT, POLAR_WIDTH):
+        mask = np.asarray(self.mask, dtype=np.uint8)
+        if mask.shape != (POLAR_HEIGHT, POLAR_WIDTH):
             raise ValueError("polar mask must be congruent with the intensities")
+        if mask.flags.writeable:
+            object.__setattr__(self, "mask", freeze(mask.copy()))
         arr = arr.astype(np.uint8) if arr.dtype != np.uint8 else arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "intensities", arr)
+        object.__setattr__(self, "intensities", freeze(arr))
 
     @property
     def valid(self) -> np.ndarray:
-        return self.mask.bits == 0
+        return self.mask == 0
 
 
 def rubber_sheet(img: GrayImage, seg: SegmentationResult) -> PolarIris:
@@ -83,9 +86,9 @@ def rubber_sheet(img: GrayImage, seg: SegmentationResult) -> PolarIris:
     val = ndimage.map_coordinates(img.pixels, coords, output=np.float64, order=1, mode="nearest")
 
     nearest = tuple(np.rint(coords, out=coords).astype(np.intp))
-    mask = (~inside) | seg.noise_mask.bits[nearest].astype(bool)
+    mask = (~inside) | seg.noise_mask[nearest].astype(bool)
     out = np.where(inside, np.rint(val), 0).astype(np.uint8)
-    return PolarIris(out, BinaryImage(mask.astype(np.uint8)))
+    return PolarIris(out, freeze(mask.astype(np.uint8)))
 
 
 def enhance(polar: PolarIris) -> PolarIris:
@@ -110,5 +113,5 @@ def polar_debug_images(polar: PolarIris) -> tuple[GrayImage, GrayImage]:
     """Intensity and mask rasters for PGM debug dumps."""
     return (
         GrayImage(polar.intensities),
-        GrayImage((polar.mask.bits * 255).astype(np.uint8)),
+        GrayImage((polar.mask * 255).astype(np.uint8)),
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .euler import euler_code
 from .gasel import RawFeatureVector, extract_raw
-from .imaging import BinaryImage, GrayImage
+from .imaging import GrayImage, freeze
 from .normalization import PolarIris, enhance, rubber_sheet
 from .segmentation import SegmentationConfig, SegmentationError, SegmentationResult, segment
 from .zerocross import (DEFAULT_MAX_SHIFT, DEFAULT_SCALES, MAX_SHIFT, VALID_SCALES,
@@ -58,10 +58,10 @@ class IrisFeatures:
 def _guard_rows(polar: PolarIris, rows: int) -> PolarIris:
     if rows == 0:
         return polar
-    bits = polar.mask.bits.copy()
-    bits[:rows, :] = 1
-    bits[-rows:, :] = 1
-    return PolarIris(polar.intensities, BinaryImage(bits))
+    mask = polar.mask.copy()
+    mask[:rows, :] = 1
+    mask[-rows:, :] = 1
+    return PolarIris(polar.intensities, freeze(mask))
 
 
 def process_image(img: GrayImage, cfg: PipelineConfig) -> IrisFeatures:

@@ -29,7 +29,9 @@ root at least 1e-6 from an integer; the pairs on the few roots nearer one
 than that are voted again by the float expression.  Edge
 suppression and the noise mask's circle and eyelid rules run only where
 their outcome is open: at pixels that pass the gradient threshold, and
-inside the iris's bounding box.  All functions are pure; accumulators are
+inside the iris's bounding box.  An edge map is a read-only (N, 2) int64
+array of (x, y) points, and the noise mask a read-only uint8 array of the
+image's shape, 1 = invalid.  All functions are pure; accumulators are
 operation-local and the cached tables read-only, so everything is
 thread-safe.
 """
@@ -43,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import ndimage
 
-from .imaging import BinaryImage, GrayImage, convolve2d, gaussian_kernel
+from .imaging import GrayImage, convolve2d, freeze, gaussian_kernel
 
 EDGE_BIASES = ("vertical-edges", "horizontal-edges", "none")
 
@@ -123,36 +125,12 @@ class Parabola:
 
 
 @dataclass(frozen=True)
-class EdgeMap:
-    """Sparse edge-point set; ``points`` is an (N, 2) array of (x, y)."""
-
-    points: np.ndarray
-    width: int
-    height: int
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.int64).reshape(-1, 2)
-        if len(pts) and (
-            pts[:, 0].min() < 0
-            or pts[:, 1].min() < 0
-            or pts[:, 0].max() >= self.width
-            or pts[:, 1].max() >= self.height
-        ):
-            raise ValueError("edge points fall outside the source dimensions")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
 class SegmentationResult:
     pupil: Circle
     iris: Circle
     upper_eyelid: Parabola | None
     lower_eyelid: Parabola | None
-    noise_mask: BinaryImage
+    noise_mask: np.ndarray  # uint8, 1 = invalid, the image's shape
 
     def __post_init__(self):
         if not self.iris.encloses(self.pupil):
@@ -193,8 +171,9 @@ def edge_gradient(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     return np.gradient(convolve2d(img.pixels, _EDGE_SMOOTHING), edge_order=1)
 
 
-def edge_map(gradient: tuple[np.ndarray, np.ndarray], bias: str, grad_threshold: float) -> EdgeMap:
-    """Thresholded, non-maximum-suppressed edge points of an ``edge_gradient``.
+def edge_map(gradient: tuple[np.ndarray, np.ndarray], bias: str, grad_threshold: float) -> np.ndarray:
+    """Thresholded, non-maximum-suppressed edge points of an ``edge_gradient``,
+    a read-only (N, 2) int64 array of (x, y) in row-major order.
 
     ``bias`` selects the gradient component: "vertical-edges" keeps |d/dx|
     (vertically oriented boundaries such as the iris sides),
@@ -208,7 +187,7 @@ def edge_map(gradient: tuple[np.ndarray, np.ndarray], bias: str, grad_threshold:
         raise ValueError("grad_threshold must be positive")
 
     gy, gx = gradient
-    height, width = gy.shape
+    width = gy.shape[1]
     mag = np.hypot(gx, gy) if bias == "none" else np.abs(gx if bias == "vertical-edges" else gy)
     # only pixels at or above the threshold can survive, so the direction and
     # the two neighbours are read at those candidates alone (row-major order)
@@ -226,7 +205,7 @@ def edge_map(gradient: tuple[np.ndarray, np.ndarray], bias: str, grad_threshold:
     m = padded[at]
     cand = cand[(m > padded[at - step]) & (m >= padded[at + step])]
     ys, xs = np.divmod(cand, width)
-    return EdgeMap(np.column_stack([xs, ys]), width, height)
+    return freeze(np.column_stack([xs, ys]))
 
 
 # (dy, dx) of the "positive" neighbour in each gradient sector
@@ -240,17 +219,18 @@ def _gradient_sectors(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
 
 
 def circular_hough(
-    edges: EdgeMap,
+    points: np.ndarray,
+    shape: tuple[int, int],
     r_min: int,
     r_max: int,
     center_window: tuple[int, int, int, int] | None = None,
     per_radius: bool = False,
 ) -> Circle:
-    """Peak of the (cx, cy, r) vote accumulator at 1 px resolution.
+    """Peak of the (cx, cy, r) vote accumulator of (x, y) edge ``points`` at 1 px resolution.
 
     ``center_window`` restricts candidate centers to the inclusive box
-    (x_lo, x_hi, y_lo, y_hi), clipped to the image; None searches the whole
-    image with the same kernel.
+    (x_lo, x_hi, y_lo, y_hi), clipped to the source image of ``shape``
+    (height, width); None searches the whole image with the same kernel.
     ``per_radius`` scores each cell by votes/r (circle completeness) instead
     of raw votes: raw counts grow with circumference, which lets long
     near-tangential arcs of a large boundary outvote a small complete circle.
@@ -258,26 +238,25 @@ def circular_hough(
     accumulator there.  Ties break toward the smallest radius, then smallest
     cy, then cx.
     """
-    if len(edges) == 0:
+    if len(points) == 0:
         raise SegmentationError("empty edge map, cannot vote for circles")
     if not 0 < r_min < r_max:
         raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
 
+    height, width = shape
     if center_window is None:
-        x_lo, x_hi, y_lo, y_hi = 0, edges.width - 1, 0, edges.height - 1
+        x_lo, x_hi, y_lo, y_hi = 0, width - 1, 0, height - 1
     else:
         x_lo, x_hi, y_lo, y_hi = center_window
         x_lo, y_lo = max(x_lo, 0), max(y_lo, 0)
-        x_hi, y_hi = min(x_hi, edges.width - 1), min(y_hi, edges.height - 1)
+        x_hi, y_hi = min(x_hi, width - 1), min(y_hi, height - 1)
         if x_lo > x_hi or y_lo > y_hi:
             raise ValueError("center window does not intersect the image")
     acc_w = x_hi - x_lo + 1
     acc_h = y_hi - y_lo + 1
 
     r_min, r_max = int(r_min), int(r_max)
-    px = edges.points[:, 0]
-    py = edges.points[:, 1]
-
+    px, py = points[:, 0], points[:, 1]
     acc = _vote_by_distance(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h)
     # Best plane first, then the best cell in it.  Dividing by r is monotone
     # and keeps distinct counts of one plane distinct, so each plane's best
@@ -368,7 +347,7 @@ def locate_pupil_and_iris(img: GrayImage, cfg: SegmentationConfig,
     pupil_edges = edge_map(gradient, "none", cfg.grad_threshold)
     window = _center_window(*_pupil_prior(img, cfg.pupil_r_min))
     try:
-        pupil = circular_hough(pupil_edges, cfg.pupil_r_min, cfg.pupil_r_max,
+        pupil = circular_hough(pupil_edges, img.pixels.shape, cfg.pupil_r_min, cfg.pupil_r_max,
                                center_window=window, per_radius=True)
     except SegmentationError as exc:
         raise SegmentationError(f"pupil detection failed: {exc}") from exc
@@ -376,7 +355,8 @@ def locate_pupil_and_iris(img: GrayImage, cfg: SegmentationConfig,
     iris_edges = edge_map(gradient, "vertical-edges", cfg.grad_threshold)
     window = _center_window(int(pupil.cx), int(pupil.cy))
     try:
-        iris = circular_hough(iris_edges, cfg.iris_r_min, cfg.iris_r_max, center_window=window)
+        iris = circular_hough(iris_edges, img.pixels.shape, cfg.iris_r_min, cfg.iris_r_max,
+                              center_window=window)
     except SegmentationError as exc:
         raise SegmentationError(f"iris detection failed: {exc}") from exc
 
@@ -386,14 +366,14 @@ def locate_pupil_and_iris(img: GrayImage, cfg: SegmentationConfig,
 
 
 def parabolic_hough(
-    edges: EdgeMap,
+    points: np.ndarray,
     search_region: tuple[int, int, int, int],
     curvature_sign: int = 1,
 ) -> Parabola | None:
-    """Quantized (h, k, a, theta) vote for an eyelid arc.
+    """Quantized (h, k, a, theta) vote of (x, y) edge ``points`` for an eyelid arc.
 
     ``search_region`` is the inclusive box (x_lo, x_hi, y_lo, y_hi) that must
-    contain the peak; only edge points inside it vote.  Returns None when no
+    contain the peak; only the points inside it vote.  Returns None when no
     cell collects at least 5% of the region's edge points, or when the winner
     sits on the flattest curvature step (straight-line structure, not an
     eyelid).  Absence is a valid outcome, not an error.
@@ -401,13 +381,11 @@ def parabolic_hough(
     if curvature_sign not in (1, -1):
         raise ValueError("curvature_sign must be +1 or -1")
     x_lo, x_hi, y_lo, y_hi = search_region
-    if len(edges) == 0:
-        return None
-    pts = edges.points
     inside = (
-        (pts[:, 0] >= x_lo) & (pts[:, 0] <= x_hi) & (pts[:, 1] >= y_lo) & (pts[:, 1] <= y_hi)
+        (points[:, 0] >= x_lo) & (points[:, 0] <= x_hi)
+        & (points[:, 1] >= y_lo) & (points[:, 1] <= y_hi)
     )
-    pts = pts[inside]
+    pts = points[inside]
     if len(pts) == 0:
         return None
 
@@ -596,10 +574,11 @@ def detect_eyelids(
 ) -> tuple[Parabola | None, Parabola | None]:
     """Upper and lower eyelid arcs in the iris's bounding box, from an ``edge_gradient``."""
     edges = edge_map(gradient, "horizontal-edges", grad_threshold)
+    height, width = gradient[0].shape
     x_lo = max(0, int(iris.cx - iris.r))
-    x_hi = min(edges.width - 1, int(iris.cx + iris.r))
+    x_hi = min(width - 1, int(iris.cx + iris.r))
     upper_region = (x_lo, x_hi, max(0, int(iris.cy - iris.r)), int(iris.cy))
-    lower_region = (x_lo, x_hi, int(iris.cy), min(edges.height - 1, int(iris.cy + iris.r)))
+    lower_region = (x_lo, x_hi, int(iris.cy), min(height - 1, int(iris.cy + iris.r)))
     upper = parabolic_hough(edges, upper_region, curvature_sign=-1)
     lower = parabolic_hough(edges, lower_region, curvature_sign=1)
     return upper, lower
@@ -611,8 +590,8 @@ def build_noise_mask(
     iris: Circle,
     eyelids: tuple[Parabola | None, Parabola | None] = (None, None),
     specular_threshold: int = 240,
-) -> BinaryImage:
-    """Per-pixel validity mask, 1 = invalid.
+) -> np.ndarray:
+    """Per-pixel validity mask, a read-only uint8 array of the image's shape, 1 = invalid.
 
     Marks everything outside the iris annulus, inside the pupil, on the
     occluded side of each eyelid parabola, or at/above the specular
@@ -634,7 +613,7 @@ def build_noise_mask(
     mask = np.ones(img.pixels.shape, dtype=bool)
     mask[box_rows, box_cols] = box
     mask |= img.pixels >= specular_threshold
-    return BinaryImage(mask.astype(np.uint8))
+    return freeze(mask.astype(np.uint8))
 
 
 def _span(center: float, radius: float, n: int) -> slice:

@@ -34,7 +34,7 @@ from .fusion import (ALGORITHMS, Decision, FusionPolicy, ScoreRange, decide, fit
                      normalize_distances)
 from .gasel import (FEATURE_COUNT, Chromosome, FeaturePool, RawFeatureVector, default_selection,
                     match_pairs, match_subset)
-from .imaging import BinaryImage, GrayImage
+from .imaging import GrayImage
 from .normalization import POLAR_HEIGHT, POLAR_WIDTH
 from .pipeline import PipelineConfig, process_image, process_images
 from .segmentation import SegmentationError
@@ -240,7 +240,7 @@ def to_bytes(gallery: Gallery) -> bytes:
         out += struct.pack("<B", len(ident)) + ident
         out += struct.pack("<B", rec.template.scale_count)
         out += _pack_bits(rec.template.bits)
-        out += _pack_bits(rec.template.mask.bits)
+        out += _pack_bits(rec.template.mask)
         out += np.asarray(rec.euler, dtype="<i4").tobytes()
         out += rec.features.values.astype("<f4").tobytes()
         out += _pack_bits(rec.features.valid)
@@ -347,7 +347,7 @@ def _parse(r: _Reader) -> Gallery:
         records.append(
             EnrollmentRecord(
                 identity=identity,
-                template=ZeroCrossTemplate(bits, BinaryImage(mask)),
+                template=ZeroCrossTemplate(bits, mask),
                 euler=euler,
                 features=RawFeatureVector(values, valid),
             )

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .imaging import BinaryImage, SMOOTHING_OPERATOR, convolve2d
+from .imaging import SMOOTHING_OPERATOR, convolve2d, freeze
 from .normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris, comparable
 
 VALID_SCALES = (1, 2, 4, 8)
@@ -40,20 +40,21 @@ _G_NORMALIZED = SMOOTHING_OPERATOR / SMOOTHING_OPERATOR.sum()
 
 @dataclass(frozen=True)
 class ZeroCrossTemplate:
-    """Sign bits of the wavelet transform, one plane per scale, plus the mask."""
+    """Sign bits of the wavelet transform, one plane per scale, plus the polar mask."""
 
     bits: np.ndarray  # (scales, POLAR_HEIGHT, POLAR_WIDTH) uint8
-    mask: BinaryImage
+    mask: np.ndarray  # (POLAR_HEIGHT, POLAR_WIDTH) uint8, 1 = invalid
 
     def __post_init__(self):
         arr = np.asarray(self.bits, dtype=np.uint8)
         if arr.ndim != 3 or arr.shape[1:] != (POLAR_HEIGHT, POLAR_WIDTH):
             raise ValueError(f"template bits must be (S, {POLAR_HEIGHT}, {POLAR_WIDTH}), got {arr.shape}")
-        if self.mask.bits.shape != (POLAR_HEIGHT, POLAR_WIDTH):
+        mask = np.asarray(self.mask, dtype=np.uint8)
+        if mask.shape != (POLAR_HEIGHT, POLAR_WIDTH):
             raise ValueError("template mask must be congruent with one bit plane")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
+        if mask.flags.writeable:
+            object.__setattr__(self, "mask", freeze(mask.copy()))
+        object.__setattr__(self, "bits", freeze(arr.copy()))
 
     @property
     def scale_count(self) -> int:
@@ -62,7 +63,7 @@ class ZeroCrossTemplate:
     @cached_property
     def words(self) -> tuple[np.ndarray, np.ndarray]:
         """Bits and scale-tiled validity, each packed per column into (W, words) uint64."""
-        valid = np.broadcast_to(self.mask.bits == 0, self.bits.shape)
+        valid = np.broadcast_to(self.mask == 0, self.bits.shape)
         return _pack_columns(self.bits), _pack_columns(valid)
 
 
@@ -154,7 +155,4 @@ def match_pairs(templates, first, second, max_shift: int = DEFAULT_MAX_SHIFT) ->
 
 def shifted(t: ZeroCrossTemplate, k: int) -> ZeroCrossTemplate:
     """Template with bits and mask circularly shifted by k columns."""
-    return ZeroCrossTemplate(
-        np.roll(t.bits, k, axis=2),
-        BinaryImage(np.roll(t.mask.bits, k, axis=1)),
-    )
+    return ZeroCrossTemplate(np.roll(t.bits, k, axis=2), freeze(np.roll(t.mask, k, axis=1)))

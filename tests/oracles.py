@@ -93,7 +93,7 @@ from irisfuse.gasel import (
     fitness_cost,
     match_pairs,
 )
-from irisfuse.imaging import BinaryImage, GrayImage, gaussian_kernel
+from irisfuse.imaging import GrayImage, gaussian_kernel
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
 from irisfuse.segmentation import (
     EDGE_BIASES,
@@ -103,7 +103,6 @@ from irisfuse.segmentation import (
     PARABOLA_THETAS,
     PARABOLA_VOTE_FLOOR,
     Circle,
-    EdgeMap,
     Parabola,
     SegmentationError,
     SegmentationResult,
@@ -458,30 +457,33 @@ def vote_by_rings(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h, img_w, img_h):
     return acc
 
 
-def hough_circle_normalized(edges: EdgeMap, r_min: int, r_max: int) -> Circle:
+def hough_circle_normalized(points: np.ndarray, shape: tuple[int, int], r_min: int,
+                            r_max: int) -> Circle:
     """Circle vote peak scored by votes/r (circle completeness).
 
     Raw vote counts grow with circumference, which lets long near-tangential
     arcs of a large boundary outvote a small complete circle; dividing by the
     radius scores fraction-of-circle support instead.  Used for the pupil
     stage, where small and large circles compete in one accumulator.
+    ``points`` are (x, y) edge points of an image of ``shape`` (height, width).
     """
-    if len(edges) == 0:
+    height, width = shape
+    if len(points) == 0:
         raise SegmentationError("empty edge map, cannot vote for circles")
     if not 0 < r_min < r_max:
         raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
     r_min, r_max = int(r_min), int(r_max)
     acc = vote_by_rings(
-        edges.points[:, 0], edges.points[:, 1], r_min, r_max,
-        0, edges.width, 0, edges.height, edges.width, edges.height,
+        points[:, 0], points[:, 1], r_min, r_max,
+        0, width, 0, height, width, height,
     )
     radii = np.arange(r_min, r_max + 1, dtype=np.float64)
     scored = acc / radii[:, None, None]
     peak = int(np.argmax(scored))
     if int(acc.flat[peak]) < MIN_CIRCLE_VOTES:
         raise SegmentationError("degenerate circle evidence in normalized vote")
-    ri, rem = divmod(peak, edges.height * edges.width)
-    cy, cx = divmod(rem, edges.width)
+    ri, rem = divmod(peak, height * width)
+    cy, cx = divmod(rem, width)
     return Circle(float(cx), float(cy), float(r_min + ri))
 
 
@@ -497,10 +499,10 @@ def zerocross_match_rolled(a, b, max_shift=8):
     if max_shift < 0:
         raise ValueError("max_shift must be >= 0")
 
-    valid_a = a.mask.bits == 0
+    valid_a = a.mask == 0
     bits_a = a.bits.astype(bool)
     bits_b = b.bits.astype(bool)
-    valid_b = b.mask.bits == 0
+    valid_b = b.mask == 0
     scales = a.bits.shape[0]
 
     best = None
@@ -524,22 +526,23 @@ def euler_code_per_plane(polar, cm):
     Invalid pixels are zeroed before plane decomposition; zeroing can alter
     topology right at mask borders, an accepted approximation.
     """
-    if cm.bits.shape != polar.intensities.shape:
+    if cm.shape != polar.intensities.shape:
         raise ValueError("common mask must be congruent with the polar image")
-    masked = np.where(cm.bits == 1, 0, polar.intensities).astype(np.uint8)
+    masked = np.where(cm == 1, 0, polar.intensities).astype(np.uint8)
     planes = [(masked >> k) & 1 for k in range(7, 7 - MSB_PLANES, -1)]  # b7..b4
-    return np.array([euler_number_quads(BinaryImage(p)) for p in planes])
+    return np.array([euler_number_quads(p) for p in planes])
 
 
-def euler_number_quads(b: BinaryImage) -> int:
-    """Connected components (8-connected) minus holes (4-connected background).
+def euler_number_quads(b: np.ndarray) -> int:
+    """Connected components (8-connected) minus holes (4-connected background)
+    of a 2-D 0/1 integer array.
 
     Computed by bit-quad counting over all 2x2 neighborhoods of the
     zero-padded image, which equals the component/hole difference under the
     8-connected-foreground / 4-connected-background convention and runs in
     one vectorized pass.
     """
-    p = np.pad(b.bits, 1)
+    p = np.pad(b, 1)
     code = (p[:-1, :-1] << 3) | (p[:-1, 1:] << 2) | (p[1:, :-1] << 1) | p[1:, 1:]
     c = np.bincount(code.ravel(), minlength=16)
     quads_one = c[1] + c[2] + c[4] + c[8]
@@ -706,8 +709,8 @@ def vote_by_distance_hypot(px, py, r_min, r_max, x_lo, acc_w, y_lo, acc_h):
     return acc
 
 
-def parabolic_hough_loop(edges, search_region, curvature_sign=1, landed=None):
-    """Quantized (h, k, a, theta) vote for an eyelid arc.
+def parabolic_hough_loop(points, search_region, curvature_sign=1, landed=None):
+    """Quantized (h, k, a, theta) vote of (x, y) edge ``points`` for an eyelid arc.
 
     Returns ``(parabola or None, accumulator or None)``; the accumulator is
     None when no edge point lies in the region.  When ``landed`` is a list,
@@ -716,9 +719,9 @@ def parabolic_hough_loop(edges, search_region, curvature_sign=1, landed=None):
     if curvature_sign not in (1, -1):
         raise ValueError("curvature_sign must be +1 or -1")
     x_lo, x_hi, y_lo, y_hi = search_region
-    if len(edges) == 0:
+    if len(points) == 0:
         return None, None
-    pts = edges.points
+    pts = points
     inside = (
         (pts[:, 0] >= x_lo) & (pts[:, 0] <= x_hi) & (pts[:, 1] >= y_lo) & (pts[:, 1] <= y_hi)
     )
@@ -787,8 +790,8 @@ def parabolic_hough_loop(edges, search_region, curvature_sign=1, landed=None):
 _EDGE_SMOOTHING = gaussian_kernel(5, 1.0)
 
 
-def edge_map_image(img: GrayImage, bias: str, grad_threshold: float) -> EdgeMap:
-    """Thresholded first-derivative edge map after 5x5 Gaussian smoothing.
+def edge_map_image(img: GrayImage, bias: str, grad_threshold: float) -> np.ndarray:
+    """Thresholded first-derivative edge points, (N, 2) int64 (x, y), after 5x5 Gaussian smoothing.
 
     ``bias`` selects the gradient component: "vertical-edges" keeps |d/dx|
     (vertically oriented boundaries such as the iris sides),
@@ -816,7 +819,7 @@ def edge_map_image(img: GrayImage, bias: str, grad_threshold: float) -> EdgeMap:
         mag = np.hypot(gx, gy)
         keep = _directional_maxima(mag, _gradient_sectors(gx, gy))
     ys, xs = np.nonzero((mag >= grad_threshold) & keep)
-    return EdgeMap(np.column_stack([xs, ys]), img.width, img.height)
+    return np.column_stack([xs, ys]).astype(np.int64)
 
 
 def _gradient_sectors(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
@@ -979,8 +982,8 @@ def build_noise_mask_full(
     iris: Circle,
     eyelids: tuple[Parabola | None, Parabola | None] = (None, None),
     specular_threshold: int = 240,
-) -> BinaryImage:
-    """Per-pixel validity mask, 1 = invalid.
+) -> np.ndarray:
+    """Per-pixel validity mask, uint8, 1 = invalid.
 
     Marks everything outside the iris annulus, inside the pupil, on the
     occluded side of each eyelid parabola, or at/above the specular
@@ -997,7 +1000,7 @@ def build_noise_mask_full(
         if lid is not None:
             mask |= lid.side(xs, ys) > 0
     mask |= img.pixels >= specular_threshold
-    return BinaryImage(mask.astype(np.uint8))
+    return mask.astype(np.uint8)
 
 
 def synth_eye_full_frame(spec: SynthEyeSpec) -> tuple[GrayImage, SegmentationResult]:
@@ -1097,10 +1100,10 @@ def rubber_sheet_bilinear(img: GrayImage, seg: SegmentationResult) -> PolarIris:
         + pix[y1, x1] * fx * fy
     )
 
-    nearest_masked = seg.noise_mask.bits[
+    nearest_masked = seg.noise_mask[
         np.rint(cy).astype(np.intp), np.rint(cx).astype(np.intp)
     ].astype(bool)
     mask = (~inside) | nearest_masked
 
     out = np.where(inside, np.rint(val), 0).astype(np.uint8)
-    return PolarIris(out, BinaryImage(mask.astype(np.uint8)))
+    return PolarIris(out, mask.astype(np.uint8))

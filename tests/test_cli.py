@@ -11,7 +11,7 @@ import pytest
 from irisfuse import cli, store
 from irisfuse.cli import main
 from irisfuse.config import RunConfig
-from irisfuse.imaging import BinaryImage, GrayImage, save_pgm
+from irisfuse.imaging import GrayImage, save_pgm
 from irisfuse.segmentation import Circle
 from irisfuse.synth import SynthEyeSpec, synth_eye
 from irisfuse.zerocross import ZeroCrossTemplate
@@ -176,8 +176,8 @@ class TestEnrollVerify:
         gallery = store.load(gallery_path)
         records = []
         for rec in gallery.records:
-            masked = np.ones_like(rec.template.mask.bits)
-            records.append(replace(rec, template=ZeroCrossTemplate(rec.template.bits, BinaryImage(masked))))
+            masked = np.ones_like(rec.template.mask)
+            records.append(replace(rec, template=ZeroCrossTemplate(rec.template.bits, masked)))
         path = tmp_path / "masked.irf"
         path.write_bytes(store.to_bytes(replace(gallery, records=tuple(records))))
         image = str(sorted(corpus_dir.glob("eye_002_*.pgm"))[1])

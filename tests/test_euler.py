@@ -18,7 +18,6 @@ from irisfuse.euler import (
     mahalanobis_rows,
     pair_codes,
 )
-from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris
 from irisfuse.pipeline import PipelineConfig, process_image, process_images
 from irisfuse.segmentation import SegmentationError
@@ -30,31 +29,30 @@ from oracles import euler_code_per_plane, euler_number_quads, flood_fill_euler, 
 def polar_of(values, mask=None):
     if mask is None:
         mask = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
-    return PolarIris(values, BinaryImage(mask))
+    return PolarIris(values, mask)
 
 
 class TestEulerNumber:
     def test_empty_image(self):
-        assert euler_number(BinaryImage(np.zeros((5, 5), dtype=np.uint8))) == 0
+        assert euler_number(np.zeros((5, 5), dtype=np.uint8)) == 0
 
     def test_solid_square(self):
-        assert euler_number(BinaryImage(np.ones((3, 3), dtype=np.uint8))) == 1
+        assert euler_number(np.ones((3, 3), dtype=np.uint8)) == 1
 
     def test_ring_with_hole(self):
         ring = np.ones((3, 3), dtype=np.uint8)
         ring[1, 1] = 0
-        assert euler_number(BinaryImage(ring)) == 0
+        assert euler_number(ring) == 0
 
     def test_diagonal_counts_as_connected(self):
         arr = np.eye(4, dtype=np.uint8)
-        assert euler_number(BinaryImage(arr)) == 1
+        assert euler_number(arr) == 1
 
     def test_matches_flood_fill_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             bits = (rng.random((32, 32)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
-            img = BinaryImage(bits)
-            assert euler_number(img) == flood_fill_euler(bits)
+            assert euler_number(bits) == flood_fill_euler(bits)
 
     def test_matches_one_plane_quad_oracle(self):
         # every size from 1x1, including one-row and one-column images,
@@ -63,7 +61,7 @@ class TestEulerNumber:
         for _ in range(600):
             h, w = (int(v) for v in rng.integers(1, 40, size=2))
             bits = (rng.random((h, w)) < rng.uniform(0.05, 0.95)).astype(np.uint8)
-            assert euler_number(BinaryImage(bits)) == euler_number_quads(BinaryImage(bits))
+            assert euler_number(bits) == euler_number_quads(bits)
 
     def test_additive_over_separated_components(self):
         rng = np.random.default_rng(23)
@@ -71,36 +69,31 @@ class TestEulerNumber:
         b = (rng.random((16, 16)) < 0.5).astype(np.uint8)
         gutter = np.zeros((16, 3), dtype=np.uint8)
         pasted = np.hstack([a, gutter, b])
-        assert euler_number(BinaryImage(pasted)) == euler_number(BinaryImage(a)) + euler_number(
-            BinaryImage(b)
-        )
+        assert euler_number(pasted) == euler_number(a) + euler_number(b)
 
 
 class TestCommonMask:
     def test_identity_element(self):
         rng = np.random.default_rng(1)
-        m = BinaryImage((rng.random((8, 8)) < 0.5).astype(np.uint8))
-        zero = BinaryImage(np.zeros((8, 8), dtype=np.uint8))
-        assert np.array_equal(common_mask(m, zero).bits, m.bits)
+        m = (rng.random((8, 8)) < 0.5).astype(np.uint8)
+        zero = np.zeros((8, 8), dtype=np.uint8)
+        assert np.array_equal(common_mask(m, zero), m)
 
     def test_absorbing_element(self):
         rng = np.random.default_rng(2)
-        m = BinaryImage((rng.random((8, 8)) < 0.5).astype(np.uint8))
-        ones = BinaryImage(np.ones((8, 8), dtype=np.uint8))
-        assert np.all(common_mask(m, ones).bits == 1)
+        m = (rng.random((8, 8)) < 0.5).astype(np.uint8)
+        ones = np.ones((8, 8), dtype=np.uint8)
+        assert np.all(common_mask(m, ones) == 1)
 
     def test_commutative(self):
         rng = np.random.default_rng(3)
-        a = BinaryImage((rng.random((8, 8)) < 0.5).astype(np.uint8))
-        b = BinaryImage((rng.random((8, 8)) < 0.5).astype(np.uint8))
-        assert np.array_equal(common_mask(a, b).bits, common_mask(b, a).bits)
+        a = (rng.random((8, 8)) < 0.5).astype(np.uint8)
+        b = (rng.random((8, 8)) < 0.5).astype(np.uint8)
+        assert np.array_equal(common_mask(a, b), common_mask(b, a))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            common_mask(
-                BinaryImage(np.zeros((4, 4), dtype=np.uint8)),
-                BinaryImage(np.zeros((5, 5), dtype=np.uint8)),
-            )
+            common_mask(np.zeros((4, 4), dtype=np.uint8), np.zeros((5, 5), dtype=np.uint8))
 
 
 class TestEulerCode:
@@ -108,19 +101,19 @@ class TestEulerCode:
         rng = np.random.default_rng(4)
         vals = rng.integers(0, 256, size=(POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         full = np.ones((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
-        code = euler_code(polar_of(vals), BinaryImage(full))
+        code = euler_code(polar_of(vals), full)
         assert np.array_equal(code, [0, 0, 0, 0])
 
     def test_constant_240_gives_unit_code(self):
         vals = np.full((POLAR_HEIGHT, POLAR_WIDTH), 240, dtype=np.uint8)  # 11110000
-        code = euler_code(polar_of(vals), BinaryImage(np.zeros_like(vals)))
+        code = euler_code(polar_of(vals), np.zeros_like(vals))
         assert np.array_equal(code, [1, 1, 1, 1])
 
     def test_matches_bitplane_flood_fill_composition(self):
         rng = np.random.default_rng(5)
         vals = rng.integers(0, 256, size=(POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         cm = (rng.random((POLAR_HEIGHT, POLAR_WIDTH)) < 0.2).astype(np.uint8)
-        code = euler_code(polar_of(vals), BinaryImage(cm))
+        code = euler_code(polar_of(vals), cm)
         masked = np.where(cm == 1, 0, vals)
         for i, k in enumerate((7, 6, 5, 4)):
             plane = (masked >> k) & 1
@@ -132,14 +125,14 @@ class TestEulerCode:
         cm = (rng.random((POLAR_HEIGHT, POLAR_WIDTH)) < 0.3).astype(np.uint8)
         altered = vals.copy()
         altered[cm == 1] = rng.integers(0, 256, size=int(cm.sum()), dtype=np.uint8)
-        a = euler_code(polar_of(vals), BinaryImage(cm))
-        b = euler_code(polar_of(altered), BinaryImage(cm))
+        a = euler_code(polar_of(vals), cm)
+        b = euler_code(polar_of(altered), cm)
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
         vals = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         with pytest.raises(ValueError):
-            euler_code(polar_of(vals), BinaryImage(np.zeros((4, 4), dtype=np.uint8)))
+            euler_code(polar_of(vals), np.zeros((4, 4), dtype=np.uint8))
 
     def test_codes_are_read_only_int64_arrays(self):
         features, _ = process_images([r.image for r in build_corpus(2, 1, master_seed=2026).records],
@@ -182,8 +175,7 @@ class TestEulerCodeMatchesPerPlaneOracle:
                 # a stand-in with the one attribute euler_code reads, so
                 # sizes other than the polar rectangle can be checked
                 polar = SimpleNamespace(intensities=rng.integers(0, 256, size=shape, dtype=np.uint8))
-                for mask in self.masks(rng, shape):
-                    cm = BinaryImage(mask)
+                for cm in self.masks(rng, shape):
                     assert np.array_equal(euler_code(polar, cm), euler_code_per_plane(polar, cm))
 
     def test_extreme_intensities(self):
@@ -191,8 +183,8 @@ class TestEulerCodeMatchesPerPlaneOracle:
         for values in (0, 15, 16, 240, 255):
             vals = np.full((POLAR_HEIGHT, POLAR_WIDTH), values, dtype=np.uint8)
             vals[rng.random(vals.shape) < 0.5] = 255 - values
-            for mask in self.masks(rng, vals.shape):
-                polar, cm = polar_of(vals), BinaryImage(mask)
+            for cm in self.masks(rng, vals.shape):
+                polar = polar_of(vals)
                 assert np.array_equal(euler_code(polar, cm), euler_code_per_plane(polar, cm))
 
     def test_real_polar_images_and_common_masks(self, corpus_polars):

@@ -23,7 +23,6 @@ from irisfuse.gasel import (
     rank_tstat,
     roulette_select,
 )
-from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
 from irisfuse.pipeline import PipelineConfig, process_images
 from irisfuse.synth import build_corpus
@@ -45,7 +44,7 @@ from oracles import (
 def polar_of(values, mask=None):
     if mask is None:
         mask = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
-    return PolarIris(values, BinaryImage(mask))
+    return PolarIris(values, mask)
 
 
 def naive_block_means(values, mask):

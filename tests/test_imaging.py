@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irisfuse.imaging import (
-    BinaryImage,
     GrayImage,
     PgmError,
     SMOOTHING_OPERATOR,
@@ -136,10 +135,6 @@ class TestContainers:
     def test_gray_image_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             GrayImage(np.array([[300]]))
-
-    def test_binary_image_rejects_nonbinary(self):
-        with pytest.raises(ValueError):
-            BinaryImage(np.array([[2]]))
 
     def test_pixels_are_immutable(self):
         img = GrayImage(np.zeros((2, 2), dtype=np.uint8))

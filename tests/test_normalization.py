@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from irisfuse.imaging import BinaryImage, GrayImage
+from irisfuse.imaging import GrayImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris, enhance, rubber_sheet
 from irisfuse.segmentation import (
     Circle,
@@ -33,7 +33,7 @@ class TestRubberSheet:
         seg = plain_segmentation(img, Circle(100, 80, 20), Circle(100, 80, 60))
         polar = rubber_sheet(img, seg)
         assert polar.intensities.shape == (POLAR_HEIGHT, POLAR_WIDTH)
-        assert polar.mask.bits.shape == (POLAR_HEIGHT, POLAR_WIDTH)
+        assert polar.mask.shape == (POLAR_HEIGHT, POLAR_WIDTH)
 
     def test_first_row_samples_pupil_boundary(self):
         # on a linear ramp I(x, y) = x, bilinear sampling is exact, so
@@ -67,19 +67,19 @@ class TestRubberSheet:
         pupil, iris = Circle(100, 80, 20), Circle(100, 80, 60)
         arr = np.zeros((160, 200), dtype=np.uint8)
         arr[:, 150:] = 1  # mask everything right of x=150
-        seg = SegmentationResult(pupil, iris, None, None, BinaryImage(arr))
+        seg = SegmentationResult(pupil, iris, None, None, arr)
         polar = rubber_sheet(img, seg)
-        assert polar.mask.bits[-1, 0] == 1  # theta=0 samples x=160, masked
-        assert polar.mask.bits[0, 0] == 0   # pupil boundary at x=120, clear
+        assert polar.mask[-1, 0] == 1  # theta=0 samples x=160, masked
+        assert polar.mask[0, 0] == 0   # pupil boundary at x=120, clear
 
     def test_out_of_image_sample_masked(self):
         img = GrayImage(np.full((100, 100), 50, dtype=np.uint8))
         pupil = Circle(50.0, 50.0, 10.0)
         iris = Circle(50.0, 50.0, 60.0)  # pokes outside the 100x100 frame
-        mask = BinaryImage(np.zeros((100, 100), dtype=np.uint8))
+        mask = np.zeros((100, 100), dtype=np.uint8)
         seg = SegmentationResult(pupil, iris, None, None, mask)
         polar = rubber_sheet(img, seg)
-        assert polar.mask.bits[-1, 0] == 1  # theta=0 outer sample at x=110
+        assert polar.mask[-1, 0] == 1  # theta=0 outer sample at x=110
 
     def test_rotation_becomes_column_shift(self):
         spec = SynthEyeSpec(
@@ -93,7 +93,7 @@ class TestRubberSheet:
         pb = rubber_sheet(img_b, truth_b)
         shift = round(POLAR_WIDTH * 4.0 / 360.0)
         shifted = np.roll(pa.intensities.astype(float), shift, axis=1)
-        shifted_mask = np.roll(pa.mask.bits, shift, axis=1)
+        shifted_mask = np.roll(pa.mask, shift, axis=1)
         both = (shifted_mask == 0) & pb.valid
         mad = np.abs(shifted[both] - pb.intensities.astype(float)[both]).mean()
         assert shift == 5
@@ -129,7 +129,7 @@ def random_geometry(rng, kind):
     if rng.random() < 0.2:
         h, w = (1, w) if rng.random() < 0.5 else (h, 1)
     img = GrayImage(rng.integers(0, 256, (h, w), dtype=np.uint8))
-    mask = BinaryImage(rng.integers(0, 2, (h, w), dtype=np.uint8))
+    mask = rng.integers(0, 2, (h, w), dtype=np.uint8)
     r = rng.uniform(2.0, 1.5 * max(h, w) + 4.0)
     cx, cy = rng.uniform(-0.5 * w, 1.5 * w), rng.uniform(-0.5 * h, 1.5 * h)
     if kind == 2:
@@ -159,7 +159,7 @@ class TestRubberSheetMatchesOracle:
     def check(img, seg):
         got, expect = rubber_sheet(img, seg), rubber_sheet_bilinear(img, seg)
         assert np.array_equal(got.intensities, expect.intensities)
-        assert np.array_equal(got.mask.bits, expect.mask.bits)
+        assert np.array_equal(got.mask, expect.mask)
 
     @pytest.mark.parametrize("corpus_args", [(6, 2, 2026), (4, 2, 7)])
     def test_corpus_segmentations_and_float_truth(self, corpus_args):
@@ -193,7 +193,7 @@ class TestEnhance:
     def polar_of(self, values, mask=None):
         if mask is None:
             mask = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
-        return PolarIris(values, BinaryImage(mask))
+        return PolarIris(values, mask)
 
     def test_uniform_distribution_fixed_point(self):
         rng = np.random.default_rng(2)
@@ -231,7 +231,7 @@ class TestEnhance:
         polar = self.polar_of(vals, mask)
         out = enhance(polar)
         assert np.array_equal(out.intensities[mask == 1], vals[mask == 1])
-        assert np.array_equal(out.mask.bits, mask)
+        assert np.array_equal(out.mask, mask)
         v_in = vals[mask == 0].astype(int)
         v_out = out.intensities[mask == 0].astype(int)
         order = np.argsort(v_in, kind="stable")
@@ -243,12 +243,12 @@ class TestPolarIris:
         with pytest.raises(ValueError):
             PolarIris(
                 np.zeros((10, 10), dtype=np.uint8),
-                BinaryImage(np.zeros((10, 10), dtype=np.uint8)),
+                np.zeros((10, 10), dtype=np.uint8),
             )
 
     def test_mask_congruence_enforced(self):
         with pytest.raises(ValueError):
             PolarIris(
                 np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8),
-                BinaryImage(np.zeros((10, 10), dtype=np.uint8)),
+                np.zeros((10, 10), dtype=np.uint8),
             )

@@ -1,10 +1,16 @@
 import hashlib
 
 import numpy as np
+import pytest
 
+from irisfuse import store
+from irisfuse.euler import common_mask
 from irisfuse.imaging import GrayImage
+from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH
 from irisfuse.pipeline import PipelineConfig, process_image, process_images
+from irisfuse.segmentation import build_noise_mask
 from irisfuse.synth import build_corpus
+from irisfuse.zerocross import encode, shifted
 
 
 def test_process_images_skips_failures_and_reports_kept_indices():
@@ -34,8 +40,41 @@ class TestPinnedPipeline:
         digest = hashlib.sha256()
         for img in images:
             f = process_image(img, cfg)
-            for arr in (f.polar.intensities, f.polar.mask.bits, f.template.bits,
+            for arr in (f.polar.intensities, f.polar.mask, f.template.bits,
                         f.raw.values, f.raw.valid):
                 digest.update(f"{arr.dtype.str} {arr.shape}\n".encode())
                 digest.update(np.ascontiguousarray(arr).tobytes())
         assert digest.hexdigest() == self.DIGEST
+
+
+def test_masks_are_read_only_uint8_zero_one_arrays(tmp_path):
+    records = build_corpus(2, 2, 2026).records
+    cfg = PipelineConfig(polar_guard_rows=4)
+    features = [process_image(r.image, cfg) for r in records]
+    f, img = features[0], records[0].image
+    seg = f.segmentation
+    gallery = store.empty_gallery()
+    for ident in range(2):
+        gallery = store.enroll(gallery, f"person-{ident}",
+                               [r.image for r in records if r.identity == ident], cfg)
+    store.save(gallery, tmp_path / "gallery.irf")
+    loaded = store.load(tmp_path / "gallery.irf")
+    polar = (POLAR_HEIGHT, POLAR_WIDTH)
+    masks = [
+        (build_noise_mask(img, seg.pupil, seg.iris, (seg.upper_eyelid, seg.lower_eyelid)),
+         img.pixels.shape),
+        (seg.noise_mask, img.pixels.shape),
+        (f.polar.mask, polar),
+        (encode(f.enhanced).mask, polar),
+        (shifted(f.template, 5).mask, polar),
+        (common_mask(f.polar.mask, features[2].polar.mask), polar),
+    ] + [(rec.template.mask, polar) for rec in loaded.records]
+    for mask, shape in masks:
+        assert mask.dtype == np.uint8 and mask.shape == shape
+        assert set(np.unique(mask).tolist()) <= {0, 1}
+        with pytest.raises(ValueError):
+            mask[0, 0] = 0
+    assert f.polar.mask[:4].all() and f.polar.mask[-4:].all()  # the guard rows
+    assert not f.polar.mask.all()
+    for a, b in zip(gallery.records, loaded.records):
+        assert np.array_equal(a.template.mask, b.template.mask)

@@ -14,6 +14,7 @@ from irisfuse.fusion import FusionPolicy
 from irisfuse.synth import build_corpus
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS_PATH = SPANS_PATH.with_name("workloads.py")
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +65,13 @@ def test_run_trials_records_one_zerocross_match_span_per_pair(spans):
     assert len(matches) == pairs
     assert [s.pair for s in matches] == list(range(pairs))
     assert {tracer.spans[s.parent].name for s in matches} == {"evaluation.run_trials"}
+
+
+def test_bench_workloads_import(monkeypatch):
+    # workloads.py imports tests/oracles.py, so a name the oracles no longer
+    # define would stop every bench run at import time
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    assert {"evaluate", "gallery", "train-ga"} <= module.WORKLOADS.keys()

@@ -11,7 +11,7 @@ from irisfuse.euler import mahalanobis
 from irisfuse.fusion import FUSION_RULES, FusionPolicy, ScoreRange, decide, fuse, normalize_distances
 from irisfuse.gasel import Chromosome, FeaturePool, RawFeatureVector, match_subset
 from irisfuse.segmentation import SegmentationError
-from irisfuse.imaging import BinaryImage, GrayImage
+from irisfuse.imaging import GrayImage
 from irisfuse.pipeline import PipelineConfig
 from irisfuse.store import (
     _RANGE_PAIR_CAP,
@@ -192,8 +192,8 @@ class TestRangesMatchTheFormerFit:
         # a fully masked template and a record with one valid feature make
         # zerocross and gasel pairs with nothing jointly valid
         first, second, *rest = galleries[-1].records
-        full = np.ones_like(first.template.mask.bits)
-        first = replace(first, template=ZeroCrossTemplate(first.template.bits, BinaryImage(full)))
+        full = np.ones_like(first.template.mask)
+        first = replace(first, template=ZeroCrossTemplate(first.template.bits, full))
         valid = np.zeros_like(second.features.valid)
         valid[0] = True
         second = replace(second, features=RawFeatureVector(second.features.values, valid))
@@ -216,7 +216,7 @@ class TestPersistence:
         for a, b in zip(gallery.records, back.records):
             assert a.identity == b.identity
             assert np.array_equal(a.template.bits, b.template.bits)
-            assert np.array_equal(a.template.mask.bits, b.template.mask.bits)
+            assert np.array_equal(a.template.mask, b.template.mask)
             assert np.array_equal(a.euler, b.euler)
             for code in (a.euler, b.euler):  # enrolled and loaded codes are read-only
                 assert code.dtype == np.int64 and code.shape == (4,)

@@ -62,7 +62,7 @@ class TestSynthEye:
         img, truth = synth_eye(small_spec(specular_spots=3, noise_seed=4))
         sat = img.pixels == 255
         assert sat.sum() > 0
-        assert np.all(truth.noise_mask.bits[sat] == 1)
+        assert np.all(truth.noise_mask[sat] == 1)
 
     def test_ratio_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -197,7 +197,7 @@ class TestSynthMatchesFullFrameOracle:
         image, truth = synth_eye(spec)
         ref_image, ref_truth = synth_eye_full_frame(spec)
         assert np.array_equal(image.pixels, ref_image.pixels)
-        assert np.array_equal(truth.noise_mask.bits, ref_truth.noise_mask.bits)
+        assert np.array_equal(truth.noise_mask, ref_truth.noise_mask)
         assert (truth.pupil, truth.iris, truth.upper_eyelid, truth.lower_eyelid) == (
             ref_truth.pupil, ref_truth.iris, ref_truth.upper_eyelid, ref_truth.lower_eyelid)
 
@@ -230,7 +230,7 @@ class TestPinnedCorpus:
         corpus = build_corpus(4, 2, 2026)
         digest = hashlib.sha256()
         for rec in corpus.records:
-            for arr in (rec.image.pixels, rec.truth.noise_mask.bits):
+            for arr in (rec.image.pixels, rec.truth.noise_mask):
                 digest.update(f"{arr.dtype.str} {arr.shape}\n".encode())
                 digest.update(np.ascontiguousarray(arr).tobytes())
         digest.update(corpus.manifest().encode())

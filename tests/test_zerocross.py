@@ -5,7 +5,6 @@ import pytest
 
 from irisfuse import store
 from irisfuse.gasel import FEATURE_COUNT, RawFeatureVector
-from irisfuse.imaging import BinaryImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
 from irisfuse.pipeline import PipelineConfig, process_image, process_images
 from irisfuse.segmentation import SegmentationError
@@ -45,14 +44,14 @@ def circular_transitions(bits):
 
 
 def unmasked_polar(values):
-    return PolarIris(values, BinaryImage(np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)))
+    return PolarIris(values, np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8))
 
 
 def random_template(rng, mask=None):
     bits = rng.integers(0, 2, size=(2, POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
     if mask is None:
         mask = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
-    return ZeroCrossTemplate(bits, BinaryImage(mask))
+    return ZeroCrossTemplate(bits, mask)
 
 
 class TestDyadicWavelet:
@@ -189,8 +188,8 @@ class TestMatch:
         mask[:, :100] = 1
         damaged = t.bits.copy()
         damaged[:, :, :50] = 1 - damaged[:, :, :50]
-        other = ZeroCrossTemplate(damaged, BinaryImage(mask))
-        assert match(ZeroCrossTemplate(t.bits, BinaryImage(mask)), other, max_shift=0) == 0.0
+        other = ZeroCrossTemplate(damaged, mask)
+        assert match(ZeroCrossTemplate(t.bits, mask), other, max_shift=0) == 0.0
 
     def test_all_masked_incomparable(self):
         full = np.ones((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
@@ -204,7 +203,7 @@ class TestMatch:
         bits3 = np.random.default_rng(9).integers(
             0, 2, size=(3, POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8
         )
-        b = ZeroCrossTemplate(bits3, BinaryImage(np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)))
+        b = ZeroCrossTemplate(bits3, np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8))
         with pytest.raises(ValueError):
             match(a, b)
 
@@ -235,10 +234,10 @@ class TestEncodeMatchesInlineOracle:
         for _ in range(5):
             vals = rng.integers(0, 256, size=(POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
             mask = (rng.random((POLAR_HEIGHT, POLAR_WIDTH)) < 0.3).astype(np.uint8)
-            polar = PolarIris(vals, BinaryImage(mask))
+            polar = PolarIris(vals, mask)
             got, want = encode(polar, scales), encode_inline(polar, scales)
             assert np.array_equal(got.bits, want.bits)
-            assert np.array_equal(got.mask.bits, want.mask.bits)
+            assert np.array_equal(got.mask, want.mask)
 
     def test_real_polars(self, corpus_features):
         for f in corpus_features:
@@ -285,7 +284,7 @@ class TestMatchMatchesRolledOracle:
     @staticmethod
     def template(rng, scales, mask):
         bits = rng.integers(0, 2, size=(scales, POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
-        return ZeroCrossTemplate(bits, BinaryImage(mask))
+        return ZeroCrossTemplate(bits, mask)
 
     @staticmethod
     def random_mask(rng):
@@ -384,8 +383,8 @@ class TestMatchPairs:
                                         PipelineConfig())
         assert len(kept) == 8
         t = features[0].template
-        full = np.ones_like(t.mask.bits)
-        return [f.template for f in features] + [ZeroCrossTemplate(t.bits, BinaryImage(full))]
+        full = np.ones_like(t.mask)
+        return [f.template for f in features] + [ZeroCrossTemplate(t.bits, full)]
 
     @pytest.mark.parametrize("max_shift", [0, 8])
     def test_every_pair_equals_match_and_nan_where_it_raises(self, templates, max_shift):
