@@ -92,7 +92,7 @@ def cmd_segment(args) -> int:
     _atomic_write(out_dir / f"{src.stem}_overlay.pgm", save_pgm(overlay))
     (out_dir / f"{src.stem}_circles.txt").write_text(circles_sidecar(pupil, iris))
     if args.polar:
-        polar_img, mask_img = polar_debug_images(feats.enhanced)
+        polar_img, mask_img = polar_debug_images(feats.enhanced, feats.mask)
         _atomic_write(out_dir / f"{src.stem}_polar.pgm", save_pgm(polar_img))
         _atomic_write(out_dir / f"{src.stem}_polar_mask.pgm", save_pgm(mask_img))
     print(circles_sidecar(pupil, iris), end="")

@@ -12,7 +12,7 @@ Euler numbers come from Gray's (1971) bit-quad counts, E = (Q1 - Q3 -
 2*QD) / 4 over the 2x2 quads of the zero-padded plane (Q1, Q3: one or three
 pixels set; QD: a diagonal pair), counted per bit plane of a uint8 image
 (``_plane_euler``).  ``pair_codes`` packs one polar image's b7..b4 over the
-other's, so both codes of a pair under its union mask come from one pass.
+other's, so both codes of a pair under one mask come from one pass.
 ``mahalanobis`` is the one-pair case of ``mahalanobis_rows``.
 """
 
@@ -25,7 +25,6 @@ import numpy as np
 from scipy import linalg as sla
 
 from .imaging import freeze
-from .normalization import PolarIris
 
 MSB_PLANES = 4
 
@@ -69,21 +68,21 @@ def common_mask(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
     return freeze(ma | mb)
 
 
-def euler_code(polar: PolarIris, cm: np.ndarray) -> np.ndarray:
-    """Euler numbers of the (b7, b6, b5, b4) planes of the masked polar image.
+def euler_code(polar: np.ndarray, cm: np.ndarray) -> np.ndarray:
+    """Euler numbers of the (b7, b6, b5, b4) planes of the uint8 polar
+    intensities under mask ``cm``.
 
     Invalid pixels are zeroed before plane decomposition; zeroing can alter
     topology right at mask borders, an accepted approximation.
     """
-    if cm.shape != polar.intensities.shape:
+    if cm.shape != polar.shape:
         raise ValueError("common mask must be congruent with the polar image")
-    return freeze(_plane_euler(polar.intensities * (cm ^ 1))[:MSB_PLANES])
+    return freeze(_plane_euler(polar * (cm ^ 1))[:MSB_PLANES])
 
 
-def pair_codes(a: PolarIris, b: PolarIris) -> np.ndarray:
-    """Rows: ``euler_code`` of ``a`` and of ``b`` under ``common_mask(a.mask, b.mask)``."""
-    valid = (a.mask | b.mask) ^ 1
-    return _plane_euler(((a.intensities & 0xF0) | (b.intensities >> 4)) * valid).reshape(2, MSB_PLANES)
+def pair_codes(a: np.ndarray, b: np.ndarray, cm: np.ndarray) -> np.ndarray:
+    """Rows: ``euler_code(a, cm)`` and ``euler_code(b, cm)``."""
+    return _plane_euler(((a & 0xF0) | (b >> 4)) * (cm ^ 1)).reshape(2, MSB_PLANES)
 
 
 def _plane_euler(img: np.ndarray) -> np.ndarray:

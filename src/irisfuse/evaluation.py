@@ -111,7 +111,8 @@ def run_trials(
     first, second = iu[order], ju[order]
 
     model = calibrated_covariance([f.own_code for f in features])
-    codes = np.array([pair_codes(features[i].polar, features[j].polar) for i, j in zip(first, second)])
+    pairs = [(features[i], features[j]) for i, j in zip(first, second)]
+    codes = np.array([pair_codes(a.polar, b.polar, a.mask | b.mask) for a, b in pairs])
     zc = zerocross.match_pairs([f.template for f in features], first, second, pipeline.max_shift)
     blocks = gasel.match_pairs([f.raw for f in features], first, second, chromosome, pool)
     raw = {"zerocross": comparable(zc, zerocross.INCOMPARABLE),

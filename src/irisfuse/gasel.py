@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import blas
 
-from .normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris, comparable
+from .normalization import POLAR_HEIGHT, POLAR_WIDTH, comparable
 
 BLOCK = 8
 BLOCK_COLS = POLAR_WIDTH // BLOCK   # 56
@@ -140,14 +140,14 @@ def default_selection() -> tuple[FeaturePool, Chromosome]:
     return pool, Chromosome(np.ones(FEATURE_COUNT, dtype=np.uint8))
 
 
-def extract_raw(polar: PolarIris) -> RawFeatureVector:
-    """Mean intensity of each 8x8 block, ignoring masked pixels.
+def extract_raw(intensities: np.ndarray, mask: np.ndarray) -> RawFeatureVector:
+    """Mean intensity of each 8x8 block of the polar image, ignoring masked pixels.
 
     A fully masked block contributes 0 with its validity flag cleared.
     Block index = block_row * 56 + block_col (row-major).
     """
-    vals = polar.intensities.astype(np.float64)
-    good = polar.valid.astype(np.float64)
+    vals = intensities.astype(np.float64)
+    good = (mask == 0).astype(np.float64)
     sums = (vals * good).reshape(BLOCK_ROWS, BLOCK, BLOCK_COLS, BLOCK).sum(axis=(1, 3))
     counts = good.reshape(BLOCK_ROWS, BLOCK, BLOCK_COLS, BLOCK).sum(axis=(1, 3))
     with np.errstate(invalid="ignore"):

@@ -8,13 +8,11 @@ its own circle center).  Rotation of the eye therefore becomes a circular
 column shift of the polar image, which the matchers absorb with a shift
 search.  The angle cosines and sines and the radii form a fixed module-level
 grid, and the intensities come from one bilinear
-``scipy.ndimage.map_coordinates`` call.  The polar mask is a read-only
-(96, 448) uint8 array, 1 = invalid.
+``scipy.ndimage.map_coordinates`` call.  The unwrapped iris is two
+read-only (96, 448) uint8 arrays: the intensities and the mask, 1 = invalid.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -42,34 +40,9 @@ def comparable(distances: np.ndarray, reason: str) -> np.ndarray:
     return distances
 
 
-@dataclass(frozen=True)
-class PolarIris:
-    """Unwrapped iris: intensities and validity mask (uint8, 1 = invalid), both (96, 448)."""
-
-    intensities: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.intensities)
-        if arr.shape != (POLAR_HEIGHT, POLAR_WIDTH):
-            raise ValueError(
-                f"polar intensities must be {POLAR_HEIGHT}x{POLAR_WIDTH}, got {arr.shape}"
-            )
-        mask = np.asarray(self.mask, dtype=np.uint8)
-        if mask.shape != (POLAR_HEIGHT, POLAR_WIDTH):
-            raise ValueError("polar mask must be congruent with the intensities")
-        if mask.flags.writeable:
-            object.__setattr__(self, "mask", freeze(mask.copy()))
-        arr = arr.astype(np.uint8) if arr.dtype != np.uint8 else arr.copy()
-        object.__setattr__(self, "intensities", freeze(arr))
-
-    @property
-    def valid(self) -> np.ndarray:
-        return self.mask == 0
-
-
-def rubber_sheet(img: GrayImage, seg: SegmentationResult) -> PolarIris:
-    """Unwrap the segmented annulus into the fixed polar rectangle.
+def rubber_sheet(img: GrayImage, seg: SegmentationResult) -> tuple[np.ndarray, np.ndarray]:
+    """Intensities and mask of the segmented annulus unwrapped into the fixed
+    polar rectangle.
 
     Intensities come from bilinear interpolation; a polar cell is masked when
     its source location falls outside the image or lands on a masked pixel
@@ -88,30 +61,27 @@ def rubber_sheet(img: GrayImage, seg: SegmentationResult) -> PolarIris:
     nearest = tuple(np.rint(coords, out=coords).astype(np.intp))
     mask = (~inside) | seg.noise_mask[nearest].astype(bool)
     out = np.where(inside, np.rint(val), 0).astype(np.uint8)
-    return PolarIris(out, freeze(mask.astype(np.uint8)))
+    return freeze(out), freeze(mask.astype(np.uint8))
 
 
-def enhance(polar: PolarIris) -> PolarIris:
+def enhance(intensities: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Histogram equalization over unmasked pixels only.
 
-    Masked pixels and the mask itself pass through unchanged; a fully masked
-    input is returned as-is.  The intensity map is monotone, so downstream
-    zero-crossing structure is preserved.
+    Masked pixels pass through unchanged; a fully masked input is returned
+    as-is.  The intensity map is monotone, so downstream zero-crossing
+    structure is preserved.
     """
-    valid = polar.valid
+    valid = mask == 0
     if not valid.any():
-        return polar
-    counts = np.bincount(polar.intensities[valid].ravel(), minlength=256)
+        return intensities
+    counts = np.bincount(intensities[valid], minlength=256)
     cdf = np.cumsum(counts) / counts.sum()
     lut = np.rint(cdf * 255.0).astype(np.uint8)
-    out = polar.intensities.copy()
-    out[valid] = lut[polar.intensities[valid]]
-    return PolarIris(out, polar.mask)
+    out = intensities.copy()
+    out[valid] = lut[intensities[valid]]
+    return freeze(out)
 
 
-def polar_debug_images(polar: PolarIris) -> tuple[GrayImage, GrayImage]:
+def polar_debug_images(intensities: np.ndarray, mask: np.ndarray) -> tuple[GrayImage, GrayImage]:
     """Intensity and mask rasters for PGM debug dumps."""
-    return (
-        GrayImage(polar.intensities),
-        GrayImage((polar.mask * 255).astype(np.uint8)),
-    )
+    return GrayImage(intensities), GrayImage(mask * 255)

@@ -20,7 +20,7 @@ import numpy as np
 from .euler import euler_code
 from .gasel import RawFeatureVector, extract_raw
 from .imaging import GrayImage, freeze
-from .normalization import PolarIris, enhance, rubber_sheet
+from .normalization import enhance, rubber_sheet
 from .segmentation import SegmentationConfig, SegmentationError, SegmentationResult, segment
 from .zerocross import (DEFAULT_MAX_SHIFT, DEFAULT_SCALES, MAX_SHIFT, VALID_SCALES,
                         ZeroCrossTemplate, encode)
@@ -45,23 +45,25 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class IrisFeatures:
-    """Everything matching needs from one eye image."""
+    """Everything matching needs from one eye image; the polar arrays are
+    read-only (96, 448) uint8."""
 
     segmentation: SegmentationResult
-    polar: PolarIris                  # guarded, un-equalized polar image (Euler path)
-    enhanced: PolarIris               # equalized variant (wavelet + block features)
+    polar: np.ndarray                 # un-equalized polar intensities (Euler path)
+    enhanced: np.ndarray              # equalized variant (wavelet + block features)
+    mask: np.ndarray                  # polar mask with the guard rows, 1 = invalid
     template: ZeroCrossTemplate
     own_code: np.ndarray              # Euler code under the image's own mask
     raw: RawFeatureVector
 
 
-def _guard_rows(polar: PolarIris, rows: int) -> PolarIris:
+def _guard_rows(mask: np.ndarray, rows: int) -> np.ndarray:
     if rows == 0:
-        return polar
-    mask = polar.mask.copy()
+        return mask
+    mask = mask.copy()
     mask[:rows, :] = 1
     mask[-rows:, :] = 1
-    return PolarIris(polar.intensities, freeze(mask))
+    return freeze(mask)
 
 
 def process_image(img: GrayImage, cfg: PipelineConfig) -> IrisFeatures:
@@ -70,15 +72,17 @@ def process_image(img: GrayImage, cfg: PipelineConfig) -> IrisFeatures:
     Raises SegmentationError when boundary detection fails.
     """
     seg = segment(img, cfg.segmentation)
-    polar = _guard_rows(rubber_sheet(img, seg), cfg.polar_guard_rows)
-    enhanced = enhance(polar)
+    polar, mask = rubber_sheet(img, seg)
+    mask = _guard_rows(mask, cfg.polar_guard_rows)
+    enhanced = enhance(polar, mask)
     return IrisFeatures(
         segmentation=seg,
         polar=polar,
         enhanced=enhanced,
-        template=encode(enhanced, cfg.scales),
-        own_code=euler_code(polar, polar.mask),
-        raw=extract_raw(enhanced),
+        mask=mask,
+        template=encode(enhanced, mask, cfg.scales),
+        own_code=euler_code(polar, mask),
+        raw=extract_raw(enhanced, mask),
     )
 
 

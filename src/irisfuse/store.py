@@ -201,7 +201,7 @@ def verify(
     pipeline = pipeline or PipelineConfig()
     feats = process_image(probe, pipeline)
 
-    cm = common_mask(feats.polar.mask, record.template.mask)
+    cm = common_mask(feats.mask, record.template.mask)
     raw = {
         "zerocross": zc_match(feats.template, record.template, pipeline.max_shift),
         "euler": mahalanobis(euler_code(feats.polar, cm), record.euler, gallery.covariance),

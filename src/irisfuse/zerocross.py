@@ -10,10 +10,11 @@ shifts, which makes small eye rotations cost nothing.
 
 Matching is bit-parallel (Daugman, "How iris recognition works", 2004): a
 column's S*96 bits (scale-major, then row) and its validity, tiled once per
-scale, pack into uint64 words, (448, words) per template, with the zero
-padding invalid.  Shifts become row offsets into the partner's words taken
-through a modular column index, and one ``np.bitwise_count`` over its
-sliding windows counts every shift at once.
+scale, pack into uint64 words, with the zero padding invalid.  Each
+template wraps its packed columns by MAX_SHIFT on both sides once, so a
+shift is a row offset into the partner's words, and one
+``np.bitwise_count`` over the sliding windows of one slice counts every
+shift at once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .imaging import SMOOTHING_OPERATOR, convolve2d, freeze
-from .normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris, comparable
+from .normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, comparable
 
 VALID_SCALES = (1, 2, 4, 8)
 DEFAULT_SCALES = (2, 4)
@@ -62,14 +63,19 @@ class ZeroCrossTemplate:
 
     @cached_property
     def words(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bits and scale-tiled validity, each packed per column into (W, words) uint64."""
+        """Bits and scale-tiled validity, each packed per column into uint64
+        words; row MAX_SHIFT + j holds column j, and the MAX_SHIFT rows on
+        each side wrap around, (W + 2 * MAX_SHIFT, words) in all."""
         valid = np.broadcast_to(self.mask == 0, self.bits.shape)
         return _pack_columns(self.bits), _pack_columns(valid)
 
 
+_WRAPPED = np.arange(-MAX_SHIFT, POLAR_WIDTH + MAX_SHIFT) % POLAR_WIDTH
+
+
 def _pack_columns(planes: np.ndarray) -> np.ndarray:
     packed = np.packbits(np.ascontiguousarray(planes.reshape(-1, planes.shape[-1]).T), axis=1)
-    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)[_WRAPPED]
 
 
 def _bspline3(t: np.ndarray) -> np.ndarray:
@@ -105,8 +111,8 @@ def dyadic_wavelet_1d(signal, s: int) -> np.ndarray:
     return (s * s) * second
 
 
-def encode(polar: PolarIris, scales=DEFAULT_SCALES) -> ZeroCrossTemplate:
-    """Build the sign-bit template of the masked polar image.
+def encode(intensities: np.ndarray, mask: np.ndarray, scales=DEFAULT_SCALES) -> ZeroCrossTemplate:
+    """Build the sign-bit template of the polar intensities under ``mask``.
 
     Rows are first smoothed across neighbours with the normalized [1,2,1]-row
     operator, then each row is transformed along theta at every scale;
@@ -115,9 +121,9 @@ def encode(polar: PolarIris, scales=DEFAULT_SCALES) -> ZeroCrossTemplate:
     scales = tuple(scales)
     if not scales:
         raise ValueError("need at least one scale")
-    smoothed = convolve2d(polar.intensities, _G_NORMALIZED)
+    smoothed = convolve2d(intensities, _G_NORMALIZED)
     planes = np.stack([dyadic_wavelet_1d(smoothed, s) >= 0.0 for s in scales]).astype(np.uint8)
-    return ZeroCrossTemplate(planes, polar.mask)
+    return ZeroCrossTemplate(planes, mask)
 
 
 def match(a: ZeroCrossTemplate, b: ZeroCrossTemplate, max_shift: int = DEFAULT_MAX_SHIFT) -> float:
@@ -132,12 +138,13 @@ def match(a: ZeroCrossTemplate, b: ZeroCrossTemplate, max_shift: int = DEFAULT_M
     if not 0 <= max_shift <= MAX_SHIFT:
         raise ValueError(f"max_shift must lie in [0, {MAX_SHIFT}]")
 
-    bits_a, valid_a = a.words
-    bits_b, valid_b = b.words
-    # window i of the column-wrapped partner is b rolled by k = max_shift - i
-    wrap = np.arange(-max_shift, POLAR_WIDTH + max_shift) % POLAR_WIDTH
-    joint = valid_a.T & sliding_window_view(valid_b[wrap], POLAR_WIDTH, axis=0)
-    mismatch = (bits_a.T ^ sliding_window_view(bits_b[wrap], POLAR_WIDTH, axis=0)) & joint
+    centre = slice(MAX_SHIFT, MAX_SHIFT + POLAR_WIDTH)
+    # window i of the partner's slab is b rolled by k = max_shift - i
+    slab = slice(MAX_SHIFT - max_shift, MAX_SHIFT + max_shift + POLAR_WIDTH)
+    bits_a, valid_a = (w[centre].T for w in a.words)
+    bits_b, valid_b = (sliding_window_view(w[slab], POLAR_WIDTH, axis=0) for w in b.words)
+    joint = valid_a & valid_b
+    mismatch = (bits_a ^ bits_b) & joint
     n = np.bitwise_count(joint).sum(axis=(1, 2))  # scales x jointly valid positions
     diff = np.bitwise_count(mismatch).sum(axis=(1, 2))
     with np.errstate(invalid="ignore"):  # 0 / 0: no jointly valid bit at that shift

@@ -94,7 +94,7 @@ from irisfuse.gasel import (
     match_pairs,
 )
 from irisfuse.imaging import GrayImage, gaussian_kernel
-from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
+from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError
 from irisfuse.segmentation import (
     EDGE_BIASES,
     MIN_CIRCLE_VOTES,
@@ -521,14 +521,14 @@ def zerocross_match_rolled(a, b, max_shift=8):
 
 
 def euler_code_per_plane(polar, cm):
-    """Euler numbers of the four MSB planes of the masked polar image.
+    """Euler numbers of the four MSB planes of the polar intensities under mask ``cm``.
 
     Invalid pixels are zeroed before plane decomposition; zeroing can alter
     topology right at mask borders, an accepted approximation.
     """
-    if cm.shape != polar.intensities.shape:
+    if cm.shape != polar.shape:
         raise ValueError("common mask must be congruent with the polar image")
-    masked = np.where(cm == 1, 0, polar.intensities).astype(np.uint8)
+    masked = np.where(cm == 1, 0, polar).astype(np.uint8)
     planes = [(masked >> k) & 1 for k in range(7, 7 - MSB_PLANES, -1)]  # b7..b4
     return np.array([euler_number_quads(p) for p in planes])
 
@@ -648,8 +648,8 @@ def worst_ranges(raw):
     return {a: ScoreRange(0.0, worst[a] if worst[a] > 0 else 1.0) for a in ALGORITHMS}
 
 
-def encode_inline(polar, scales=(2, 4)):
-    """Build the sign-bit template of the masked polar image.
+def encode_inline(intensities, mask, scales=(2, 4)):
+    """Build the sign-bit template of the polar intensities under ``mask``.
 
     Rows are first smoothed across neighbours with the normalized [1,2,1]-row
     operator, then each row is transformed along theta at every scale;
@@ -662,14 +662,14 @@ def encode_inline(polar, scales=(2, 4)):
         if s not in VALID_SCALES:
             raise ValueError(f"scale must be one of {VALID_SCALES}, got {s}")
 
-    smoothed = convolve2d(polar.intensities, _G_NORMALIZED)
+    smoothed = convolve2d(intensities, _G_NORMALIZED)
     planes = np.empty((len(scales), POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
     for si, s in enumerate(scales):
         kern = _smoothing_kernel(s)
         g = ndimage.convolve1d(smoothed, kern, axis=1, mode="wrap")
         transform = (s * s) * (np.roll(g, -1, axis=1) + np.roll(g, 1, axis=1) - 2.0 * g)
         planes[si] = (transform >= 0.0).astype(np.uint8)
-    return ZeroCrossTemplate(planes, polar.mask)
+    return ZeroCrossTemplate(planes, mask)
 
 
 def roulette_select_per_draw(fitness, rng):
@@ -1062,8 +1062,9 @@ def synth_eye_full_frame(spec: SynthEyeSpec) -> tuple[GrayImage, SegmentationRes
     return gray, truth
 
 
-def rubber_sheet_bilinear(img: GrayImage, seg: SegmentationResult) -> PolarIris:
-    """Unwrap the segmented annulus into the fixed polar rectangle.
+def rubber_sheet_bilinear(img: GrayImage, seg: SegmentationResult) -> tuple[np.ndarray, np.ndarray]:
+    """Intensities and mask of the segmented annulus unwrapped into the fixed
+    polar rectangle.
 
     Intensities come from bilinear interpolation; a polar cell is masked when
     its source location falls outside the image or lands on a masked pixel
@@ -1106,4 +1107,4 @@ def rubber_sheet_bilinear(img: GrayImage, seg: SegmentationResult) -> PolarIris:
     mask = (~inside) | nearest_masked
 
     out = np.where(inside, np.rint(val), 0).astype(np.uint8)
-    return PolarIris(out, mask.astype(np.uint8))
+    return out, mask.astype(np.uint8)

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,18 +16,12 @@ from irisfuse.euler import (
     mahalanobis_rows,
     pair_codes,
 )
-from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris
+from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH
 from irisfuse.pipeline import PipelineConfig, process_image, process_images
 from irisfuse.segmentation import SegmentationError
 from irisfuse.synth import build_corpus
 
 from oracles import euler_code_per_plane, euler_number_quads, flood_fill_euler, nibble_euler
-
-
-def polar_of(values, mask=None):
-    if mask is None:
-        mask = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
-    return PolarIris(values, mask)
 
 
 class TestEulerNumber:
@@ -101,19 +93,19 @@ class TestEulerCode:
         rng = np.random.default_rng(4)
         vals = rng.integers(0, 256, size=(POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         full = np.ones((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
-        code = euler_code(polar_of(vals), full)
+        code = euler_code(vals, full)
         assert np.array_equal(code, [0, 0, 0, 0])
 
     def test_constant_240_gives_unit_code(self):
         vals = np.full((POLAR_HEIGHT, POLAR_WIDTH), 240, dtype=np.uint8)  # 11110000
-        code = euler_code(polar_of(vals), np.zeros_like(vals))
+        code = euler_code(vals, np.zeros_like(vals))
         assert np.array_equal(code, [1, 1, 1, 1])
 
     def test_matches_bitplane_flood_fill_composition(self):
         rng = np.random.default_rng(5)
         vals = rng.integers(0, 256, size=(POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         cm = (rng.random((POLAR_HEIGHT, POLAR_WIDTH)) < 0.2).astype(np.uint8)
-        code = euler_code(polar_of(vals), cm)
+        code = euler_code(vals, cm)
         masked = np.where(cm == 1, 0, vals)
         for i, k in enumerate((7, 6, 5, 4)):
             plane = (masked >> k) & 1
@@ -125,20 +117,20 @@ class TestEulerCode:
         cm = (rng.random((POLAR_HEIGHT, POLAR_WIDTH)) < 0.3).astype(np.uint8)
         altered = vals.copy()
         altered[cm == 1] = rng.integers(0, 256, size=int(cm.sum()), dtype=np.uint8)
-        a = euler_code(polar_of(vals), cm)
-        b = euler_code(polar_of(altered), cm)
+        a = euler_code(vals, cm)
+        b = euler_code(altered, cm)
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
         vals = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         with pytest.raises(ValueError):
-            euler_code(polar_of(vals), np.zeros((4, 4), dtype=np.uint8))
+            euler_code(vals, np.zeros((4, 4), dtype=np.uint8))
 
     def test_codes_are_read_only_int64_arrays(self):
         features, _ = process_images([r.image for r in build_corpus(2, 1, master_seed=2026).records],
                                      PipelineConfig())
-        polar = features[0].polar
-        for code in (euler_code(polar, polar.mask), features[0].own_code):
+        f = features[0]
+        for code in (euler_code(f.polar, f.mask), f.own_code):
             assert code.dtype == np.int64 and code.shape == (4,)
             with pytest.raises(ValueError):
                 code[0] = 99
@@ -146,12 +138,14 @@ class TestEulerCode:
 
 @pytest.fixture(scope="module")
 def corpus_polars():
+    """(intensities, mask) of every polar image of a small corpus."""
     polars = []
     for rec in build_corpus(6, 3, master_seed=2026).records:
         try:
-            polars.append(process_image(rec.image, PipelineConfig()).polar)
+            f = process_image(rec.image, PipelineConfig())
         except SegmentationError:
             continue
+        polars.append((f.polar, f.mask))
     assert len(polars) >= 15
     return polars
 
@@ -172,9 +166,7 @@ class TestEulerCodeMatchesPerPlaneOracle:
         shapes += [(1, 448), (96, 1), (13, 29), (96, 448)]
         for shape in shapes:
             for _ in range(3):
-                # a stand-in with the one attribute euler_code reads, so
-                # sizes other than the polar rectangle can be checked
-                polar = SimpleNamespace(intensities=rng.integers(0, 256, size=shape, dtype=np.uint8))
+                polar = rng.integers(0, 256, size=shape, dtype=np.uint8)
                 for cm in self.masks(rng, shape):
                     assert np.array_equal(euler_code(polar, cm), euler_code_per_plane(polar, cm))
 
@@ -184,14 +176,13 @@ class TestEulerCodeMatchesPerPlaneOracle:
             vals = np.full((POLAR_HEIGHT, POLAR_WIDTH), values, dtype=np.uint8)
             vals[rng.random(vals.shape) < 0.5] = 255 - values
             for cm in self.masks(rng, vals.shape):
-                polar = polar_of(vals)
-                assert np.array_equal(euler_code(polar, cm), euler_code_per_plane(polar, cm))
+                assert np.array_equal(euler_code(vals, cm), euler_code_per_plane(vals, cm))
 
     def test_real_polar_images_and_common_masks(self, corpus_polars):
-        for i, a in enumerate(corpus_polars):
-            assert np.array_equal(euler_code(a, a.mask), euler_code_per_plane(a, a.mask))
-            for b in corpus_polars[i + 1:]:
-                cm = common_mask(a.mask, b.mask)
+        for i, (a, ma) in enumerate(corpus_polars):
+            assert np.array_equal(euler_code(a, ma), euler_code_per_plane(a, ma))
+            for b, mb in corpus_polars[i + 1:]:
+                cm = common_mask(ma, mb)
                 assert np.array_equal(euler_code(a, cm), euler_code_per_plane(a, cm))
                 assert np.array_equal(euler_code(b, cm), euler_code_per_plane(b, cm))
 
@@ -223,10 +214,10 @@ class TestPlaneEulerMatchesNibbleOracle:
 
 class TestPairCodes:
     def test_match_two_union_mask_codes_on_every_ordered_pair(self, corpus_polars):
-        for a in corpus_polars:
-            for b in corpus_polars:
-                cm = common_mask(a.mask, b.mask)
-                codes = pair_codes(a, b)
+        for a, ma in corpus_polars:
+            for b, mb in corpus_polars:
+                cm = common_mask(ma, mb)
+                codes = pair_codes(a, b, ma | mb)
                 assert np.array_equal(codes[0], euler_code(a, cm))
                 assert np.array_equal(codes[1], euler_code(b, cm))
 

@@ -141,7 +141,7 @@ class TestRunTrials:
         raw = {algo: np.empty(len(pairs)) for algo in ALGORITHMS}
         for k, (i, j) in enumerate(pairs):
             a, b = features[i], features[j]
-            cm = common_mask(a.polar.mask, b.polar.mask)
+            cm = common_mask(a.mask, b.mask)
             raw["zerocross"][k] = zc_match(a.template, b.template)
             raw["euler"][k] = mahalanobis(euler_code(a.polar, cm), euler_code(b.polar, cm), model)
             raw["gasel"][k] = match_subset(a.raw, b.raw, chromosome, pool)

@@ -23,7 +23,7 @@ from irisfuse.gasel import (
     rank_tstat,
     roulette_select,
 )
-from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
+from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError
 from irisfuse.pipeline import PipelineConfig, process_images
 from irisfuse.synth import build_corpus
 
@@ -42,9 +42,10 @@ from oracles import (
 
 
 def polar_of(values, mask=None):
+    """(intensities, mask) of a polar image, unmasked by default."""
     if mask is None:
         mask = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
-    return PolarIris(values, mask)
+    return values, mask
 
 
 def naive_block_means(values, mask):
@@ -69,7 +70,7 @@ def naive_block_means(values, mask):
 class TestExtractRaw:
     def test_constant_image(self):
         polar = polar_of(np.full((POLAR_HEIGHT, POLAR_WIDTH), 100, dtype=np.uint8))
-        fv = extract_raw(polar)
+        fv = extract_raw(*polar)
         assert np.allclose(fv.values, 100.0)
         assert fv.valid.all()
 
@@ -77,7 +78,7 @@ class TestExtractRaw:
         vals = np.full((POLAR_HEIGHT, POLAR_WIDTH), 90, dtype=np.uint8)
         mask = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         mask[0:8, 0:8] = 1  # block index 0
-        fv = extract_raw(polar_of(vals, mask))
+        fv = extract_raw(*polar_of(vals, mask))
         assert fv.values[0] == 0.0
         assert not fv.valid[0]
         assert fv.valid[1:].all()
@@ -86,7 +87,7 @@ class TestExtractRaw:
         rng = np.random.default_rng(3)
         vals = rng.integers(0, 256, size=(POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         mask = (rng.random((POLAR_HEIGHT, POLAR_WIDTH)) < 0.3).astype(np.uint8)
-        fv = extract_raw(polar_of(vals, mask))
+        fv = extract_raw(*polar_of(vals, mask))
         expect_vals, expect_valid = naive_block_means(vals.astype(float), mask)
         assert np.allclose(fv.values, expect_vals, atol=1e-9)
         assert np.array_equal(fv.valid, expect_valid)

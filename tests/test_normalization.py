@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irisfuse.imaging import GrayImage
-from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, PolarIris, enhance, rubber_sheet
+from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, enhance, rubber_sheet
 from irisfuse.segmentation import (
     Circle,
     SegmentationConfig,
@@ -31,9 +31,9 @@ class TestRubberSheet:
     def test_output_shape_fixed(self):
         img = ramp_image()
         seg = plain_segmentation(img, Circle(100, 80, 20), Circle(100, 80, 60))
-        polar = rubber_sheet(img, seg)
-        assert polar.intensities.shape == (POLAR_HEIGHT, POLAR_WIDTH)
-        assert polar.mask.shape == (POLAR_HEIGHT, POLAR_WIDTH)
+        polar, mask = rubber_sheet(img, seg)
+        assert polar.shape == (POLAR_HEIGHT, POLAR_WIDTH)
+        assert mask.shape == (POLAR_HEIGHT, POLAR_WIDTH)
 
     def test_first_row_samples_pupil_boundary(self):
         # on a linear ramp I(x, y) = x, bilinear sampling is exact, so
@@ -41,12 +41,12 @@ class TestRubberSheet:
         img = ramp_image()
         pupil, iris = Circle(100.0, 80.0, 20.0), Circle(100.0, 80.0, 60.0)
         seg = plain_segmentation(img, pupil, iris)
-        polar = rubber_sheet(img, seg)
+        polar, _ = rubber_sheet(img, seg)
         thetas = 2.0 * np.pi * np.arange(POLAR_WIDTH) / POLAR_WIDTH
         expect_first = pupil.cx + pupil.r * np.cos(thetas)
         expect_last = iris.cx + iris.r * np.cos(thetas)
-        assert np.max(np.abs(polar.intensities[0].astype(float) - expect_first)) <= 0.5 + 1e-9
-        assert np.max(np.abs(polar.intensities[-1].astype(float) - expect_last)) <= 1.0
+        assert np.max(np.abs(polar[0].astype(float) - expect_first)) <= 0.5 + 1e-9
+        assert np.max(np.abs(polar[-1].astype(float) - expect_last)) <= 1.0
 
     def test_radial_texture_gives_constant_rows(self):
         h, w = 200, 200
@@ -57,8 +57,8 @@ class TestRubberSheet:
             np.clip(np.rint(120 + 50 * np.sin(2 * np.pi * (d - 25.0) / 20.0)), 0, 255).astype(np.uint8)
         )
         seg = plain_segmentation(img, pupil, iris)
-        polar = rubber_sheet(img, seg)
-        rows = polar.intensities.astype(float)
+        polar, _ = rubber_sheet(img, seg)
+        rows = polar.astype(float)
         spread = rows.max(axis=1) - rows.min(axis=1)
         assert np.all(spread <= 2.0)
 
@@ -68,9 +68,9 @@ class TestRubberSheet:
         arr = np.zeros((160, 200), dtype=np.uint8)
         arr[:, 150:] = 1  # mask everything right of x=150
         seg = SegmentationResult(pupil, iris, None, None, arr)
-        polar = rubber_sheet(img, seg)
-        assert polar.mask[-1, 0] == 1  # theta=0 samples x=160, masked
-        assert polar.mask[0, 0] == 0   # pupil boundary at x=120, clear
+        _, mask = rubber_sheet(img, seg)
+        assert mask[-1, 0] == 1  # theta=0 samples x=160, masked
+        assert mask[0, 0] == 0   # pupil boundary at x=120, clear
 
     def test_out_of_image_sample_masked(self):
         img = GrayImage(np.full((100, 100), 50, dtype=np.uint8))
@@ -78,8 +78,8 @@ class TestRubberSheet:
         iris = Circle(50.0, 50.0, 60.0)  # pokes outside the 100x100 frame
         mask = np.zeros((100, 100), dtype=np.uint8)
         seg = SegmentationResult(pupil, iris, None, None, mask)
-        polar = rubber_sheet(img, seg)
-        assert polar.mask[-1, 0] == 1  # theta=0 outer sample at x=110
+        _, polar_mask = rubber_sheet(img, seg)
+        assert polar_mask[-1, 0] == 1  # theta=0 outer sample at x=110
 
     def test_rotation_becomes_column_shift(self):
         spec = SynthEyeSpec(
@@ -89,13 +89,13 @@ class TestRubberSheet:
         )
         img_a, truth_a = synth_eye(spec)
         img_b, truth_b = synth_eye(rotated(spec, math.radians(4.0)))
-        pa = rubber_sheet(img_a, truth_a)
-        pb = rubber_sheet(img_b, truth_b)
+        pa, mask_a = rubber_sheet(img_a, truth_a)
+        pb, mask_b = rubber_sheet(img_b, truth_b)
         shift = round(POLAR_WIDTH * 4.0 / 360.0)
-        shifted = np.roll(pa.intensities.astype(float), shift, axis=1)
-        shifted_mask = np.roll(pa.mask, shift, axis=1)
-        both = (shifted_mask == 0) & pb.valid
-        mad = np.abs(shifted[both] - pb.intensities.astype(float)[both]).mean()
+        shifted = np.roll(pa.astype(float), shift, axis=1)
+        shifted_mask = np.roll(mask_a, shift, axis=1)
+        both = (shifted_mask == 0) & (mask_b == 0)
+        mad = np.abs(shifted[both] - pb.astype(float)[both]).mean()
         assert shift == 5
         assert mad <= 3.0
 
@@ -110,10 +110,10 @@ class TestRubberSheet:
             pupil=Circle(192.0, 144.0, 36.0), iris=Circle(192.0, 144.0, 90.0),
             texture_seed=23,
         )
-        pa = rubber_sheet(*synth_eye(base))
-        pb = rubber_sheet(*synth_eye(big))
-        both = pa.valid & pb.valid
-        mad = np.abs(pa.intensities.astype(float)[both] - pb.intensities.astype(float)[both]).mean()
+        pa, mask_a = rubber_sheet(*synth_eye(base))
+        pb, mask_b = rubber_sheet(*synth_eye(big))
+        both = (mask_a == 0) & (mask_b == 0)
+        mad = np.abs(pa.astype(float)[both] - pb.astype(float)[both]).mean()
         assert mad <= 3.0
 
 
@@ -157,9 +157,9 @@ class TestRubberSheetMatchesOracle:
 
     @staticmethod
     def check(img, seg):
-        got, expect = rubber_sheet(img, seg), rubber_sheet_bilinear(img, seg)
-        assert np.array_equal(got.intensities, expect.intensities)
-        assert np.array_equal(got.mask, expect.mask)
+        (got, got_mask), (expect, expect_mask) = rubber_sheet(img, seg), rubber_sheet_bilinear(img, seg)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(got_mask, expect_mask)
 
     @pytest.mark.parametrize("corpus_args", [(6, 2, 2026), (4, 2, 7)])
     def test_corpus_segmentations_and_float_truth(self, corpus_args):
@@ -191,9 +191,10 @@ class TestRubberSheetMatchesOracle:
 
 class TestEnhance:
     def polar_of(self, values, mask=None):
+        """(intensities, mask) of a polar image, unmasked by default."""
         if mask is None:
             mask = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
-        return PolarIris(values, mask)
+        return values, mask
 
     def test_uniform_distribution_fixed_point(self):
         rng = np.random.default_rng(2)
@@ -202,17 +203,17 @@ class TestEnhance:
                 : POLAR_HEIGHT * POLAR_WIDTH
             ]
         ).reshape(POLAR_HEIGHT, POLAR_WIDTH)
-        out = enhance(self.polar_of(vals))
-        diff = out.intensities.astype(int) - vals.astype(int)
+        out = enhance(*self.polar_of(vals))
+        diff = out.astype(int) - vals.astype(int)
         assert np.max(np.abs(diff)) <= 1
 
     def test_two_valued_image_maps_to_cdf_targets(self):
         vals = np.full((POLAR_HEIGHT, POLAR_WIDTH), 50, dtype=np.uint8)
         vals[:, POLAR_WIDTH // 2 :] = 200
-        out = enhance(self.polar_of(vals))
+        out = enhance(*self.polar_of(vals))
         # direct CDF computation: cdf(50)=0.5 -> 127.5, cdf(200)=1.0 -> 255
-        low = out.intensities[vals == 50]
-        high = out.intensities[vals == 200]
+        low = out[vals == 50]
+        high = out[vals == 200]
         assert set(np.unique(low)) <= {127, 128}
         assert set(np.unique(high)) == {255}
         assert low.max() < high.min()
@@ -221,34 +222,19 @@ class TestEnhance:
         vals = np.arange(POLAR_HEIGHT * POLAR_WIDTH, dtype=np.int64) % 256
         vals = vals.astype(np.uint8).reshape(POLAR_HEIGHT, POLAR_WIDTH)
         polar = self.polar_of(vals, np.ones((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8))
-        out = enhance(polar)
-        assert out is polar
+        out = enhance(*polar)
+        assert out is polar[0]
 
     def test_masked_pixels_unchanged_and_order_preserved(self):
         rng = np.random.default_rng(9)
         vals = rng.integers(0, 256, size=(POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         mask = (rng.random((POLAR_HEIGHT, POLAR_WIDTH)) < 0.3).astype(np.uint8)
-        polar = self.polar_of(vals, mask)
-        out = enhance(polar)
-        assert np.array_equal(out.intensities[mask == 1], vals[mask == 1])
-        assert np.array_equal(out.mask, mask)
+        polar = self.polar_of(vals, mask.copy())
+        out = enhance(*polar)
+        assert np.array_equal(out[mask == 1], vals[mask == 1])
+        assert np.array_equal(polar[1], mask)
         v_in = vals[mask == 0].astype(int)
-        v_out = out.intensities[mask == 0].astype(int)
+        v_out = out[mask == 0].astype(int)
         order = np.argsort(v_in, kind="stable")
         assert np.all(np.diff(v_out[order]) >= 0)
 
-
-class TestPolarIris:
-    def test_shape_enforced(self):
-        with pytest.raises(ValueError):
-            PolarIris(
-                np.zeros((10, 10), dtype=np.uint8),
-                np.zeros((10, 10), dtype=np.uint8),
-            )
-
-    def test_mask_congruence_enforced(self):
-        with pytest.raises(ValueError):
-            PolarIris(
-                np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8),
-                np.zeros((10, 10), dtype=np.uint8),
-            )

@@ -40,7 +40,7 @@ class TestPinnedPipeline:
         digest = hashlib.sha256()
         for img in images:
             f = process_image(img, cfg)
-            for arr in (f.polar.intensities, f.polar.mask, f.template.bits,
+            for arr in (f.polar, f.mask, f.template.bits,
                         f.raw.values, f.raw.valid):
                 digest.update(f"{arr.dtype.str} {arr.shape}\n".encode())
                 digest.update(np.ascontiguousarray(arr).tobytes())
@@ -64,17 +64,26 @@ def test_masks_are_read_only_uint8_zero_one_arrays(tmp_path):
         (build_noise_mask(img, seg.pupil, seg.iris, (seg.upper_eyelid, seg.lower_eyelid)),
          img.pixels.shape),
         (seg.noise_mask, img.pixels.shape),
-        (f.polar.mask, polar),
-        (encode(f.enhanced).mask, polar),
+        (f.mask, polar),
+        (encode(f.enhanced, f.mask).mask, polar),
         (shifted(f.template, 5).mask, polar),
-        (common_mask(f.polar.mask, features[2].polar.mask), polar),
+        (common_mask(f.mask, features[2].mask), polar),
     ] + [(rec.template.mask, polar) for rec in loaded.records]
     for mask, shape in masks:
         assert mask.dtype == np.uint8 and mask.shape == shape
         assert set(np.unique(mask).tolist()) <= {0, 1}
         with pytest.raises(ValueError):
             mask[0, 0] = 0
-    assert f.polar.mask[:4].all() and f.polar.mask[-4:].all()  # the guard rows
-    assert not f.polar.mask.all()
+    assert f.mask[:4].all() and f.mask[-4:].all()  # the guard rows
+    assert not f.mask.all()
     for a, b in zip(gallery.records, loaded.records):
         assert np.array_equal(a.template.mask, b.template.mask)
+
+
+def test_polar_arrays_are_read_only_uint8_with_one_mask():
+    f = process_image(build_corpus(1, 1, 2026).records[0].image, PipelineConfig(polar_guard_rows=4))
+    for arr in (f.polar, f.enhanced, f.mask, f.template.mask):
+        assert arr.dtype == np.uint8 and arr.shape == (POLAR_HEIGHT, POLAR_WIDTH) == (96, 448)
+        assert not arr.flags.writeable
+    assert f.template.mask is f.mask
+    assert f.mask[:4].all() and f.mask[-4:].all()  # the 4 guard rows

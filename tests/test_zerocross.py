@@ -5,7 +5,7 @@ import pytest
 
 from irisfuse import store
 from irisfuse.gasel import FEATURE_COUNT, RawFeatureVector
-from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError, PolarIris
+from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError
 from irisfuse.pipeline import PipelineConfig, process_image, process_images
 from irisfuse.segmentation import SegmentationError
 from irisfuse.synth import build_corpus
@@ -44,7 +44,8 @@ def circular_transitions(bits):
 
 
 def unmasked_polar(values):
-    return PolarIris(values, np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8))
+    """(intensities, mask) of a polar image with nothing masked."""
+    return values, np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
 
 
 def random_template(rng, mask=None):
@@ -116,14 +117,14 @@ class TestDyadicWavelet:
 class TestEncode:
     def test_constant_polar_all_ones_and_flagged(self):
         polar = unmasked_polar(np.full((POLAR_HEIGHT, POLAR_WIDTH), 120, dtype=np.uint8))
-        t = encode(polar)
+        t = encode(*polar)
         assert np.all(t.bits == 1)  # transform is exactly 0, ">= 0" convention
 
     def test_stripe_texture_alternates_with_period(self):
         x = np.arange(POLAR_WIDTH)
         vals = np.tile(120 + 80 * np.sin(2 * np.pi * x / 32), (POLAR_HEIGHT, 1))
         polar = unmasked_polar(np.clip(np.rint(vals), 0, 255).astype(np.uint8))
-        t = encode(polar)
+        t = encode(*polar)
         for plane in t.bits:
             for row in plane:
                 # sign bits at exact-crossing samples may land either way;
@@ -135,14 +136,14 @@ class TestEncode:
         rng = np.random.default_rng(8)
         vals = rng.integers(0, 256, size=(POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         polar = unmasked_polar(vals)
-        a, b = encode(polar), encode(polar)
+        a, b = encode(*polar), encode(*polar)
         assert np.array_equal(a.bits, b.bits)
 
     def test_scale_count(self):
         polar = unmasked_polar(np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8))
-        assert encode(polar, scales=(1, 2, 4)).scale_count == 3
+        assert encode(*polar, scales=(1, 2, 4)).scale_count == 3
         with pytest.raises(ValueError):
-            encode(polar, scales=())
+            encode(*polar, scales=())
 
 
 class TestMatch:
@@ -234,22 +235,21 @@ class TestEncodeMatchesInlineOracle:
         for _ in range(5):
             vals = rng.integers(0, 256, size=(POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
             mask = (rng.random((POLAR_HEIGHT, POLAR_WIDTH)) < 0.3).astype(np.uint8)
-            polar = PolarIris(vals, mask)
-            got, want = encode(polar, scales), encode_inline(polar, scales)
+            got, want = encode(vals, mask, scales), encode_inline(vals, mask, scales)
             assert np.array_equal(got.bits, want.bits)
             assert np.array_equal(got.mask, want.mask)
 
     def test_real_polars(self, corpus_features):
         for f in corpus_features:
-            assert np.array_equal(f.template.bits, encode_inline(f.enhanced).bits)
+            assert np.array_equal(f.template.bits, encode_inline(f.enhanced, f.mask).bits)
 
     def test_invalid_scales_raise_like_oracle(self):
         polar = unmasked_polar(np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8))
         for scales in ((), (3,), (2, 5)):
             with pytest.raises(ValueError) as got:
-                encode(polar, scales)
+                encode(*polar, scales)
             with pytest.raises(ValueError) as want:
-                encode_inline(polar, scales)
+                encode_inline(*polar, scales)
             assert str(got.value) == str(want.value)
 
 
