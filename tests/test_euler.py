@@ -21,7 +21,7 @@ from irisfuse.pipeline import PipelineConfig, process_image, process_images
 from irisfuse.segmentation import SegmentationError
 from irisfuse.synth import build_corpus
 
-from oracles import euler_code_per_plane, euler_number_quads, flood_fill_euler, nibble_euler
+from oracles import euler_code_per_plane, euler_number_quads, flood_fill_euler
 
 
 class TestEulerNumber:
@@ -151,7 +151,8 @@ def corpus_polars():
 
 
 class TestEulerCodeMatchesPerPlaneOracle:
-    """The one-pass nibble kernel against the former four-plane loop."""
+    """``euler_code`` against ``euler_code_per_plane``, which counts each of the
+    four MSB planes by ``euler_number_quads``."""
 
     @staticmethod
     def masks(rng, shape):
@@ -188,12 +189,14 @@ class TestEulerCodeMatchesPerPlaneOracle:
 
 
 def nibble_oracle(img):
-    """Eight plane Euler numbers, b7 first, from the former nibble kernel."""
-    return np.concatenate([nibble_euler(img >> 4), nibble_euler(img & 0x0F)])
+    """Eight plane Euler numbers, b7 first: the planes of the high nibble, then
+    of the low nibble, each by the one-plane bit-quad count."""
+    return np.array([euler_number_quads((img >> k) & 1) for k in range(7, -1, -1)])
 
 
 class TestPlaneEulerMatchesNibbleOracle:
-    """The per-plane count_nonzero kernel against the former 12-bit quad-code kernel."""
+    """The per-plane count_nonzero kernel against ``euler_number_quads`` on each
+    of the eight planes (``nibble_oracle``)."""
 
     @settings(derandomize=True, deadline=None, max_examples=300, database=None)
     @given(arrays(np.uint8, st.tuples(st.integers(1, 40), st.integers(1, 40))))

@@ -33,8 +33,6 @@ from oracles import (
     match_subset_compressed,
     planted_problem,
     rank_entropy_loop,
-    rank_rfe_downdate,
-    rank_rfe_per_target,
     rank_rfe_rebuild,
     rates_at_eer_sweep,
     roulette_select_per_draw,
@@ -472,34 +470,34 @@ class TestRankingsArePermutations:
 
 
 class TestRfeMatchesPerTargetOracle:
+    """Planted problems against ``rank_rfe_rebuild``, which fits one ridge
+    discriminant per class target and retrains after every elimination."""
+
     @pytest.mark.parametrize("classes", [2, 6])
     @pytest.mark.parametrize("seed", range(4))
     def test_planted_rankings_identical(self, seed, classes):
         X, y, _ = planted_problem(seed, n_features=60, n_informative=6,
                                   classes=classes, per_class=6)
-        assert np.array_equal(rank_rfe(X, y), rank_rfe_per_target(X, y))
+        assert np.array_equal(rank_rfe(X, y), rank_rfe_rebuild(X, y))
 
     def test_constant_features_identical(self):
         X, y, _ = planted_problem(9, n_features=30, n_informative=4, classes=3, per_class=5)
         X[:, ::3] = 7.0
-        assert np.array_equal(rank_rfe(X, y), rank_rfe_per_target(X, y))
-
+        assert np.array_equal(rank_rfe(X, y), rank_rfe_rebuild(X, y))
 
 
 class TestRfeDowndateMatchesRebuild:
-    """The downdated gram gives the rankings of a gram rebuilt at every step."""
+    """The rank-one downdated gram gives the rankings of a gram rebuilt at every step."""
 
     @pytest.mark.parametrize("classes,per_class", [(2, 12), (6, 6)])
     def test_small_problems_match_both_oracles(self, classes, per_class):
         X, y, _ = planted_problem(2026, n_features=FEATURE_COUNT, n_informative=20,
                                   classes=classes, per_class=per_class)
-        ranking = rank_rfe(X, y)
-        assert np.array_equal(ranking, rank_rfe_rebuild(X, y))
-        assert np.array_equal(ranking, rank_rfe_per_target(X, y))
+        assert np.array_equal(rank_rfe(X, y), rank_rfe_rebuild(X, y))
 
     @pytest.mark.parametrize("classes,seed", [(40, 2026), (50, 7)])
     def test_bench_problems_match_rebuild(self, classes, seed):
-        # the per-target oracle needs 12-26 s at these sizes, so only the rebuild runs
+        # the train-ga workload's problem sizes: 40 classes, or 50 with --full
         X, y, _ = planted_problem(seed, n_features=FEATURE_COUNT, n_informative=20,
                                   classes=classes, per_class=4)
         assert np.array_equal(rank_rfe(X, y), rank_rfe_rebuild(X, y))
@@ -520,19 +518,19 @@ def duplicated_columns_problem(seed):
 
 
 class TestRfeRankOneUpdates:
-    """The rank-one loop against the former downdated-gram loop and the rebuild."""
+    """The rank-one updates of the inverse gram and the weights against ``rank_rfe_rebuild``."""
 
     def test_block_features_match_both_oracles(self):
         X, y = corpus_block_features(6, 3, 2026)
         ranking = rank_rfe(X, y)
-        assert np.array_equal(ranking, rank_rfe_downdate(X, y))
         assert np.array_equal(ranking, rank_rfe_rebuild(X, y))
 
     def test_block_features_with_zero_columns_drop_a_minimum(self):
         # A block masked in every image is a zero column; one unmasked in a
         # single image standardizes to the same column as any other such block,
-        # up to rounding.  Those near-ties (2e-14 relative here) part all three
-        # loops, so each drop is checked against the rebuilt weights instead.
+        # up to rounding.  Those near-ties (2e-14 relative here) part ``rank_rfe``
+        # and ``rank_rfe_rebuild``, so each drop is checked against the rebuilt
+        # weights instead.
         X, y = corpus_block_features(6, 3, 7)
         zero = np.flatnonzero(~X.any(axis=0))
         assert len(zero) > 0
@@ -550,14 +548,13 @@ class TestRfeRankOneUpdates:
     def test_duplicated_columns_match_both_oracles(self):
         X, y = duplicated_columns_problem(101)
         ranking = rank_rfe(X, y)
-        assert np.array_equal(ranking, rank_rfe_downdate(X, y))
         assert np.array_equal(ranking, rank_rfe_rebuild(X, y))
 
     @pytest.mark.parametrize("seed", [101, 103, 116])
     def test_duplicated_columns_tie_to_the_largest_index(self, seed):
         # A column and its copy keep bit-equal weights, so the copy (the larger
         # index) always goes first and ranks below its original.  At seeds 103
-        # and 116 both oracles break such a tie the other way by rounding.
+        # and 116 ``rank_rfe_rebuild`` breaks such a tie the other way by rounding.
         X, y = duplicated_columns_problem(seed)
         position = np.argsort(rank_rfe(X, y))
         assert np.all(position[0::5] < position[1::5])
@@ -567,14 +564,12 @@ class TestRfeRankOneUpdates:
         X, y, _ = planted_problem(3, n_features=features, n_informative=1, classes=3, per_class=4)
         ranking = rank_rfe(X, y)
         assert sorted(ranking.tolist()) == list(range(features))
-        assert np.array_equal(ranking, rank_rfe_downdate(X, y))
         assert np.array_equal(ranking, rank_rfe_rebuild(X, y))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_binary_problem_matches_both_oracles(self, seed):
         X, y, _ = planted_problem(seed, n_features=200, n_informative=8, classes=2, per_class=15)
         ranking = rank_rfe(X, y)
-        assert np.array_equal(ranking, rank_rfe_downdate(X, y))
         assert np.array_equal(ranking, rank_rfe_rebuild(X, y))
 
 

@@ -45,8 +45,8 @@ from oracles import (
     parabola_votes_float,
     parabola_votes_per_region,
     parabolic_hough_loop,
-    vote_by_distance_bincount,
     vote_by_distance_hypot,
+    vote_by_rings,
 )
 
 
@@ -296,18 +296,35 @@ def small_corpus():
     return build_corpus(4, 2, 2026)
 
 
+def random_hough_cases():
+    """80 (points, shape, r_min, r_max) cases; some radius ranges are empty."""
+    rng = np.random.default_rng(41)
+    for _ in range(80):
+        width, height = (int(v) for v in rng.integers(12, 90, size=2))
+        edges = random_edges(rng, width, height)
+        r_min = int(rng.integers(1, 25))
+        r_max = r_min + int(rng.integers(0, 20))  # 0: an invalid, empty range
+        yield *edges, r_min, r_max
+
+
 class TestPerRadiusMatchesOracle:
-    """``circular_hough(per_radius=True)`` against the former pupil decoder."""
+    """``circular_hough(per_radius=True)`` against the whole-image pupil decoder
+    ``hough_circle_normalized``, which votes with ``vote_by_rings``."""
 
     def test_random_edge_maps(self):
-        rng = np.random.default_rng(41)
-        for _ in range(80):
-            width, height = (int(v) for v in rng.integers(12, 90, size=2))
-            edges = random_edges(rng, width, height)
-            r_min = int(rng.integers(1, 25))
-            r_max = r_min + int(rng.integers(0, 20))  # 0: an invalid, empty range
-            expect = outcome(hough_circle_normalized, *edges, r_min, r_max)
-            assert outcome(circular_hough, *edges, r_min, r_max, per_radius=True) == expect
+        for case in random_hough_cases():
+            expect = outcome(hough_circle_normalized, *case)
+            assert outcome(circular_hough, *case, per_radius=True) == expect
+
+    def test_ring_stamps_match_the_distance_oracle(self):
+        # ties the whole-image reference to the per-point distance reference
+        for points, (height, width), r_min, r_max in random_hough_cases():
+            if r_max == r_min:
+                continue
+            px, py = points[:, 0], points[:, 1]
+            got = vote_by_rings(px, py, r_min, r_max, 0, width, 0, height, width, height)
+            expect = vote_by_distance_hypot(px, py, r_min, r_max, 0, width, 0, height)
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
     def test_same_errors(self):
         empty = np.empty((0, 2), dtype=int)
@@ -342,7 +359,8 @@ def iris_vote_inputs(img, pupil_cx, pupil_cy, cfg=SegmentationConfig()):
 
 
 class TestDistanceVoteMatchesHypotOracle:
-    """The integer-distance kernel against the former float-``hypot`` kernel."""
+    """The integer-distance kernel against the float-``hypot`` distances of
+    ``vote_by_distance_hypot``."""
 
     @staticmethod
     def check(*args):
@@ -371,7 +389,8 @@ class TestDistanceVoteMatchesHypotOracle:
 
 
 class TestRowVoteMatchesBincountOracle:
-    """The one-row-at-a-time circle vote against the former whole-window ``bincount``."""
+    """The one-row-at-a-time circle vote against ``vote_by_distance_hypot`` on
+    whole-image, one-row, one-column and border-clipped windows."""
 
     @staticmethod
     def check(points, shape, r_min, r_max, x_lo, x_hi, y_lo, y_hi):
@@ -379,7 +398,7 @@ class TestRowVoteMatchesBincountOracle:
         x_hi, y_hi = min(x_hi, shape[1] - 1), min(y_hi, shape[0] - 1)
         args = (points[:, 0], points[:, 1], r_min, r_max,
                 x_lo, x_hi - x_lo + 1, y_lo, y_hi - y_lo + 1)
-        got, expect = _vote_by_distance(*args), vote_by_distance_bincount(*args)
+        got, expect = _vote_by_distance(*args), vote_by_distance_hypot(*args)
         assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
     def test_window_shapes(self):

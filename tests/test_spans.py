@@ -2,6 +2,7 @@
 functions by name, so a renamed or bypassed function would silently read 0
 in its layer.  These tests pin the names and the calls one verify makes."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -15,6 +16,7 @@ from irisfuse.synth import build_corpus
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 WORKLOADS_PATH = SPANS_PATH.with_name("workloads.py")
+ORACLES_PATH = Path(__file__).resolve().with_name("oracles.py")
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +77,36 @@ def test_bench_workloads_import(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
     spec.loader.exec_module(module)
     assert {"evaluate", "gallery", "train-ga"} <= module.WORKLOADS.keys()
+
+
+def names_used(tree):
+    """Every name a parsed module reads, imports or reads as an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_every_oracle_is_referenced():
+    # one reference per kernel: a test retargeted to another reference must
+    # not leave its former one behind in tests/oracles.py
+    definitions = {}
+    for node in ast.parse(ORACLES_PATH.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            definitions[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            definitions.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    users = sorted(ORACLES_PATH.parent.glob("test_*.py"))
+    users += sorted(WORKLOADS_PATH.parent.glob("*.py"))
+    outside = set().union(*(names_used(ast.parse(path.read_text())) for path in users))
+    bodies = {name: names_used(node) for name, node in definitions.items()
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    unused = [name for name in definitions if not name.startswith("_") and name not in outside
+              and not any(name in used for other, used in bodies.items() if other != name)]
+    assert unused == [], f"tests/oracles.py defines references nothing uses: {unused}"
