@@ -131,7 +131,7 @@ def cmd_enroll(args) -> int:
     except SegmentationError as exc:
         print(f"enrollment failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _atomic_write(path, store.to_bytes(gallery))
+    store.save(gallery, path)
     print(f"enrolled {args.id!r}; gallery now holds {len(gallery.records)} identities")
     return EXIT_OK
 
@@ -182,10 +182,9 @@ def cmd_train_ga(args) -> int:
     pool = build_pool(rankings, top_k=top_k)
     result = ga_select(pool, X, y, cfg.ga())
 
-    gallery = store.with_selection(_load_or_create_gallery(gallery_path), pool, result.best,
-                                   cfg.pipeline())
+    gallery = store.with_selection(_load_or_create_gallery(gallery_path), pool, result.best)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(gallery_path, store.to_bytes(gallery))
+    store.save(gallery, gallery_path)
 
     history_lines = ["generation,best_cost"] + [
         f"{g},{c:.9f}" for g, c in enumerate(result.history)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, fields
 
 from .fusion import FUSION_RULES, FusionPolicy
 from .gasel import GaConfig
-from .pipeline import PipelineConfig
 from .segmentation import SegmentationConfig
 
 
@@ -31,9 +30,6 @@ class RunConfig:
     grad_threshold: float = SegmentationConfig.grad_threshold
     specular_threshold: int = SegmentationConfig.specular_threshold
     detect_eyelids: bool = SegmentationConfig.detect_eyelids
-    wavelet_scales: tuple[int, ...] = PipelineConfig.scales
-    max_shift: int = PipelineConfig.max_shift
-    polar_guard_rows: int = PipelineConfig.polar_guard_rows
     ga_population: int = GaConfig.population_size
     ga_w1: float = GaConfig.weights[0]
     ga_w2: float = GaConfig.weights[1]
@@ -61,9 +57,10 @@ class RunConfig:
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be >= 0")
 
-    def pipeline(self) -> PipelineConfig:
+    def pipeline(self) -> SegmentationConfig:
+        """The per-image pipeline's settings: its segmentation config."""
         try:
-            seg = SegmentationConfig(
+            return SegmentationConfig(
                 pupil_r_min=self.pupil_r_min,
                 pupil_r_max=self.pupil_r_max,
                 iris_r_min=self.iris_r_min,
@@ -71,12 +68,6 @@ class RunConfig:
                 grad_threshold=self.grad_threshold,
                 specular_threshold=self.specular_threshold,
                 detect_eyelids=self.detect_eyelids,
-            )
-            return PipelineConfig(
-                segmentation=seg,
-                scales=self.wavelet_scales,
-                max_shift=self.max_shift,
-                polar_guard_rows=self.polar_guard_rows,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -137,8 +128,6 @@ def _parse_value(key: str, raw: str):
         return raw
     target = _FIELDS[key].type
     try:
-        if key == "wavelet_scales":
-            return tuple(int(v) for v in raw.split(","))
         if key == "fusion_weights":
             return tuple(float(v) for v in raw.split(","))
         if target.startswith("int"):

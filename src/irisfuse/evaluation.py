@@ -22,7 +22,8 @@ from .fusion import FusionPolicy, fit_ranges, fuse, normalize_distances
 from .gasel import Chromosome, FeaturePool, default_selection
 from .imaging import GrayImage
 from .normalization import comparable
-from .pipeline import PipelineConfig, process_images
+from .pipeline import process_images
+from .segmentation import SegmentationConfig
 from .synth import Corpus
 
 IMPOSTER_CAP_FACTOR = 10
@@ -69,7 +70,7 @@ class TrialOutcome:
 
 def run_trials(
     corpus: Corpus,
-    pipeline: PipelineConfig | None = None,
+    segmentation: SegmentationConfig | None = None,
     policy: FusionPolicy | None = None,
     selection: tuple[FeaturePool, Chromosome] | None = None,
 ) -> TrialOutcome:
@@ -79,11 +80,11 @@ def run_trials(
     genuine count.  Aborts when more than 20% of the images fail
     segmentation.
     """
-    pipeline = pipeline or PipelineConfig()
+    segmentation = segmentation or SegmentationConfig()
     policy = policy or FusionPolicy()
     pool, chromosome = selection or default_selection()
 
-    features, kept = process_images([r.image for r in corpus.records], pipeline)
+    features, kept = process_images([r.image for r in corpus.records], segmentation)
     ids = np.asarray([corpus.records[k].identity for k in kept])
     total = len(corpus.records)
     failures = total - len(kept)
@@ -113,7 +114,7 @@ def run_trials(
     model = calibrated_covariance([f.own_code for f in features])
     pairs = [(features[i], features[j]) for i, j in zip(first, second)]
     codes = np.array([pair_codes(a.polar, b.polar, a.mask | b.mask) for a, b in pairs])
-    zc = zerocross.match_pairs([f.template for f in features], first, second, pipeline.max_shift)
+    zc = zerocross.match_pairs([f.template for f in features], first, second)
     blocks = gasel.match_pairs([f.raw for f in features], first, second, chromosome, pool)
     raw = {"zerocross": comparable(zc, zerocross.INCOMPARABLE),
            "euler": mahalanobis_rows(codes[:, 0] - codes[:, 1], model),

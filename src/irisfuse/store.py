@@ -22,23 +22,23 @@ never mutates anything.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .euler import (CovarianceModel, calibrated_covariance, common_mask, euler_code, mahalanobis,
-                    mahalanobis_rows)
+from .euler import CovarianceModel, calibrated_covariance, mahalanobis, mahalanobis_rows
 from .fusion import (ALGORITHMS, Decision, FusionPolicy, ScoreRange, decide, fit_ranges, fuse,
                      normalize_distances)
 from .gasel import (FEATURE_COUNT, Chromosome, FeaturePool, RawFeatureVector, default_selection,
                     match_pairs, match_subset)
 from .imaging import GrayImage
 from .normalization import POLAR_HEIGHT, POLAR_WIDTH
-from .pipeline import PipelineConfig, process_image, process_images
-from .segmentation import SegmentationError
-from .zerocross import DEFAULT_MAX_SHIFT, ZeroCrossTemplate, match as zc_match, match_pairs as zc_pairs
+from .pipeline import process_image, process_images
+from .segmentation import SegmentationConfig, SegmentationError
+from .zerocross import ZeroCrossTemplate, match as zc_match, match_pairs as zc_pairs
 
 MAGIC = b"IRF1"
 FORMAT_VERSION = 1
@@ -92,7 +92,7 @@ class Gallery:
 
 def empty_gallery() -> Gallery:
     pool, chromosome = default_selection()
-    covariance, ranges = _recalibrate((), pool, chromosome, DEFAULT_MAX_SHIFT)
+    covariance, ranges = _recalibrate((), pool, chromosome)
     return Gallery((), covariance, pool, chromosome, ranges)
 
 
@@ -100,12 +100,11 @@ _RANGE_PAIR_CAP = 300
 
 
 def _recalibrate(
-    records: tuple[EnrollmentRecord, ...], pool: FeaturePool, chromosome: Chromosome, max_shift: int
+    records: tuple[EnrollmentRecord, ...], pool: FeaturePool, chromosome: Chromosome
 ) -> tuple[CovarianceModel, dict[str, ScoreRange]]:
     """Covariance, and ``fit_ranges`` over strided cross-identity pairs plus the genuine 0.
 
-    A genuine trial against a record's one stored template is a self-match;
-    zerocross runs at the shift budget verification uses.
+    A genuine trial against a record's one stored template is a self-match.
     """
     if len(records) < 2:
         return CovarianceModel(np.eye(4), 1.0), fit_ranges(dict.fromkeys(ALGORITHMS, 0.0))
@@ -116,7 +115,7 @@ def _recalibrate(
     stride = -(-len(first) // _RANGE_PAIR_CAP)  # 1 up to the cap
     first, second = first[::stride], second[::stride]
     raw = {
-        "zerocross": zc_pairs([r.template for r in records], first, second, max_shift),
+        "zerocross": zc_pairs([r.template for r in records], first, second),
         "euler": mahalanobis_rows(codes[first] - codes[second], model),
         "gasel": match_pairs([r.features for r in records], first, second, chromosome, pool),
     }
@@ -127,7 +126,7 @@ def enroll(
     gallery: Gallery,
     identity: str,
     samples,
-    pipeline: PipelineConfig | None = None,
+    segmentation: SegmentationConfig | None = None,
 ) -> Gallery:
     """Add one identity from its eye-image samples; returns the new gallery.
 
@@ -138,9 +137,7 @@ def enroll(
     """
     if gallery.has(identity):
         raise ValueError(f"identity {identity!r} is already enrolled")
-    pipeline = pipeline or PipelineConfig()
-
-    processed, _ = process_images(samples, pipeline)
+    processed, _ = process_images(samples, segmentation or SegmentationConfig())
     if not processed:
         raise SegmentationError(f"no sample of {identity!r} segmented successfully")
 
@@ -158,24 +155,17 @@ def enroll(
         features=RawFeatureVector(mean_values, counts > 0),
     )
     records = gallery.records + (record,)
-    covariance, ranges = _recalibrate(records, gallery.pool, gallery.chromosome, pipeline.max_shift)
+    covariance, ranges = _recalibrate(records, gallery.pool, gallery.chromosome)
     return replace(gallery, records=records, covariance=covariance, score_ranges=ranges)
 
 
-def with_selection(
-    gallery: Gallery,
-    pool: FeaturePool,
-    chromosome: Chromosome,
-    pipeline: PipelineConfig | None = None,
-) -> Gallery:
+def with_selection(gallery: Gallery, pool: FeaturePool, chromosome: Chromosome) -> Gallery:
     """The gallery with a new GA feature selection and its ranges refitted.
 
     The gasel range is the worst distance under the selection, so a new
-    pool or chromosome refits every range over the enrolled records, at the
-    shift budget verification uses.
+    pool or chromosome refits every range over the enrolled records.
     """
-    pipeline = pipeline or PipelineConfig()
-    covariance, ranges = _recalibrate(gallery.records, pool, chromosome, pipeline.max_shift)
+    covariance, ranges = _recalibrate(gallery.records, pool, chromosome)
     return replace(gallery, covariance=covariance, pool=pool, chromosome=chromosome,
                    score_ranges=ranges)
 
@@ -185,26 +175,20 @@ def verify(
     claimed_id: str,
     probe: GrayImage,
     policy: FusionPolicy,
-    pipeline: PipelineConfig | None = None,
+    segmentation: SegmentationConfig | None = None,
 ) -> tuple[Decision, dict[str, float], float]:
     """Match a probe image against the claimed identity's record.
 
     Returns the decision, the raw per-algorithm distances, and the fused
-    similarity.  The probe's Euler code is computed under the union of the
-    probe mask and the enrolled template's mask, but the stored code was
-    fixed at enrollment under the record's own mask.  ``run_trials`` computes
-    both codes of a pair under their union mask instead: on all pairs of
-    ``build_corpus(30, 4, 2026)`` its Euler EER is 0.132, this matcher's
-    0.179, and 0.186 with own masks on both sides.
+    similarity.  Each distance is the one the gallery's covariance and
+    ranges were fitted on: the Euler codes of probe and record are both
+    taken under their own image's mask.
     """
     record = gallery.lookup(claimed_id)
-    pipeline = pipeline or PipelineConfig()
-    feats = process_image(probe, pipeline)
-
-    cm = common_mask(feats.mask, record.template.mask)
+    feats = process_image(probe, segmentation or SegmentationConfig())
     raw = {
-        "zerocross": zc_match(feats.template, record.template, pipeline.max_shift),
-        "euler": mahalanobis(euler_code(feats.polar, cm), record.euler, gallery.covariance),
+        "zerocross": zc_match(feats.template, record.template),
+        "euler": mahalanobis(feats.own_code, record.euler, gallery.covariance),
         "gasel": match_subset(feats.raw, record.features, gallery.chromosome, gallery.pool),
     }
     fused = fuse(normalize_distances(raw, gallery.score_ranges), policy)
@@ -250,9 +234,15 @@ def to_bytes(gallery: Gallery) -> bytes:
 
 
 def save(gallery: Gallery, path) -> None:
-    """Write the gallery's canonical bytes to ``path``."""
-    with open(path, "wb") as fh:
+    """Write the gallery's canonical bytes to ``path``.
+
+    The bytes go to a temporary file beside it that then replaces ``path``,
+    so a failed save leaves the previous gallery intact.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(to_bytes(gallery))
+    os.replace(tmp, path)
 
 
 class _Reader:

@@ -10,7 +10,6 @@ import pytest
 
 from irisfuse import cli, store
 from irisfuse.cli import main
-from irisfuse.config import RunConfig
 from irisfuse.imaging import GrayImage, save_pgm
 from irisfuse.segmentation import Circle
 from irisfuse.synth import SynthEyeSpec, synth_eye
@@ -223,8 +222,7 @@ class TestTrainGa:
         after = store.load(gal)
         assert [r.identity for r in after.records] == [r.identity for r in before.records]
         assert not np.array_equal(after.chromosome.genes, before.chromosome.genes)
-        _, refit = store._recalibrate(after.records, after.pool, after.chromosome,
-                                      RunConfig().pipeline().max_shift)
+        _, refit = store._recalibrate(after.records, after.pool, after.chromosome)
         assert after.score_ranges == refit
         assert after.score_ranges["gasel"] != before.score_ranges["gasel"]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from irisfuse.config import ConfigError, RunConfig, load_config, parse_config
 from irisfuse.fusion import FusionPolicy
 from irisfuse.gasel import GaConfig
-from irisfuse.pipeline import PipelineConfig
+from irisfuse.segmentation import SegmentationConfig
 
 
 class TestParsing:
@@ -18,7 +18,6 @@ class TestParsing:
     def test_round_trip(self):
         cfg = RunConfig(
             grad_threshold=16.0,
-            wavelet_scales=(1, 2, 4),
             fusion_rule="weighted",
             fusion_weights=(0.5, 0.25, 0.25),
             fusion_threshold=0.6,
@@ -34,6 +33,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("pupil_radius = 12\n")
 
+    @pytest.mark.parametrize("key", ["wavelet_scales", "max_shift", "polar_guard_rows"])
+    def test_removed_pipeline_keys_are_unknown(self, key):
+        # a stored gallery is scored at the scales, shift budget and guard
+        # rows it was built with, so no run may set them
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = 4\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("rng_seed = 1\nrng_seed = 2\n")
@@ -44,14 +50,7 @@ class TestParsing:
 
     def test_bad_number_rejected(self):
         with pytest.raises(ConfigError):
-            parse_config("max_shift = eight\n")
-
-    def test_max_shift_bounded_by_half_the_polar_width(self):
-        assert parse_config("max_shift = 224\n").max_shift == 224
-        with pytest.raises(ConfigError, match=r"max_shift must lie in \[0, 224\]"):
-            parse_config("max_shift = 225\n")
-        with pytest.raises(ConfigError, match=r"max_shift must lie in \[0, 224\]"):
-            parse_config("max_shift = -1\n")
+            parse_config("ga_top_k = eight\n")
 
     def test_module_preconditions_enforced(self):
         with pytest.raises(ConfigError):
@@ -62,9 +61,6 @@ class TestParsing:
             parse_config("fusion_threshold = 1.5\n")
 
     @pytest.mark.parametrize("text", [
-        "wavelet_scales = \n",
-        "wavelet_scales = 2,,4\n",
-        "wavelet_scales = two\n",
         "fusion_rule = weighted\nfusion_weights = \n",
         "fusion_rule = weighted\nfusion_weights = 0.5,half,0.5\n",
     ])
@@ -77,8 +73,6 @@ class TestParsing:
         "grad_threshold = inf\n",
         "grad_threshold = -inf\n",
         "rng_seed = -1\n",
-        "wavelet_scales = 3\n",
-        "wavelet_scales = 2,16\n",
         "fusion_rule = weighted\nfusion_weights = nan,0.5,0.5\n",
     ])
     def test_values_that_fail_at_run_time_rejected(self, text):
@@ -99,18 +93,18 @@ class TestParsing:
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("rng_seed = 5\nmax_shift = 4\n")
+        path.write_text("rng_seed = 5\nga_top_k = 4\n")
         cfg = load_config(path)
         assert cfg.rng_seed == 5
-        assert cfg.max_shift == 4
+        assert cfg.ga_top_k == 4
 
 
 class TestDerivedConfigs:
     def test_pipeline_reflects_values(self):
-        cfg = parse_config("grad_threshold = 18\npolar_guard_rows = 6\n")
-        pipe = cfg.pipeline()
-        assert pipe.segmentation.grad_threshold == 18.0
-        assert pipe.polar_guard_rows == 6
+        cfg = parse_config("grad_threshold = 18\ndetect_eyelids = no\n")
+        seg = cfg.pipeline()
+        assert seg.grad_threshold == 18.0
+        assert seg.detect_eyelids is False
 
     def test_ga_reflects_values(self):
         cfg = parse_config("ga_w4 = 0.2\nga_nflip = 3\nrng_seed = 11\n")
@@ -121,7 +115,7 @@ class TestDerivedConfigs:
 
     def test_defaults_are_the_module_defaults(self):
         cfg = RunConfig()
-        assert cfg.pipeline() == PipelineConfig()
+        assert cfg.pipeline() == SegmentationConfig()
         assert cfg.fusion_policy() == FusionPolicy()
         # the stall criterion is the one default RunConfig sets for itself
         assert cfg.ga() == GaConfig(stall_generations=30)

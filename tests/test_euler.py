@@ -17,8 +17,8 @@ from irisfuse.euler import (
     pair_codes,
 )
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH
-from irisfuse.pipeline import PipelineConfig, process_image, process_images
-from irisfuse.segmentation import SegmentationError
+from irisfuse.pipeline import process_image, process_images
+from irisfuse.segmentation import SegmentationConfig, SegmentationError
 from irisfuse.synth import build_corpus
 
 from oracles import euler_code_per_plane, euler_number_quads, flood_fill_euler
@@ -128,7 +128,7 @@ class TestEulerCode:
 
     def test_codes_are_read_only_int64_arrays(self):
         features, _ = process_images([r.image for r in build_corpus(2, 1, master_seed=2026).records],
-                                     PipelineConfig())
+                                     SegmentationConfig())
         f = features[0]
         for code in (euler_code(f.polar, f.mask), f.own_code):
             assert code.dtype == np.int64 and code.shape == (4,)
@@ -142,7 +142,7 @@ def corpus_polars():
     polars = []
     for rec in build_corpus(6, 3, master_seed=2026).records:
         try:
-            f = process_image(rec.image, PipelineConfig())
+            f = process_image(rec.image, SegmentationConfig())
         except SegmentationError:
             continue
         polars.append((f.polar, f.mask))

@@ -15,7 +15,8 @@ from irisfuse.fusion import ALGORITHMS, FUSION_RULES, FusionPolicy, ScoreRange, 
 from irisfuse.gasel import Chromosome, FeaturePool, match_subset
 from irisfuse.imaging import GrayImage
 from irisfuse.normalization import IncomparableError
-from irisfuse.pipeline import PipelineConfig, process_images
+from irisfuse.pipeline import process_images
+from irisfuse.segmentation import SegmentationConfig
 from irisfuse.synth import Corpus, CorpusRecord, build_corpus
 from irisfuse.zerocross import match as zc_match
 
@@ -131,7 +132,7 @@ class TestRunTrials:
     def test_matches_one_pair_matchers(self, corpus, outcome):
         # all 160 cross pairs are under the cap, so the pairs are every
         # same-identity pair, then every cross pair, each in triu order
-        features, kept = process_images([r.image for r in corpus.records], PipelineConfig())
+        features, kept = process_images([r.image for r in corpus.records], SegmentationConfig())
         assert len(kept) == len(corpus.records)
         ids = [r.identity for r in corpus.records]
         pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
@@ -161,7 +162,7 @@ class TestRunTrials:
         assert fused.tobytes() == fuse(streams, policy).tobytes()
 
     def test_pair_with_no_jointly_valid_feature_raises(self, corpus):
-        features, _ = process_images([r.image for r in corpus.records], PipelineConfig())
+        features, _ = process_images([r.image for r in corpus.records], SegmentationConfig())
         valid = np.stack([f.raw.valid for f in features])
         block = int(np.flatnonzero(~valid.all(axis=0))[0])  # masked in some image
         selection = (FeaturePool((block,)), Chromosome(np.ones(1, dtype=np.uint8)))

@@ -24,7 +24,8 @@ from irisfuse.gasel import (
     roulette_select,
 )
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError
-from irisfuse.pipeline import PipelineConfig, process_images
+from irisfuse.pipeline import process_images
+from irisfuse.segmentation import SegmentationConfig
 from irisfuse.synth import build_corpus
 
 from oracles import (
@@ -505,7 +506,7 @@ class TestRfeDowndateMatchesRebuild:
 
 def corpus_block_features(identities, samples, seed):
     corpus = build_corpus(identities, samples, seed)
-    features, kept = process_images([r.image for r in corpus.records], PipelineConfig())
+    features, kept = process_images([r.image for r in corpus.records], SegmentationConfig())
     return (np.vstack([f.raw.values for f in features]),
             np.asarray([corpus.records[k].identity for k in kept]))
 

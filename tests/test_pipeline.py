@@ -7,8 +7,8 @@ from irisfuse import store
 from irisfuse.euler import common_mask
 from irisfuse.imaging import GrayImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH
-from irisfuse.pipeline import PipelineConfig, process_image, process_images
-from irisfuse.segmentation import build_noise_mask
+from irisfuse.pipeline import process_image, process_images
+from irisfuse.segmentation import SegmentationConfig, build_noise_mask
 from irisfuse.synth import build_corpus
 from irisfuse.zerocross import encode, shifted
 
@@ -17,7 +17,7 @@ def test_process_images_skips_failures_and_reports_kept_indices():
     good = [r.image for r in build_corpus(1, 2, master_seed=5).records]
     blank = GrayImage(np.full((192, 256), 127, dtype=np.uint8))
     tiny = GrayImage(np.zeros((3, 3), dtype=np.uint8))
-    cfg = PipelineConfig()
+    cfg = SegmentationConfig()
     features, kept = process_images([blank, good[0], tiny, good[1]], cfg)
     assert kept == [1, 3]
     for f, img in zip(features, good):
@@ -36,7 +36,7 @@ class TestPinnedPipeline:
         images = [rec.image for rec in build_corpus(4, 2, 2026).records]
         images += [GrayImage(np.random.default_rng(seed).integers(0, 256, (192, 256), dtype=np.uint8))
                    for seed in (0, 1)]
-        cfg = PipelineConfig()
+        cfg = SegmentationConfig()
         digest = hashlib.sha256()
         for img in images:
             f = process_image(img, cfg)
@@ -49,7 +49,7 @@ class TestPinnedPipeline:
 
 def test_masks_are_read_only_uint8_zero_one_arrays(tmp_path):
     records = build_corpus(2, 2, 2026).records
-    cfg = PipelineConfig(polar_guard_rows=4)
+    cfg = SegmentationConfig()
     features = [process_image(r.image, cfg) for r in records]
     f, img = features[0], records[0].image
     seg = f.segmentation
@@ -81,7 +81,7 @@ def test_masks_are_read_only_uint8_zero_one_arrays(tmp_path):
 
 
 def test_polar_arrays_are_read_only_uint8_with_one_mask():
-    f = process_image(build_corpus(1, 1, 2026).records[0].image, PipelineConfig(polar_guard_rows=4))
+    f = process_image(build_corpus(1, 1, 2026).records[0].image, SegmentationConfig())
     for arr in (f.polar, f.enhanced, f.mask, f.template.mask):
         assert arr.dtype == np.uint8 and arr.shape == (POLAR_HEIGHT, POLAR_WIDTH) == (96, 448)
         assert not arr.flags.writeable

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from irisfuse.euler import mahalanobis
 from irisfuse.fusion import FUSION_RULES, FusionPolicy, ScoreRange, decide, fuse, normalize_distances
 from irisfuse.gasel import Chromosome, FeaturePool, RawFeatureVector, match_subset
-from irisfuse.segmentation import SegmentationError
+from irisfuse.segmentation import SegmentationConfig, SegmentationError
 from irisfuse.imaging import GrayImage
-from irisfuse.pipeline import PipelineConfig
+from irisfuse.pipeline import process_image
 from irisfuse.store import (
     _RANGE_PAIR_CAP,
     EnrollmentRecord,
@@ -27,7 +27,7 @@ from irisfuse.store import (
     with_selection,
 )
 from irisfuse.synth import build_corpus
-from irisfuse.zerocross import ZeroCrossTemplate, match as zc_match, shifted
+from irisfuse.zerocross import DEFAULT_MAX_SHIFT, ZeroCrossTemplate, encode, match as zc_match, shifted
 
 from oracles import recalibrate_worst
 
@@ -94,17 +94,15 @@ class TestEnroll:
             gallery.lookup("nobody")
 
     def test_zerocross_range_uses_the_pipeline_shift_budget(self, corpus):
-        for max_shift in (0, 16):
-            pipeline = PipelineConfig(max_shift=max_shift)
-            g = empty_gallery()
-            for ident in range(4):
-                samples = [r.image for r in corpus.records if r.identity == ident][:1]
-                g = enroll(g, f"person-{ident}", samples, pipeline)
-            worst = max(
-                zc_match(a.template, b.template, max_shift)
-                for i, a in enumerate(g.records) for b in g.records[i + 1:]
-            )
-            assert g.score_ranges["zerocross"].max == worst
+        g = empty_gallery()
+        for ident in range(4):
+            samples = [r.image for r in corpus.records if r.identity == ident][:1]
+            g = enroll(g, f"person-{ident}", samples)
+        worst = max(
+            zc_match(a.template, b.template, DEFAULT_MAX_SHIFT)
+            for i, a in enumerate(g.records) for b in g.records[i + 1:]
+        )
+        assert g.score_ranges["zerocross"].max == worst
 
     def test_euler_and_gasel_ranges_are_the_worst_one_pair_distances(self, gallery):
         pairs = [(a, b) for i, a in enumerate(gallery.records) for b in gallery.records[i + 1:]]
@@ -129,17 +127,20 @@ class TestEnroll:
     def test_mismatched_template_shapes_are_not_skipped(self, gallery, corpus):
         # only incomparable masks are calibration noise; a gallery that mixes
         # scale counts is an error, as it is for verify
-        samples = [r.image for r in corpus.records if r.identity == 0][:1]
+        f = process_image(corpus.records[0].image, SegmentationConfig())
+        one_scale = replace(gallery.records[0], identity="one-scale",
+                            template=encode(f.enhanced, f.mask, scales=(2,)))
+        mixed = replace(gallery, records=(*gallery.records, one_scale))
         with pytest.raises(ValueError, match="template shapes differ"):
-            enroll(gallery, "one-scale", samples, PipelineConfig(scales=(2,)))
+            with_selection(mixed, gallery.pool, gallery.chromosome)
 
 
 def range_bytes(ranges):
     return {a: struct.pack("<dd", r.min, r.max) for a, r in ranges.items()}
 
 
-def assert_oracle_fit(g: Gallery, max_shift: int = PipelineConfig().max_shift):
-    model, ranges = recalibrate_worst(g.records, g.pool, g.chromosome, max_shift)
+def assert_oracle_fit(g: Gallery):
+    model, ranges = recalibrate_worst(g.records, g.pool, g.chromosome, DEFAULT_MAX_SHIFT)
     assert range_bytes(g.score_ranges) == range_bytes(ranges)
     assert np.array_equal(g.covariance.S, model.S) and g.covariance.epsilon == model.epsilon
 
@@ -167,7 +168,6 @@ class TestRangesMatchTheFormerFit:
         chromosome = Chromosome((rng.random(60) < 0.3).astype(np.uint8))
         for g in galleries:
             assert_oracle_fit(with_selection(g, pool, chromosome))
-            assert_oracle_fit(with_selection(g, pool, chromosome, PipelineConfig(max_shift=2)), 2)
 
     def test_strided_pairs_of_a_large_gallery(self, galleries):
         # 30 records give 435 cross pairs, past the 300-pair cap, so every
@@ -186,7 +186,6 @@ class TestRangesMatchTheFormerFit:
         assert len(records) * (len(records) - 1) // 2 > _RANGE_PAIR_CAP
         for selection in [(g.pool, g.chromosome), (FeaturePool((3, 9, 40)), Chromosome(np.ones(3, np.uint8)))]:
             assert_oracle_fit(with_selection(g, *selection))
-            assert_oracle_fit(with_selection(g, *selection, PipelineConfig(max_shift=2)), 2)
 
     def test_incomparable_templates_and_features(self, galleries):
         # a fully masked template and a record with one valid feature make
@@ -237,6 +236,19 @@ class TestPersistence:
         save(gallery, p1)
         save(load(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_leaves_the_previous_file(self, gallery, tmp_path, monkeypatch):
+        path = tmp_path / "gallery.irf"
+        save(replace(gallery, records=gallery.records[:1]), path)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr("irisfuse.store.os.replace", crash)
+        with pytest.raises(OSError, match="disk went away"):
+            save(gallery, path)
+        assert path.read_bytes() == before
 
     def test_bad_magic_rejected(self, gallery, tmp_path):
         path = tmp_path / "bad.irf"
@@ -397,6 +409,14 @@ class TestVerify:
                 want = fuse(normalize_distances(raw, gallery.score_ranges), policy)
                 assert np.float64(fused).tobytes() == np.float64(want).tobytes()
                 assert decision == decide(want, policy.threshold)
+
+    def test_euler_distance_is_between_own_mask_codes(self, gallery, corpus):
+        # the gallery fits its covariance and Euler range on own-mask codes
+        for r in corpus.records[::3]:
+            probe = process_image(r.image, SegmentationConfig()).own_code
+            for record in gallery.records:
+                _, raw, _ = verify(gallery, record.identity, r.image, FusionPolicy())
+                assert raw["euler"] == mahalanobis(probe, record.euler, gallery.covariance)
 
     def test_unknown_id_rejected(self, gallery, corpus):
         with pytest.raises(KeyError):
