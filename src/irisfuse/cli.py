@@ -57,12 +57,6 @@ def _apply_seed(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def cmd_synth(args) -> int:
     cfg = _apply_seed(_resolve_config(args), args)
     if args.identities < 1 or args.samples < 1:
@@ -89,12 +83,12 @@ def cmd_segment(args) -> int:
     out_dir = Path(args.out) if args.out else src.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     overlay = segmentation_overlay(img, pupil, iris)
-    _atomic_write(out_dir / f"{src.stem}_overlay.pgm", save_pgm(overlay))
+    store.write_atomic(out_dir / f"{src.stem}_overlay.pgm", save_pgm(overlay))
     (out_dir / f"{src.stem}_circles.txt").write_text(circles_sidecar(pupil, iris))
     if args.polar:
         polar_img, mask_img = polar_debug_images(feats.enhanced, feats.mask)
-        _atomic_write(out_dir / f"{src.stem}_polar.pgm", save_pgm(polar_img))
-        _atomic_write(out_dir / f"{src.stem}_polar_mask.pgm", save_pgm(mask_img))
+        store.write_atomic(out_dir / f"{src.stem}_polar.pgm", save_pgm(polar_img))
+        store.write_atomic(out_dir / f"{src.stem}_polar_mask.pgm", save_pgm(mask_img))
     print(circles_sidecar(pupil, iris), end="")
     return EXIT_OK
 
@@ -226,7 +220,7 @@ def cmd_evaluate(args) -> int:
     for name, trials in streams.items():
         report = compute_metrics(trials)
         (out / f"{name}.csv").write_text(report_csv(report))
-        _atomic_write(out / f"roc_{name}.pgm", save_pgm(roc_pgm(report)))
+        store.write_atomic(out / f"roc_{name}.pgm", save_pgm(roc_pgm(report)))
         far, frr = error_rates(trials, policy.threshold)
         summary.append(f"{name} EER {report.eer:.6f} at threshold {report.eer_threshold:.6f}; "
                        f"FAR {far:.6f} FRR {frr:.6f} at fusion_threshold {policy.threshold:.6f}")

@@ -10,7 +10,17 @@ are bit-for-bit identical.  Both circle searches vote only for centres in a
 31x31 window, as Daugman's and Masek's coarse-to-fine localisers do: the
 pupil around a dark-region prior (the centroid of the darkest connected
 region of the box-mean image), the iris around the pupil; a pupil circle
-not inside the iris circle (``Circle.encloses``) fails segmentation.  One
+not inside the iris circle (``Circle.encloses``) fails segmentation.  The
+same region bounds the pupil radii: the search covers 0.8 to 1.25 times its
+equivalent radius sqrt(area / pi), within the configured range, and an
+image whose band holds fewer than two radii (noise, a blank frame) fails to
+acquire.  The pupil edge map is that of the gradient cropped to the centre
+window widened by r_hi + 2 on each side, which leaves the accumulator
+exact: inside the crop, suppression reads the same neighbours as over the
+whole frame; a point on the crop's edge, which may survive suppression
+only there, and every point outside the crop lie at least r_hi + 2 from
+each window centre, so they vote only into the sink and the kernel drops
+them; at the image border the crop has the frame's -inf padding.  One
 kernel fills the accumulator: it rounds integer point-to-centre distances
 through a table of rint(sqrt(n)) indexed by dx^2 + dy^2, which equals
 rint(hypot(dx, dy)) because no sqrt(n) of an integer n lies within about
@@ -67,6 +77,16 @@ _NEAR_INTEGER = 1e-6
 CENTER_OFFSET = 15
 
 MIN_CIRCLE_VOTES = 3
+
+# The pupil search covers radii [floor(PUPIL_BAND_LOW d), ceil(PUPIL_BAND_HIGH d)],
+# clamped to the configured pupil range, where d = sqrt(area / pi) is the
+# equivalent radius of the dark region ``_pupil_prior`` labels.  The Hough
+# radius over d lies within 0.83-1.16 on the synthetic eyes at every
+# pupil/iris ratio from 0.10 to 0.80; it is 2.3 or more when the search locks
+# onto the iris boundary, and on noise, whose dark regions are smaller than
+# the smallest pupil, the clamped band is empty.
+PUPIL_BAND_LOW = 0.8
+PUPIL_BAND_HIGH = 1.25
 
 
 class SegmentationError(RuntimeError):
@@ -317,8 +337,9 @@ def _rounded_sqrt(n: int) -> np.ndarray:
     return np.rint(np.sqrt(np.arange(n))).astype(np.intp)
 
 
-def _pupil_prior(img: GrayImage, r_min: int) -> tuple[int, int]:
-    """Rounded centroid (x, y) of the darkest region, a prior for the pupil centre.
+def _pupil_prior(img: GrayImage, r_min: int) -> tuple[int, int, float]:
+    """Rounded centroid (x, y) of the darkest region, a prior for the pupil centre,
+    and the region's equivalent radius sqrt(area / pi), a prior for its radius.
 
     The image is box-averaged over the smallest pupil's diameter, so thin
     dark structure fades while the pupil stays darkest; the region is the
@@ -329,12 +350,31 @@ def _pupil_prior(img: GrayImage, r_min: int) -> tuple[int, int]:
     lo = mean.min()
     labels, _ = ndimage.label(mean <= lo + (np.median(mean) - lo) / 4)
     ys, xs = np.nonzero(labels == labels.flat[np.argmin(mean)])
-    return round(xs.mean()), round(ys.mean())
+    return round(xs.mean()), round(ys.mean()), math.sqrt(len(xs) / math.pi)
 
 
 def _center_window(cx: int, cy: int) -> tuple[int, int, int, int]:
     """The inclusive centre box of half-width CENTER_OFFSET around (cx, cy)."""
     return cx - CENTER_OFFSET, cx + CENTER_OFFSET, cy - CENTER_OFFSET, cy + CENTER_OFFSET
+
+
+def _pupil_band(d: float, cfg: SegmentationConfig) -> tuple[int, int]:
+    """The pupil radii [r_lo, r_hi] for a dark region of equivalent radius ``d``."""
+    r_lo = max(cfg.pupil_r_min, math.floor(PUPIL_BAND_LOW * d))
+    r_hi = min(cfg.pupil_r_max, math.ceil(PUPIL_BAND_HIGH * d))
+    if r_hi <= r_lo:
+        raise SegmentationError("no pupil-sized dark region")
+    return r_lo, r_hi
+
+
+def _window_edges(gradient: tuple[np.ndarray, np.ndarray], window: tuple[int, int, int, int],
+                  margin: int, grad_threshold: float) -> np.ndarray:
+    """The "none"-bias ``edge_map`` of the gradient cropped to ``window`` widened by
+    ``margin`` on each side, in the coordinates of the whole image."""
+    x_lo, x_hi, y_lo, y_hi = window
+    x0, y0 = max(x_lo - margin, 0), max(y_lo - margin, 0)
+    crop = (slice(y0, y_hi + margin + 1), slice(x0, x_hi + margin + 1))
+    return freeze(edge_map((gradient[0][crop], gradient[1][crop]), "none", grad_threshold) + (x0, y0))
 
 
 def locate_pupil_and_iris(img: GrayImage, cfg: SegmentationConfig,
@@ -344,10 +384,13 @@ def locate_pupil_and_iris(img: GrayImage, cfg: SegmentationConfig,
     ``gradient`` is the image's ``edge_gradient``, computed here when omitted.
     """
     gradient = edge_gradient(img) if gradient is None else gradient
-    pupil_edges = edge_map(gradient, "none", cfg.grad_threshold)
-    window = _center_window(*_pupil_prior(img, cfg.pupil_r_min))
+    cx, cy, d = _pupil_prior(img, cfg.pupil_r_min)
+    r_lo, r_hi = _pupil_band(d, cfg)
+    window = _center_window(cx, cy)
+    # a point r_hi + 2 outside the window votes only into the sink (see the module docstring)
+    pupil_edges = _window_edges(gradient, window, r_hi + 2, cfg.grad_threshold)
     try:
-        pupil = circular_hough(pupil_edges, img.pixels.shape, cfg.pupil_r_min, cfg.pupil_r_max,
+        pupil = circular_hough(pupil_edges, img.pixels.shape, r_lo, r_hi,
                                center_window=window, per_radius=True)
     except SegmentationError as exc:
         raise SegmentationError(f"pupil detection failed: {exc}") from exc

@@ -22,6 +22,7 @@ never mutates anything.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import zlib
@@ -233,16 +234,26 @@ def to_bytes(gallery: Gallery) -> bytes:
     return bytes(out)
 
 
-def save(gallery: Gallery, path) -> None:
-    """Write the gallery's canonical bytes to ``path``.
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` that then replaces it.
 
-    The bytes go to a temporary file beside it that then replaces ``path``,
-    so a failed save leaves the previous gallery intact.
+    A failed write leaves the previous file intact and removes the
+    temporary file.
     """
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(to_bytes(gallery))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def save(gallery: Gallery, path) -> None:
+    """Write the gallery's canonical bytes to ``path`` with ``write_atomic``."""
+    write_atomic(path, to_bytes(gallery))
 
 
 class _Reader:

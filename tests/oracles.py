@@ -52,7 +52,9 @@ that has none.  Each reference below names the kernel it checks.
 - ``synth_eye_full_frame``: ``synth.synth_eye``, over the whole frame.
 
 ``planted_problem`` is not a reference: it builds the feature-selection
-problem of the GA tests and of the benchmark's train-ga workload.
+problem of the GA tests and of the benchmark's train-ga workload.  Nor is
+``noise_segmentations``: it pins the geometries that leave the frame, which
+``segment`` no longer returns, for the rubber-sheet and noise-mask references.
 """
 
 import math
@@ -177,6 +179,32 @@ def planted_problem(seed, n_features=100, n_informative=10, classes=6, per_class
         mu = rng.uniform(60.0, 200.0, size=classes)
         X[:, j] = mu[y] + rng.normal(0.0, 12.0, size=n)
     return X, y, set(int(i) for i in informative)
+
+
+# The circles and eyelids ``segment`` gave the uniform-noise images of rng
+# seeds 0-3 while the pupil search covered every radius of the configured
+# range.  Their iris circles leave the frame; the images now fail to acquire.
+_NOISE_GEOMETRIES = (
+    (Circle(22, 15, 9), Circle(36, 16, 106),
+     None, Parabola(h=88, k=40, a=PARABOLA_CURVATURES[3], theta=PARABOLA_THETAS[2])),
+    (Circle(64, 12, 9), Circle(75, 21, 107), None, None),
+    (Circle(23, 181, 9), Circle(32, 180, 110), None, None),
+    (Circle(51, 11, 6), Circle(62, 25, 110),
+     None, Parabola(h=88, k=73, a=PARABOLA_CURVATURES[2], theta=PARABOLA_THETAS[4])),
+)
+
+
+def noise_image(seed: int) -> GrayImage:
+    """A 192x256 image of uniform noise."""
+    return GrayImage(np.random.default_rng(seed).integers(0, 256, (192, 256), dtype=np.uint8))
+
+
+def noise_segmentations():
+    """(image, SegmentationResult) of noise images 0-3 with their pinned geometry."""
+    for seed, (pupil, iris, upper, lower) in enumerate(_NOISE_GEOMETRIES):
+        img = noise_image(seed)
+        yield img, SegmentationResult(pupil, iris, upper, lower,
+                                      build_noise_mask_full(img, pupil, iris, (upper, lower)))
 
 
 def rank_rfe_rebuild(X, y) -> np.ndarray:

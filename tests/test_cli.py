@@ -15,6 +15,8 @@ from irisfuse.segmentation import Circle
 from irisfuse.synth import SynthEyeSpec, synth_eye
 from irisfuse.zerocross import ZeroCrossTemplate
 
+from oracles import noise_image
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -96,8 +98,9 @@ class TestSegment:
         assert "sample value 200 exceeds maxval 100" in capsys.readouterr().err
 
     # Eye 57 (identity 14, sample 1) of build_corpus(30, 4, 7).  Its iris
-    # radius lies below iris_r_min, so the pupil search finds a circle of
-    # radius 62 that the iris circle does not contain; the pipeline rejects it.
+    # radius lies below iris_r_min; a pupil search over the whole configured
+    # radius range found a circle of radius 62 there, which the iris circle
+    # did not contain.  The dark region's radius bounds the search to the pupil.
     UNNESTED_EYE = SynthEyeSpec(
         width=256, height=192,
         pupil=Circle(129.11347581558422, 96.09942195442457, 26.434792820468655),
@@ -107,13 +110,44 @@ class TestSegment:
     )
 
     @pytest.mark.parametrize("polar", [[], ["--polar"]])
-    def test_fails_exactly_when_the_pipeline_does(self, tmp_path, capsys, polar):
+    def test_eye_below_the_iris_range_segments(self, tmp_path, capsys, polar):
         image = tmp_path / "eye.pgm"
         image.write_bytes(save_pgm(synth_eye(self.UNNESTED_EYE)[0]))
+        out = tmp_path / "out"
+        assert main(["segment", str(image), "--out", str(out), *polar]) == 0
+        sidecar = capsys.readouterr().out
+        assert sidecar == (out / "eye_circles.txt").read_text()
+        for line, want in zip(sidecar.splitlines(), (self.UNNESTED_EYE.pupil, self.UNNESTED_EYE.iris)):
+            cx, cy, r = (float(v) for v in line.split()[1:])
+            assert abs(cx - want.cx) <= 2 and abs(cy - want.cy) <= 2 and abs(r - want.r) <= 2
+        written = {"eye_overlay.pgm", "eye_circles.txt"}
+        if polar:
+            written |= {"eye_polar.pgm", "eye_polar_mask.pgm"}
+        assert {p.name for p in out.iterdir()} == written
+
+    @pytest.mark.parametrize("polar", [[], ["--polar"]])
+    def test_fails_exactly_when_the_pipeline_does(self, tmp_path, capsys, polar):
+        image = tmp_path / "noise.pgm"
+        image.write_bytes(save_pgm(noise_image(0)))
         rc = main(["segment", str(image), "--out", str(tmp_path / "out"), *polar])
         assert rc == 1
-        assert "pupil circle not contained in iris circle" in capsys.readouterr().err
+        assert "segmentation failed: no pupil-sized dark region" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [image]
+
+    def test_failed_write_leaves_the_previous_file(self, tmp_path, capsys, monkeypatch):
+        image = tmp_path / "eye.pgm"
+        image.write_bytes(save_pgm(synth_eye(self.UNNESTED_EYE)[0]))
+        overlay = tmp_path / "eye_overlay.pgm"
+        overlay.write_bytes(b"before")
+
+        def crash(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr("irisfuse.store.os.replace", crash)
+        assert main(["segment", str(image), "--out", str(tmp_path)]) == 2
+        assert "disk went away" in capsys.readouterr().err
+        assert overlay.read_bytes() == b"before"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eye.pgm", "eye_overlay.pgm"]
 
 
 class TestEnrollVerify:

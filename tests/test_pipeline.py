@@ -8,9 +8,11 @@ from irisfuse.euler import common_mask
 from irisfuse.imaging import GrayImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH
 from irisfuse.pipeline import process_image, process_images
-from irisfuse.segmentation import SegmentationConfig, build_noise_mask
+from irisfuse.segmentation import SegmentationConfig, SegmentationError, build_noise_mask
 from irisfuse.synth import build_corpus
 from irisfuse.zerocross import encode, shifted
+
+from oracles import noise_image
 
 
 def test_process_images_skips_failures_and_reports_kept_indices():
@@ -28,22 +30,33 @@ def test_process_images_skips_failures_and_reports_kept_indices():
 class TestPinnedPipeline:
     # sha256 of every array process_image hands to the matchers: the polar
     # image and mask, the template bits and the block values and validity,
-    # each with its dtype and shape.  A segmentation kernel that moves one
-    # mask pixel moves a polar sample and changes it.
-    DIGEST = "83b258372153a572d774564d94c177f774bf3b78cba70a6cf20e1f3217a99a10"
+    # each with its dtype and shape, or of the error an image fails with.  A
+    # segmentation kernel that moves one mask pixel moves a polar sample and
+    # changes it.  Re-pinned when the pupil radii were bounded by the dark
+    # region's: the two noise images now fail, and the digest of the corpus
+    # images alone, CORPUS_DIGEST, stayed.
+    CORPUS_DIGEST = "c67f6831ebd6fff86794bc880afed0dc5ceb7d48248223ee2ea1fa316a6cb01c"
+    DIGEST = "af846499860f50e32856243b27e8f973f32f3d4d102fb54e4deb37c36b1068f2"
+
+    @staticmethod
+    def update(digest, img, cfg):
+        try:
+            f = process_image(img, cfg)
+        except SegmentationError as exc:
+            digest.update(f"error: {exc}\n".encode())
+            return
+        for arr in (f.polar, f.mask, f.template.bits, f.raw.values, f.raw.valid):
+            digest.update(f"{arr.dtype.str} {arr.shape}\n".encode())
+            digest.update(np.ascontiguousarray(arr).tobytes())
 
     def test_process_image_outputs_are_unchanged(self):
-        images = [rec.image for rec in build_corpus(4, 2, 2026).records]
-        images += [GrayImage(np.random.default_rng(seed).integers(0, 256, (192, 256), dtype=np.uint8))
-                   for seed in (0, 1)]
         cfg = SegmentationConfig()
         digest = hashlib.sha256()
-        for img in images:
-            f = process_image(img, cfg)
-            for arr in (f.polar, f.mask, f.template.bits,
-                        f.raw.values, f.raw.valid):
-                digest.update(f"{arr.dtype.str} {arr.shape}\n".encode())
-                digest.update(np.ascontiguousarray(arr).tobytes())
+        for rec in build_corpus(4, 2, 2026).records:
+            self.update(digest, rec.image, cfg)
+        assert digest.hexdigest() == self.CORPUS_DIGEST
+        for seed in (0, 1):
+            self.update(digest, noise_image(seed), cfg)
         assert digest.hexdigest() == self.DIGEST
 
 

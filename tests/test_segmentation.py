@@ -42,6 +42,8 @@ from oracles import (
     build_noise_mask_full,
     edge_map_image,
     hough_circle_normalized,
+    noise_image,
+    noise_segmentations,
     parabola_votes_float,
     parabola_votes_per_region,
     parabolic_hough_loop,
@@ -269,10 +271,6 @@ def random_edges(rng, width, height):
     return pts[inside][: rng.integers(0, len(pts) + 1)], (height, width)
 
 
-def noise_image(seed):
-    return GrayImage(np.random.default_rng(seed).integers(0, 256, (192, 256), dtype=np.uint8))
-
-
 def c02_style_specs(n):
     """The eye specs of acceptance criterion c02, at n pupil/iris ratios from 0.10 to 0.80."""
     rng = np.random.default_rng(202)
@@ -422,14 +420,57 @@ class TestRowVoteMatchesBincountOracle:
         self.check(np.empty((0, 2), dtype=int), (100, 100), 20, 30, 45, 55, 45, 55)
 
     def test_pupil_and_iris_windows(self, small_corpus):
+        # the corpus eyes' pupil bands; the whole pupil range on every image,
+        # noise included, though ``locate_pupil_and_iris`` no longer votes it
         cfg = SegmentationConfig()
-        for img in [rec.image for rec in small_corpus.records] + [noise_image(0), noise_image(1)]:
+        images = [(rec.image, True) for rec in small_corpus.records]
+        images += [(noise_image(seed), False) for seed in (0, 1)]
+        for img, is_eye in images:
             gradient = edge_gradient(img)
-            pupil = segmentation._pupil_prior(img, cfg.pupil_r_min)
-            self.check(edge_map(gradient, "none", cfg.grad_threshold), img.pixels.shape,
-                       cfg.pupil_r_min, cfg.pupil_r_max, *segmentation._center_window(*pupil))
+            cx, cy, d = segmentation._pupil_prior(img, cfg.pupil_r_min)
+            window = segmentation._center_window(cx, cy)
+            pupil_edges = edge_map(gradient, "none", cfg.grad_threshold)
+            self.check(pupil_edges, img.pixels.shape, cfg.pupil_r_min, cfg.pupil_r_max, *window)
+            if is_eye:
+                self.check(pupil_edges, img.pixels.shape, *segmentation._pupil_band(d, cfg), *window)
             self.check(edge_map(gradient, "vertical-edges", cfg.grad_threshold), img.pixels.shape,
-                       cfg.iris_r_min, cfg.iris_r_max, *segmentation._center_window(*pupil))
+                       cfg.iris_r_min, cfg.iris_r_max, *window)
+
+
+class TestWindowEdgesVoteAsTheWholeImage:
+    """The pupil edge map of the gradient cropped around the centre window
+    against the whole-image edge map: the two fill one accumulator."""
+
+    @staticmethod
+    def check(gradient, window, r_min, r_max, cfg=SegmentationConfig()):
+        height, width = gradient[0].shape
+        cropped = segmentation._window_edges(gradient, window, r_max + 2, cfg.grad_threshold)
+        full = edge_map(gradient, "none", cfg.grad_threshold)
+        x_lo, x_hi, y_lo, y_hi = window
+        x_lo, y_lo = max(x_lo, 0), max(y_lo, 0)
+        x_hi, y_hi = min(x_hi, width - 1), min(y_hi, height - 1)
+        args = (r_min, r_max, x_lo, x_hi - x_lo + 1, y_lo, y_hi - y_lo + 1)
+        got = _vote_by_distance(cropped[:, 0], cropped[:, 1], *args)
+        expect = _vote_by_distance(full[:, 0], full[:, 1], *args)
+        assert np.array_equal(got, expect)
+        assert not cropped.flags.writeable and cropped.dtype == np.int64
+
+    def test_pupil_bands_of_synthetic_eyes(self, small_corpus):
+        cfg = SegmentationConfig()
+        images = [rec.image for rec in small_corpus.records]
+        images += [synth_eye(spec)[0] for spec in c02_style_specs(20)]
+        images.append(clean_eye(pupil_r=7.0, iris_r=70.0)[0])
+        for img in images:
+            cx, cy, d = segmentation._pupil_prior(img, cfg.pupil_r_min)
+            window = segmentation._center_window(cx, cy)
+            self.check(edge_gradient(img), window, *segmentation._pupil_band(d, cfg))
+
+    def test_windows_at_the_image_border(self, small_corpus):
+        gradient = edge_gradient(small_corpus.records[0].image)
+        height, width = gradient[0].shape
+        for cx, cy in [(0, 0), (width - 1, height - 1), (3, height // 2), (width // 2, height - 4)]:
+            for r_min, r_max in [(6, 7), (6, 62), (30, 40)]:
+                self.check(gradient, segmentation._center_window(cx, cy), r_min, r_max)
 
 
 def test_rounded_sqrt_matches_hypot_exhaustively():
@@ -511,6 +552,40 @@ class TestLocatePupilAndIris:
         img = GrayImage(np.full((192, 256), 128, dtype=np.uint8))
         with pytest.raises(SegmentationError):
             locate_pupil_and_iris(img, SegmentationConfig())
+
+    @pytest.mark.parametrize("img", [noise_image(seed) for seed in range(20)]
+                             + [GrayImage(np.full((192, 256), v, dtype=np.uint8)) for v in (0, 128, 255)])
+    def test_no_pupil_sized_dark_region_fails_to_acquire(self, img):
+        # a noise image's darkest region is smaller than the smallest pupil,
+        # and a blank image's fills the frame
+        with pytest.raises(SegmentationError, match="^no pupil-sized dark region$"):
+            segment(img, SegmentationConfig())
+
+    def test_eyes_below_the_iris_range_of_seed_7(self):
+        # identity 14's true iris radius, 62.3, lies below iris_r_min; the whole
+        # pupil range found the iris boundary (r 62) on sample 2 and a pupil
+        # circle the iris did not contain on sample 1
+        records = build_corpus(30, 4, 7).records[57:59]
+        assert [(rec.identity, rec.sample) for rec in records] == [(14, 1), (14, 2)]
+        for rec in records:
+            pupil, iris = locate_pupil_and_iris(rec.image, SegmentationConfig())
+            for found, want in ((pupil, rec.truth.pupil), (iris, rec.truth.iris)):
+                assert abs(found.cx - want.cx) <= 2
+                assert abs(found.cy - want.cy) <= 2
+                assert abs(found.r - want.r) <= 2
+
+    @pytest.mark.parametrize("d, band", [(4.8, (6, 6)), (5.6, (6, 7)), (77.4, (61, 62)), (78.0, (62, 62))])
+    def test_band_with_one_radius_at_either_clamp_fails(self, monkeypatch, d, band):
+        # d is the dark region's equivalent radius; band is [0.8 d, 1.25 d]
+        # clamped to the configured [6, 62]
+        cfg = SegmentationConfig()
+        img, _ = clean_eye()
+        monkeypatch.setattr(segmentation, "_pupil_prior", lambda *a: (145, 113, d))
+        if band[0] < band[1]:
+            assert segmentation._pupil_band(d, cfg) == band
+            return
+        with pytest.raises(SegmentationError, match="^no pupil-sized dark region$"):
+            locate_pupil_and_iris(img, cfg)
 
     def test_rejects_pupil_circle_the_noise_mask_rejects(self, monkeypatch):
         # centre inside the iris and radius smaller, but the pupil circle
@@ -784,15 +859,14 @@ class TestNoiseMaskMatchesFullFrameOracle:
 
     def test_segmented_images(self, small_corpus):
         cfg = SegmentationConfig()
-        images = [rec.image for rec in small_corpus.records] + [noise_image(0), noise_image(1)]
-        for img in images:
-            res = segment(img, cfg)
+        cases = [(rec.image, segment(rec.image, cfg)) for rec in small_corpus.records]
+        for img, res in cases + list(noise_segmentations()):
             for threshold in (240, 120):
                 self.check(img, res.pupil, res.iris, (res.upper_eyelid, res.lower_eyelid), threshold)
 
     def test_circles_leaving_the_frame(self):
         img = noise_image(0)
-        # noise image 0 segments to this iris, which leaves the frame on three sides
+        # the iris noise image 0 once segmented to, which leaves the frame on three sides
         self.check(img, Circle(22, 15, 9), Circle(36, 16, 106))
         lid = Parabola(h=40.0, k=30.0, a=-0.02, theta=0.1)
         for pupil, iris in [(Circle(0, 0, 3), Circle(0, 0, 50)),
@@ -905,8 +979,11 @@ class TestPinnedSegmentation:
     # sha256 of the outputs below; a kernel that moves a circle, a parabola
     # or one mask pixel, or changes the blank image's error, changes it.
     # Re-pinned when the pupil search moved into the dark-region prior's
-    # window: only the two noise images' circles changed.
-    DIGEST = "2588d600e13aa5aa4a91c01940656ebdc8baf5902e5ac812eb1a293a856015ec"
+    # window: only the two noise images' circles changed.  Re-pinned when the
+    # pupil radii were bounded by the dark region's: the two noise images
+    # went from segmenting, and the blank image from "empty edge map", to
+    # "no pupil-sized dark region"; the corpus outputs stayed.
+    DIGEST = "7c2757104442eb06cade3e29387da712694772c65b1c7d57407764ce9d6dce43"
 
     def test_segment_outputs_are_unchanged(self, small_corpus):
         images = [rec.image for rec in small_corpus.records]

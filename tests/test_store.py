@@ -249,6 +249,7 @@ class TestPersistence:
         with pytest.raises(OSError, match="disk went away"):
             save(gallery, path)
         assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]  # no gallery.irf.tmp left behind
 
     def test_bad_magic_rejected(self, gallery, tmp_path):
         path = tmp_path / "bad.irf"
