@@ -38,9 +38,7 @@ class RunConfig:
     ga_pn: float = GaConfig.p_n
     ga_nflip: int = GaConfig.n_flip
     ga_max_generations: int = GaConfig.max_generations
-    ga_fitness_goal: float = GaConfig.fitness_goal
-    ga_stall_generations: int = 30  # the one own default: GaConfig's 0 disables the stall rule
-    ga_max_evaluations: int = GaConfig.max_evaluations
+    ga_stall_generations: int = GaConfig.stall_generations
     ga_top_k: int = 40
     fusion_rule: str = FusionPolicy.rule
     fusion_weights: tuple[float, float, float] | None = FusionPolicy.weights
@@ -80,9 +78,7 @@ class RunConfig:
                 p_n=self.ga_pn,
                 n_flip=self.ga_nflip,
                 max_generations=self.ga_max_generations,
-                fitness_goal=self.ga_fitness_goal,
                 stall_generations=self.ga_stall_generations,
-                max_evaluations=self.ga_max_evaluations,
                 rng_seed=self.rng_seed,
             )
         except ValueError as exc:

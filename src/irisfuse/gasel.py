@@ -114,9 +114,7 @@ class GaConfig:
     p_n: float = 0.3           # per-offspring mutation probability
     n_flip: int = 2            # distinct bits flipped per mutation
     max_generations: int = 200
-    fitness_goal: float = -1.0       # cost target; negative disables
-    stall_generations: int = 0       # 0 disables the stall criterion
-    max_evaluations: int = 0         # fitness-evaluation budget; 0 disables
+    stall_generations: int = 30      # 0 disables the stall criterion
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -129,8 +127,8 @@ class GaConfig:
             raise ValueError("mutation probability must lie in [0, 1]")
         if self.n_flip < 1:
             raise ValueError("n_flip must be >= 1")
-        if self.max_generations < 0 or self.stall_generations < 0 or self.max_evaluations < 0:
-            raise ValueError("generation/stall/evaluation limits must be nonnegative")
+        if self.max_generations < 0 or self.stall_generations < 0:
+            raise ValueError("generation and stall limits must be nonnegative")
         object.__setattr__(self, "weights", w)
 
 
@@ -525,9 +523,9 @@ def ga_select(pool: FeaturePool, X, y, cfg: GaConfig) -> GaResult:
     Each generation: roulette selection over F = 1/(1 + cost), single-point
     crossover to refill the population, elitism of one (the best-ever
     chromosome survives unmutated), and per-offspring mutation flipping
-    ``n_flip`` distinct bits.  Stops at the generation cap, on reaching the
-    fitness goal, after ``stall_generations`` without improvement, or when
-    the evaluation budget runs out.  Deterministic for a fixed rng_seed.
+    ``n_flip`` distinct bits.  Stops at the generation cap or after
+    ``stall_generations`` without improvement.  Deterministic for a fixed
+    rng_seed.
     """
     if len(pool) == 0:
         raise ValueError("feature pool is empty")
@@ -546,11 +544,7 @@ def ga_select(pool: FeaturePool, X, y, cfg: GaConfig) -> GaResult:
     since_improvement = 0
 
     for _ in range(cfg.max_generations):
-        if cfg.fitness_goal >= 0 and best_cost <= cfg.fitness_goal:
-            break
         if cfg.stall_generations and since_improvement >= cfg.stall_generations:
-            break
-        if cfg.max_evaluations and trial.evaluations >= cfg.max_evaluations:
             break
 
         wheel = _wheel(1.0 / (1.0 + costs))

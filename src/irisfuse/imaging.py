@@ -38,9 +38,7 @@ class GrayImage:
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"GrayImage needs a non-empty 2-D array, got shape {arr.shape}")
         if arr.dtype != np.uint8:
-            if arr.min() < 0 or arr.max() > 255:
-                raise ValueError("GrayImage intensities must lie in [0, 255]")
-            arr = arr.astype(np.uint8)
+            raise ValueError(f"GrayImage needs a uint8 array, got {arr.dtype}")
         object.__setattr__(self, "pixels", freeze(arr.copy()))
 
     @property

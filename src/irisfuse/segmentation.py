@@ -14,19 +14,21 @@ not inside the iris circle (``Circle.encloses``) fails segmentation.  The
 same region bounds the pupil radii: the search covers 0.8 to 1.25 times its
 equivalent radius sqrt(area / pi), within the configured range, and an
 image whose band holds fewer than two radii (noise, a blank frame) fails to
-acquire.  The pupil edge map is that of the gradient cropped to the centre
-window widened by r_hi + 2 on each side, which leaves the accumulator
-exact: inside the crop, suppression reads the same neighbours as over the
-whole frame; a point on the crop's edge, which may survive suppression
-only there, and every point outside the crop lie at least r_hi + 2 from
-each window centre, so they vote only into the sink and the kernel drops
-them; at the image border the crop has the frame's -inf padding.  One
-kernel fills the accumulator: it rounds integer point-to-centre distances
-through a table of rint(sqrt(n)) indexed by dx^2 + dy^2, which equals
-rint(hypot(dx, dy)) because no sqrt(n) of an integer n lies within about
-1/(8r) of a half-integer; it votes one centre row at a time, point-major, so
-its temporaries stay a few hundred KB.  Eyelids use a quantized
-four-parameter vote over tilted vertex-form parabolas.  The roots of each
+acquire.  Both stages run through ``_find_circle``: each votes from the
+edge map ("none" bias for the pupil, "vertical-edges" for the iris) of the
+gradient cropped to its centre window widened by r_hi + 2 on each side,
+which leaves the accumulator exact: inside the crop, suppression reads the
+same neighbours as over the whole frame; a point on the crop's edge, which
+may survive suppression only there, and every point outside the crop lie
+at least r_hi + 2 from each window centre, so they vote only into the sink
+and the kernel drops them; at the image border the crop has the frame's
+-inf padding.  One kernel fills the accumulator: it rounds integer
+point-to-centre distances through a table of rint(sqrt(n)) indexed by
+dx^2 + dy^2, which equals rint(hypot(dx, dy)) because no sqrt(n) of an
+integer n lies within about 1/(8r) of a half-integer; it votes one centre
+row at a time, point-major, so its temporaries stay a few hundred KB.
+Eyelids use a quantized four-parameter vote over tilted vertex-form
+parabolas.  The roots of each
 (theta, a) quadratic depend only on the integer offset x - h, so they come
 from one cached table, computed by the per-pair expressions; and only the
 pairs whose root lies in a band that provably holds every landing vote are
@@ -243,20 +245,19 @@ def circular_hough(
     shape: tuple[int, int],
     r_min: int,
     r_max: int,
-    center_window: tuple[int, int, int, int] | None = None,
+    center_window: tuple[int, int, int, int],
     per_radius: bool = False,
 ) -> Circle:
     """Peak of the (cx, cy, r) vote accumulator of (x, y) edge ``points`` at 1 px resolution.
 
-    ``center_window`` restricts candidate centers to the inclusive box
+    ``center_window`` holds the candidate centres, the inclusive box
     (x_lo, x_hi, y_lo, y_hi), clipped to the source image of ``shape``
-    (height, width); None searches the whole image with the same kernel.
-    ``per_radius`` scores each cell by votes/r (circle completeness) instead
-    of raw votes: raw counts grow with circumference, which lets long
-    near-tangential arcs of a large boundary outvote a small complete circle.
-    The pupil stage uses it, since small and large circles compete in one
-    accumulator there.  Ties break toward the smallest radius, then smallest
-    cy, then cx.
+    (height, width).  ``per_radius`` scores each cell by votes/r (circle
+    completeness) instead of raw votes: raw counts grow with circumference,
+    which lets long near-tangential arcs of a large boundary outvote a small
+    complete circle.  The pupil stage uses it, since small and large circles
+    compete in one accumulator there.  Ties break toward the smallest radius,
+    then smallest cy, then cx.
     """
     if len(points) == 0:
         raise SegmentationError("empty edge map, cannot vote for circles")
@@ -264,14 +265,11 @@ def circular_hough(
         raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
 
     height, width = shape
-    if center_window is None:
-        x_lo, x_hi, y_lo, y_hi = 0, width - 1, 0, height - 1
-    else:
-        x_lo, x_hi, y_lo, y_hi = center_window
-        x_lo, y_lo = max(x_lo, 0), max(y_lo, 0)
-        x_hi, y_hi = min(x_hi, width - 1), min(y_hi, height - 1)
-        if x_lo > x_hi or y_lo > y_hi:
-            raise ValueError("center window does not intersect the image")
+    x_lo, x_hi, y_lo, y_hi = center_window
+    x_lo, y_lo = max(x_lo, 0), max(y_lo, 0)
+    x_hi, y_hi = min(x_hi, width - 1), min(y_hi, height - 1)
+    if x_lo > x_hi or y_lo > y_hi:
+        raise ValueError("center window does not intersect the image")
     acc_w = x_hi - x_lo + 1
     acc_h = y_hi - y_lo + 1
 
@@ -368,13 +366,28 @@ def _pupil_band(d: float, cfg: SegmentationConfig) -> tuple[int, int]:
 
 
 def _window_edges(gradient: tuple[np.ndarray, np.ndarray], window: tuple[int, int, int, int],
-                  margin: int, grad_threshold: float) -> np.ndarray:
-    """The "none"-bias ``edge_map`` of the gradient cropped to ``window`` widened by
+                  bias: str, margin: int, grad_threshold: float) -> np.ndarray:
+    """The ``bias`` ``edge_map`` of the gradient cropped to ``window`` widened by
     ``margin`` on each side, in the coordinates of the whole image."""
     x_lo, x_hi, y_lo, y_hi = window
     x0, y0 = max(x_lo - margin, 0), max(y_lo - margin, 0)
     crop = (slice(y0, y_hi + margin + 1), slice(x0, x_hi + margin + 1))
-    return freeze(edge_map((gradient[0][crop], gradient[1][crop]), "none", grad_threshold) + (x0, y0))
+    return freeze(edge_map((gradient[0][crop], gradient[1][crop]), bias, grad_threshold) + (x0, y0))
+
+
+def _find_circle(stage: str, gradient: tuple[np.ndarray, np.ndarray], bias: str,
+                 centre: tuple[int, int], r_lo: int, r_hi: int, grad_threshold: float,
+                 per_radius: bool = False) -> Circle:
+    """The ``circular_hough`` circle of radius r_lo..r_hi centred within CENTER_OFFSET
+    of ``centre``, voted by the ``bias`` edges around that window; a failed vote is a
+    ``SegmentationError`` naming ``stage``."""
+    window = _center_window(*centre)
+    # a point r_hi + 2 outside the window votes only into the sink (see the module docstring)
+    edges = _window_edges(gradient, window, bias, r_hi + 2, grad_threshold)
+    try:
+        return circular_hough(edges, gradient[0].shape, r_lo, r_hi, window, per_radius)
+    except SegmentationError as exc:
+        raise SegmentationError(f"{stage} detection failed: {exc}") from exc
 
 
 def locate_pupil_and_iris(img: GrayImage, cfg: SegmentationConfig,
@@ -385,24 +398,10 @@ def locate_pupil_and_iris(img: GrayImage, cfg: SegmentationConfig,
     """
     gradient = edge_gradient(img) if gradient is None else gradient
     cx, cy, d = _pupil_prior(img, cfg.pupil_r_min)
-    r_lo, r_hi = _pupil_band(d, cfg)
-    window = _center_window(cx, cy)
-    # a point r_hi + 2 outside the window votes only into the sink (see the module docstring)
-    pupil_edges = _window_edges(gradient, window, r_hi + 2, cfg.grad_threshold)
-    try:
-        pupil = circular_hough(pupil_edges, img.pixels.shape, r_lo, r_hi,
-                               center_window=window, per_radius=True)
-    except SegmentationError as exc:
-        raise SegmentationError(f"pupil detection failed: {exc}") from exc
-
-    iris_edges = edge_map(gradient, "vertical-edges", cfg.grad_threshold)
-    window = _center_window(int(pupil.cx), int(pupil.cy))
-    try:
-        iris = circular_hough(iris_edges, img.pixels.shape, cfg.iris_r_min, cfg.iris_r_max,
-                              center_window=window)
-    except SegmentationError as exc:
-        raise SegmentationError(f"iris detection failed: {exc}") from exc
-
+    pupil = _find_circle("pupil", gradient, "none", (cx, cy), *_pupil_band(d, cfg),
+                         cfg.grad_threshold, per_radius=True)
+    iris = _find_circle("iris", gradient, "vertical-edges", (int(pupil.cx), int(pupil.cy)),
+                        cfg.iris_r_min, cfg.iris_r_max, cfg.grad_threshold)
     if not iris.encloses(pupil):
         raise SegmentationError("pupil circle not contained in iris circle")
     return pupil, iris

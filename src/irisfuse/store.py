@@ -9,13 +9,15 @@ big-bit-first byte packing):
     score ranges: 3 x { algo id u8, min f64, max f64 }
     per record:
         id length u8 + UTF-8 id
-        zero-crossing section: scale count u8, packed bit tensor, packed mask
+        zero-crossing section: scale count u8 (len(zerocross.DEFAULT_SCALES)),
+                               packed bit tensor, packed mask
         Euler section: 4 x i32
         feature vector: 672 x f32 + packed validity bits
     trailing CRC-32 (u32) over every preceding byte
 
 Loading verifies magic, version, and checksum and rejects truncated or
-oversized payloads, so a corrupted gallery always fails loudly.  The
+oversized payloads and any scale count other than the encoder's, so a
+corrupted gallery always fails loudly.  The
 in-memory gallery is immutable; enroll returns a new instance, and verify
 never mutates anything.
 """
@@ -39,7 +41,7 @@ from .imaging import GrayImage
 from .normalization import POLAR_HEIGHT, POLAR_WIDTH
 from .pipeline import process_image, process_images
 from .segmentation import SegmentationConfig, SegmentationError
-from .zerocross import ZeroCrossTemplate, match as zc_match, match_pairs as zc_pairs
+from .zerocross import DEFAULT_SCALES, ZeroCrossTemplate, match as zc_match, match_pairs as zc_pairs
 
 MAGIC = b"IRF1"
 FORMAT_VERSION = 1
@@ -333,8 +335,8 @@ def _parse(r: _Reader) -> Gallery:
         (id_len,) = r.unpack("<B")
         identity = r.take(id_len).decode("utf-8")
         (scale_count,) = r.unpack("<B")
-        if scale_count < 1 or (records and scale_count != records[0].template.scale_count):
-            raise ValueError(f"record {identity!r}: {scale_count} scales (need one shared count >= 1)")
+        if scale_count != len(DEFAULT_SCALES):
+            raise ValueError(f"record {identity!r}: {scale_count} scales (need {len(DEFAULT_SCALES)})")
         bits = _unpack_bits(
             r.take(scale_count * _PLANE_BYTES), scale_count * POLAR_HEIGHT * POLAR_WIDTH
         ).reshape(scale_count, POLAR_HEIGHT, POLAR_WIDTH)

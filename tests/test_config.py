@@ -40,6 +40,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(f"{key} = 4\n")
 
+    @pytest.mark.parametrize("key", ["ga_fitness_goal", "ga_max_evaluations"])
+    def test_removed_ga_stop_keys_are_unknown(self, key):
+        # the GA stops only at its generation cap or on stalling
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = 0\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("rng_seed = 1\nrng_seed = 2\n")
@@ -117,8 +123,7 @@ class TestDerivedConfigs:
         cfg = RunConfig()
         assert cfg.pipeline() == SegmentationConfig()
         assert cfg.fusion_policy() == FusionPolicy()
-        # the stall criterion is the one default RunConfig sets for itself
-        assert cfg.ga() == GaConfig(stall_generations=30)
+        assert cfg.ga() == GaConfig()
 
 
 _KEYS = [f.name for f in fields(RunConfig)]

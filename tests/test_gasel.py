@@ -420,7 +420,7 @@ class TestGaSelect:
         y = np.repeat(np.arange(4), 6)
         pool = FeaturePool(tuple(range(30)))
         cfg = GaConfig(population_size=20, max_generations=150, weights=(0, 0, 0, 1.0),
-                       p_n=0.4, n_flip=2, rng_seed=1, fitness_goal=0.0)
+                       p_n=0.4, n_flip=2, rng_seed=1)
         res = ga_select(pool, X, y, cfg)
         assert int(res.best.genes.sum()) == 0
         assert res.history[-1] == 0.0
@@ -438,13 +438,6 @@ class TestGaSelect:
             chosen = set(int(i) for i in res.best.selected(pool))
             recovered += len(informative & chosen) >= 8
         assert recovered == 5
-
-    def test_evaluation_budget_stops_early(self):
-        X, y, _ = planted_problem(3)
-        pool = FeaturePool(tuple(range(100)))
-        cfg = GaConfig(population_size=10, max_generations=50, max_evaluations=25, rng_seed=5)
-        res = ga_select(pool, X, y, cfg)
-        assert res.evaluations <= 35  # budget check happens between generations
 
     def test_empty_pool_rejected(self):
         X, y, _ = planted_problem(4)
@@ -711,7 +704,7 @@ class TestGaFitnessMatchesScalarOracle:
     def test_empty_chromosome_identical(self, monkeypatch):
         X, y, _ = planted_problem(5)
         cfg = GaConfig(population_size=20, max_generations=150, weights=(0, 0, 0, 1.0),
-                       p_n=0.4, rng_seed=1, fitness_goal=0.0)
+                       p_n=0.4, rng_seed=1)
         res = ga_against_oracle(monkeypatch, FeaturePool(tuple(range(30))), X, y, cfg)
         assert int(res.best.genes.sum()) == 0
 
@@ -720,12 +713,6 @@ class TestGaFitnessMatchesScalarOracle:
         X, y, _ = planted_problem(6, n_features=FEATURE_COUNT, n_informative=10)
         cfg = GaConfig(population_size=16, max_generations=8, rng_seed=6)
         ga_against_oracle(monkeypatch, FeaturePool(tuple(range(FEATURE_COUNT))), X, y, cfg)
-
-    def test_evaluation_budget_stop_identical(self, monkeypatch):
-        X, y, _ = planted_problem(3)
-        cfg = GaConfig(population_size=10, max_generations=50, max_evaluations=25, rng_seed=5)
-        res = ga_against_oracle(monkeypatch, FeaturePool(tuple(range(100))), X, y, cfg)
-        assert len(res.history) < 51
 
     def test_duplicates_within_a_generation(self):
         X, y, _ = planted_problem(7)

@@ -136,6 +136,13 @@ class TestContainers:
         with pytest.raises(ValueError):
             GrayImage(np.array([[300]]))
 
+    @pytest.mark.parametrize("pixels", [np.array([[np.nan, 1.0]]), np.array([[12.7]]),
+                                        np.array([[12]], dtype=np.int64), np.array([[True, False]])])
+    def test_gray_image_rejects_every_dtype_but_uint8(self, pixels):
+        # a conversion would read NaN as 0 and 12.7 as 12
+        with pytest.raises(ValueError, match="uint8"):
+            GrayImage(pixels)
+
     def test_pixels_are_immutable(self):
         img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):

@@ -210,37 +210,43 @@ def circle_points(cx, cy, r, step_deg=2.0, jitter=None, rng=None):
     return np.unique(np.column_stack([xs, ys]), axis=0)
 
 
+def frame(shape):
+    """The centre window (x_lo, x_hi, y_lo, y_hi) that covers the whole image of ``shape``."""
+    height, width = shape
+    return 0, width - 1, 0, height - 1
+
+
 class TestCircularHough:
     def test_exact_recovery_from_sampled_circle(self):
         pts = circle_points(100, 80, 30)
-        found = circular_hough(pts, (160, 200), 10, 50)
+        found = circular_hough(pts, (160, 200), 10, 50, frame((160, 200)))
         assert (found.cx, found.cy, found.r) == (100.0, 80.0, 30.0)
 
     def test_jittered_circle_within_2px(self):
         rng = np.random.default_rng(3)
         pts = circle_points(100, 80, 30, jitter=1.0, rng=rng)
-        found = circular_hough(pts, (160, 200), 10, 50)
+        found = circular_hough(pts, (160, 200), 10, 50, frame((160, 200)))
         assert abs(found.cx - 100) <= 2 and abs(found.cy - 80) <= 2 and abs(found.r - 30) <= 2
 
     def test_empty_edge_map_rejected(self):
         with pytest.raises(SegmentationError):
-            circular_hough(np.empty((0, 2), dtype=int), (64, 64), 5, 20)
+            circular_hough(np.empty((0, 2), dtype=int), (64, 64), 5, 20, frame((64, 64)))
 
     def test_bad_radius_range_rejected(self):
         pts = circle_points(32, 32, 10)
         with pytest.raises(ValueError):
-            circular_hough(pts, (64, 64), 20, 10)
+            circular_hough(pts, (64, 64), 20, 10, frame((64, 64)))
 
     def test_vote_floor(self):
         # two isolated points cannot carry a circle
         with pytest.raises(SegmentationError):
-            circular_hough(np.array([[10, 10], [50, 50]]), (64, 64), 30, 31)
+            circular_hough(np.array([[10, 10], [50, 50]]), (64, 64), 30, 31, frame((64, 64)))
 
     def test_translation_equivariance(self):
         pts = circle_points(60, 60, 20)
-        base = circular_hough(pts, (160, 160), 10, 30)
+        base = circular_hough(pts, (160, 160), 10, 30, frame((160, 160)))
         for dx, dy in [(7, 0), (0, 11), (13, 9)]:
-            moved = circular_hough(pts + [dx, dy], (160, 160), 10, 30)
+            moved = circular_hough(pts + [dx, dy], (160, 160), 10, 30, frame((160, 160)))
             assert (moved.cx, moved.cy) == (base.cx + dx, base.cy + dy)
             assert moved.r == base.r
 
@@ -312,7 +318,8 @@ class TestPerRadiusMatchesOracle:
     def test_random_edge_maps(self):
         for case in random_hough_cases():
             expect = outcome(hough_circle_normalized, *case)
-            assert outcome(circular_hough, *case, per_radius=True) == expect
+            points, shape, r_min, r_max = case
+            assert outcome(circular_hough, *case, frame(shape), per_radius=True) == expect
 
     def test_ring_stamps_match_the_distance_oracle(self):
         # ties the whole-image reference to the per-point distance reference
@@ -332,7 +339,9 @@ class TestPerRadiusMatchesOracle:
                                      (ring, 0, 10), (ring, 12, 12)]:
             expect = outcome(hough_circle_normalized, points, (64, 64), r_min, r_max)
             assert isinstance(expect, type)
-            assert outcome(circular_hough, points, (64, 64), r_min, r_max, per_radius=True) is expect
+            got = outcome(circular_hough, points, (64, 64), r_min, r_max, frame((64, 64)),
+                          per_radius=True)
+            assert got is expect
 
     def test_synthetic_eyes(self):
         # the prior-window pupil search finds the whole-image peak
@@ -438,14 +447,15 @@ class TestRowVoteMatchesBincountOracle:
 
 
 class TestWindowEdgesVoteAsTheWholeImage:
-    """The pupil edge map of the gradient cropped around the centre window
-    against the whole-image edge map: the two fill one accumulator."""
+    """Each stage's edge map of the gradient cropped around its centre window
+    against the whole-image edge map of the same bias: the two fill one
+    accumulator."""
 
     @staticmethod
-    def check(gradient, window, r_min, r_max, cfg=SegmentationConfig()):
+    def check(gradient, window, bias, r_min, r_max, cfg=SegmentationConfig()):
         height, width = gradient[0].shape
-        cropped = segmentation._window_edges(gradient, window, r_max + 2, cfg.grad_threshold)
-        full = edge_map(gradient, "none", cfg.grad_threshold)
+        cropped = segmentation._window_edges(gradient, window, bias, r_max + 2, cfg.grad_threshold)
+        full = edge_map(gradient, bias, cfg.grad_threshold)
         x_lo, x_hi, y_lo, y_hi = window
         x_lo, y_lo = max(x_lo, 0), max(y_lo, 0)
         x_hi, y_hi = min(x_hi, width - 1), min(y_hi, height - 1)
@@ -455,22 +465,37 @@ class TestWindowEdgesVoteAsTheWholeImage:
         assert np.array_equal(got, expect)
         assert not cropped.flags.writeable and cropped.dtype == np.int64
 
-    def test_pupil_bands_of_synthetic_eyes(self, small_corpus):
-        cfg = SegmentationConfig()
+    @staticmethod
+    def synthetic_eyes(small_corpus):
         images = [rec.image for rec in small_corpus.records]
         images += [synth_eye(spec)[0] for spec in c02_style_specs(20)]
         images.append(clean_eye(pupil_r=7.0, iris_r=70.0)[0])
-        for img in images:
+        return images
+
+    def test_pupil_bands_of_synthetic_eyes(self, small_corpus):
+        cfg = SegmentationConfig()
+        for img in self.synthetic_eyes(small_corpus):
             cx, cy, d = segmentation._pupil_prior(img, cfg.pupil_r_min)
             window = segmentation._center_window(cx, cy)
-            self.check(edge_gradient(img), window, *segmentation._pupil_band(d, cfg))
+            self.check(edge_gradient(img), window, "none", *segmentation._pupil_band(d, cfg))
+
+    def test_iris_windows_of_synthetic_eyes(self, small_corpus):
+        # the iris stage votes around the detected pupil
+        cfg = SegmentationConfig()
+        for img in self.synthetic_eyes(small_corpus):
+            gradient = edge_gradient(img)
+            pupil, _ = locate_pupil_and_iris(img, cfg, gradient)
+            window = segmentation._center_window(int(pupil.cx), int(pupil.cy))
+            self.check(gradient, window, "vertical-edges", cfg.iris_r_min, cfg.iris_r_max)
 
     def test_windows_at_the_image_border(self, small_corpus):
         gradient = edge_gradient(small_corpus.records[0].image)
         height, width = gradient[0].shape
         for cx, cy in [(0, 0), (width - 1, height - 1), (3, height // 2), (width // 2, height - 4)]:
+            window = segmentation._center_window(cx, cy)
             for r_min, r_max in [(6, 7), (6, 62), (30, 40)]:
-                self.check(gradient, segmentation._center_window(cx, cy), r_min, r_max)
+                self.check(gradient, window, "none", r_min, r_max)
+            self.check(gradient, window, "vertical-edges", 63, 110)
 
 
 def test_rounded_sqrt_matches_hypot_exhaustively():
@@ -500,7 +525,7 @@ class TestCircularPeak:
         monkeypatch.setattr(segmentation, "_vote_by_distance", lambda *args: acc)
         n_r, acc_h, acc_w = acc.shape
         return outcome(circular_hough, np.array([[0, 0]]), (acc_h, acc_w), r_min, r_min + n_r - 1,
-                       per_radius=per_radius)
+                       frame((acc_h, acc_w)), per_radius=per_radius)
 
     @pytest.mark.parametrize("per_radius", [False, True])
     def test_random_tied_accumulators(self, monkeypatch, per_radius):

@@ -5,6 +5,7 @@ in its layer.  These tests pin the names and the calls one verify makes."""
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -38,21 +39,55 @@ def test_every_traced_function_resolves(spans):
         assert callable(getattr(module, func_name, None)), f"irisfuse.{module_name}.{func_name}"
 
 
-def test_every_traced_function_is_used_by_the_program(spans):
-    # a traced function that only the bench calls is bench-only code in src/
-    statements = []  # (module, name the statement defines, names it references)
+def src_statements():
+    """(module, name the statement defines or None, names it reads) for every
+    top-level statement of the package; only a function or class defines a
+    name here, and an import reads nothing."""
+    statements = []
     for path in sorted(SRC_PATH.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             referenced = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
                           if isinstance(n, (ast.Name, ast.Attribute))}
             statements.append((path.stem, getattr(node, "name", None), referenced))
+    return statements
+
+
+def used_by_the_program(module, name, statements):
+    """Whether a statement of the package other than ``module.name``'s own definition reads ``name``."""
+    return any(name in referenced for where, defines, referenced in statements
+               if (where, defines) != (module, name))
+
+
+def test_every_traced_function_is_used_by_the_program(spans):
+    # a traced function that only the bench calls is bench-only code in src/
+    statements = src_statements()
     unused = {f"{module}.{func}" for module, func, _ in spans.TRACED
-              if not any(func in referenced for where, defines, referenced in statements
-                         if (where, defines) != (module, func))}
+              if not used_by_the_program(module, func, statements)}
     # verify no longer calls common_mask; ROADMAP item 5 drops it from TRACED
     # and from layers._pair_code_seconds in the next benchmark revision, and
     # then deletes it and this exception
     assert unused == {"euler.common_mask"}
+
+
+# The public names only tests call, each kept for the acceptance criterion it serves.
+TEST_ONLY = {
+    "euler.euler_number": "c01",
+    "gasel.roulette_select": "c07",
+    "synth.rotated": "c03",
+    "zerocross.shifted": "c05",
+}
+
+
+def test_every_public_name_is_used():
+    # a public top-level function or class that neither the package nor the
+    # bench reads, and that no acceptance criterion needs, is dead code
+    statements = src_statements()
+    bench = "\n".join(path.read_text() for path in sorted(SPANS_PATH.parent.glob("*.py")))
+    public = [(module, name) for module, name, _ in statements if name and not name.startswith("_")]
+    unused = [f"{module}.{name}" for module, name in public
+              if not used_by_the_program(module, name, statements)
+              and not re.search(rf"\b{name}\b", bench) and f"{module}.{name}" not in TEST_ONLY]
+    assert unused == [], f"public names nothing in src/ or perfbench/ reads: {unused}"
 
 
 def test_verify_runs_every_segmentation_span(spans):

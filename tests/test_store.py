@@ -318,7 +318,8 @@ class TestPersistence:
                                           "[0, inf] range", "[-inf, 1] range",
                                           "zerocross [0, 1e300]", "zerocross [0.4, 0.5]",
                                           "gasel [0, 2]", "zero-scale record",
-                                          "mixed scale counts", "bad UTF-8 id", "duplicate id"])
+                                          "mixed scale counts", "uniform one-scale records",
+                                          "bad UTF-8 id", "duplicate id"])
     def test_invalid_contents_are_format_errors(self, gallery, tmp_path, mutation):
         path = tmp_path / "bad.irf"
         data = bytearray(to_bytes(gallery)[:-4])
@@ -354,6 +355,10 @@ class TestPersistence:
         elif mutation == "mixed scale counts":  # the first record keeps one of its two scales
             data[scales] = 1
             del data[scales + 1 + plane:scales + 1 + 2 * plane]
+        elif mutation == "uniform one-scale records":  # every record keeps its first scale
+            records = tuple(replace(r, template=ZeroCrossTemplate(r.template.bits[:1], r.template.mask))
+                            for r in gallery.records)
+            data = bytearray(to_bytes(replace(gallery, records=records))[:-4])
         elif mutation == "bad UTF-8 id":
             data[data.find(b"person-0")] = 0xFF
         else:
