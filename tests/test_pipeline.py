@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
-from irisfuse import store
+from irisfuse import pipeline, store
 from irisfuse.euler import common_mask
 from irisfuse.imaging import GrayImage
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH
@@ -93,10 +95,93 @@ def test_masks_are_read_only_uint8_zero_one_arrays(tmp_path):
         assert np.array_equal(a.template.mask, b.template.mask)
 
 
-def test_polar_arrays_are_read_only_uint8_with_one_mask():
-    f = process_image(build_corpus(1, 1, 2026).records[0].image, SegmentationConfig())
+@pytest.mark.parametrize("source", ["process_image", "worker"])
+def test_polar_arrays_are_read_only_uint8_with_one_mask(source):
+    images = [r.image for r in build_corpus(4, 2, 2026).records]
+    if source == "process_image":
+        f = process_image(images[0], SegmentationConfig())
+    else:
+        # the last of 8 images comes back pickled from a worker where the
+        # host has 2 CPUs; pickling drops numpy's write flag
+        f = process_images(images, SegmentationConfig())[0][-1]
     for arr in (f.polar, f.enhanced, f.mask, f.template.mask):
         assert arr.dtype == np.uint8 and arr.shape == (POLAR_HEIGHT, POLAR_WIDTH) == (96, 448)
         assert not arr.flags.writeable
+    for arr in (f.segmentation.noise_mask, f.raw.values, f.raw.valid, f.own_code, f.template.bits):
+        assert not arr.flags.writeable
     assert f.template.mask is f.mask
     assert f.mask[:4].all() and f.mask[-4:].all()  # the 4 guard rows
+
+
+def fields_of(value):
+    """Every field of a result, nested: arrays as dtype, shape and bytes,
+    everything else (circles, eyelids, floats) as its exact repr."""
+    if dataclasses.is_dataclass(value):
+        return [(f.name, fields_of(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return repr(value)
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the split needs 2 CPUs in the affinity mask")
+
+
+class TestSplitEqualsInProcess:
+    @pytest.fixture(scope="class")
+    def images(self):
+        # 8 images: where 2 processes share them, the caller runs 0-3 and a
+        # worker 4-7; one blank image (no pupil-sized dark region) in each
+        images = [r.image for r in build_corpus(3, 2, 2026).records]
+        blank = GrayImage(np.full((192, 256), 127, dtype=np.uint8))
+        images.insert(1, blank)
+        images.insert(6, blank)
+        return images
+
+    @pytest.fixture(scope="class")
+    def expected(self, images):
+        kept, features = [], []
+        for k, img in enumerate(images):
+            try:
+                features.append(fields_of(process_image(img, SegmentationConfig())))
+            except SegmentationError as exc:
+                assert "no pupil-sized dark region" in str(exc)
+                continue
+            kept.append(k)
+        assert kept == [0, 2, 3, 4, 5, 7]
+        return features, kept
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts of the pools process_images starts."""
+        started = []
+
+        class Recording(pipeline.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recording)
+        return started
+
+    @needs_two_cpus
+    def test_split(self, images, expected, pools):
+        features, kept = process_images(images, SegmentationConfig())
+        assert pools == [1]
+        assert ([fields_of(f) for f in features], kept) == expected
+
+    def test_one_cpu_runs_in_process(self, images, expected, pools, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        features, kept = process_images(images, SegmentationConfig())
+        assert pools == []
+        assert ([fields_of(f) for f in features], kept) == expected
+
+    @needs_two_cpus
+    def test_other_errors_in_a_worker_propagate(self, images, pools):
+        with pytest.raises(AttributeError) as in_process:
+            process_image(None, SegmentationConfig())
+        with pytest.raises(AttributeError) as split:
+            process_images(images[:7] + [None], SegmentationConfig())
+        assert pools == [1]
+        assert str(split.value) == str(in_process.value)

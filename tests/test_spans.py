@@ -109,13 +109,17 @@ def test_verify_runs_every_segmentation_span(spans):
     assert calls["segmentation.parabolic_hough"] == 2  # upper and lower eyelid
 
 
-def test_run_trials_records_one_zerocross_match_span_per_pair(spans):
+# pairs: genuine + imposter, under the imposter cap; the 8 images of the
+# second corpus are split over 2 processes where the host has 2 CPUs, and the
+# pairs are still scored in the traced process
+@pytest.mark.parametrize("identities, want_pairs", [(3, 3 + 12), (4, 4 + 24)])
+def test_run_trials_records_one_zerocross_match_span_per_pair(spans, identities, want_pairs):
     evaluation = importlib.import_module("irisfuse.evaluation")
-    corpus = build_corpus(3, 2, 2026)  # 3 genuine + 12 imposter pairs, under the imposter cap
+    corpus = build_corpus(identities, 2, 2026)
     with spans.Tracer() as tracer:
         outcome = evaluation.run_trials(corpus)
     pairs = len(outcome.fused.genuine) + len(outcome.fused.imposter)
-    assert pairs == 15
+    assert pairs == want_pairs
     matches = [s for s in tracer.spans if s.name == "zerocross.match"]
     assert len(matches) == pairs
     assert [s.pair for s in matches] == list(range(pairs))
