@@ -319,7 +319,8 @@ class TestPersistence:
                                           "zerocross [0, 1e300]", "zerocross [0.4, 0.5]",
                                           "gasel [0, 2]", "zero-scale record",
                                           "mixed scale counts", "uniform one-scale records",
-                                          "bad UTF-8 id", "duplicate id"])
+                                          "bad UTF-8 id", "duplicate id", "65-byte id",
+                                          "NaN feature value"])
     def test_invalid_contents_are_format_errors(self, gallery, tmp_path, mutation):
         path = tmp_path / "bad.irf"
         data = bytearray(to_bytes(gallery)[:-4])
@@ -361,6 +362,14 @@ class TestPersistence:
             data = bytearray(to_bytes(replace(gallery, records=records))[:-4])
         elif mutation == "bad UTF-8 id":
             data[data.find(b"person-0")] = 0xFF
+        elif mutation == "65-byte id":
+            at = data.find(b"person-0")
+            data[at - 1] = 65
+            data[at:at + 8] = b"x" * 65
+        elif mutation == "NaN feature value":
+            # past the two bit planes, the mask plane and the 4 x i32 Euler code
+            values = scales + 1 + 3 * plane + 16
+            data[values:values + 4] = struct.pack("<f", float("nan"))
         else:
             at = data.find(b"person-1")
             data[at:at + 8] = b"person-0"
