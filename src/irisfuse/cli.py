@@ -126,7 +126,7 @@ def cmd_enroll(args) -> int:
         print(f"enrollment failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     store.save(gallery, path)
-    print(f"enrolled {args.id!r}; gallery now holds {len(gallery.records)} identities")
+    print(f"enrolled {args.id!r}; gallery now holds {len(gallery.identities)} identities")
     return EXIT_OK
 
 
@@ -156,7 +156,7 @@ def cmd_train_ga(args) -> int:
     out_dir = _check_output_dir(Path(args.out) if args.out else gallery_path.parent)
     corpus = load_corpus(Path(args.corpus))
 
-    features, kept = process_images([r.image for r in corpus.records], cfg.pipeline())
+    table, kept = process_images([r.image for r in corpus.records], cfg.pipeline())
     y = np.asarray([corpus.records[k].identity for k in kept])
     if len(set(y)) < 2:
         print("error: training corpus needs at least 2 segmentable identities", file=sys.stderr)
@@ -169,7 +169,7 @@ def cmd_train_ga(args) -> int:
         print("error: every identity needs at least 2 segmented samples; too few for identity "
               + ", ".join(short), file=sys.stderr)
         return EXIT_ERROR
-    X = np.vstack([f.raw.values for f in features])
+    X = table.values
 
     rankings = [rank_entropy(X, y), rank_tstat(X, y), rank_knn(X, y), rank_rfe(X, y)]
     top_k = min(cfg.ga_top_k, X.shape[1])

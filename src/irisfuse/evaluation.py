@@ -84,7 +84,7 @@ def run_trials(
     policy = policy or FusionPolicy()
     pool, chromosome = selection or default_selection()
 
-    features, kept = process_images([r.image for r in corpus.records], segmentation)
+    table, kept = process_images([r.image for r in corpus.records], segmentation)
     ids = np.asarray([corpus.records[k].identity for k in kept])
     total = len(corpus.records)
     failures = total - len(kept)
@@ -111,11 +111,12 @@ def run_trials(
     order = np.concatenate([genuine, cross])
     first, second = iu[order], ju[order]
 
-    model = calibrated_covariance([f.own_code for f in features])
-    pairs = [(features[i], features[j]) for i, j in zip(first, second)]
-    codes = np.array([pair_codes(a.polar, b.polar, a.mask | b.mask) for a, b in pairs])
-    zc = zerocross.match_pairs([f.template for f in features], first, second)
-    blocks = gasel.match_pairs([f.raw for f in features], first, second, chromosome, pool)
+    model = calibrated_covariance(table.euler)
+    masks = [t.mask for t in table.templates]
+    codes = np.array([pair_codes(table.polar[i], table.polar[j], masks[i] | masks[j])
+                      for i, j in zip(first, second)])
+    zc = zerocross.match_pairs(table.templates, first, second)
+    blocks = gasel.match_pairs(table.values, table.valid, first, second, chromosome, pool)
     raw = {"zerocross": comparable(zc, zerocross.INCOMPARABLE),
            "euler": mahalanobis_rows(codes[:, 0] - codes[:, 1], model),
            "gasel": comparable(blocks, gasel.INCOMPARABLE)}

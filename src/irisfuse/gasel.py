@@ -1,7 +1,8 @@
 """Block-statistics features, four feature rankers, and GA subset selection.
 
-The raw feature vector holds the mean intensity of each 8x8 block of the
-polar image (56 x 12 blocks = 672 features, masked pixels excluded).  Four
+The (N, 672) ``values`` and ``valid`` columns of a feature table hold the
+mean of each 8x8 polar block (56 x 12 blocks, masked pixels excluded) and
+whether it has any unmasked pixel; every function here reads them.  Four
 rankers (information gain, Welch t-statistic, single-feature 1-NN accuracy,
 and recursive elimination over a ridge discriminant) nominate their top
 features into a pool.  The elimination forms the inverse ridge gram and the
@@ -15,7 +16,7 @@ a leave-one-out verification trial at the EER operating point.  FAR - FRR
 strictly decreases over the distinct similarity thresholds, so after one
 sort the EER point is found by searching the genuine similarities alone
 (see ``_SubsetTrial``).  Everything is deterministic given the configured
-seed.  ``match_subset`` is the one-pair case of ``match_pairs``.
+seed.  ``match_subset`` is the two-row case of ``match_pairs``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import blas
 
+from .imaging import freeze
 from .normalization import POLAR_HEIGHT, POLAR_WIDTH, comparable
 
 BLOCK = 8
@@ -38,28 +40,6 @@ INCOMPARABLE = "no jointly valid features among the selected subset"
 
 _ENTROPY_BINS = 10
 _RIDGE_LAMBDA = 1.0
-
-
-@dataclass(frozen=True)
-class RawFeatureVector:
-    """672 block means plus a per-block validity flag."""
-
-    values: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        valid = np.asarray(self.valid, dtype=bool)
-        if vals.shape != (FEATURE_COUNT,) or valid.shape != (FEATURE_COUNT,):
-            raise ValueError(f"feature vector must have length {FEATURE_COUNT}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("feature values must be finite")
-        vals = vals.copy()
-        valid = valid.copy()
-        vals.setflags(write=False)
-        valid.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "valid", valid)
 
 
 @dataclass(frozen=True)
@@ -138,8 +118,9 @@ def default_selection() -> tuple[FeaturePool, Chromosome]:
     return pool, Chromosome(np.ones(FEATURE_COUNT, dtype=np.uint8))
 
 
-def extract_raw(intensities: np.ndarray, mask: np.ndarray) -> RawFeatureVector:
-    """Mean intensity of each 8x8 block of the polar image, ignoring masked pixels.
+def extract_raw(intensities: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean intensity of each 8x8 block of the polar image, ignoring masked
+    pixels, and each block's validity: read-only (672,) float64 and bool.
 
     A fully masked block contributes 0 with its validity flag cleared.
     Block index = block_row * 56 + block_col (row-major).
@@ -150,7 +131,7 @@ def extract_raw(intensities: np.ndarray, mask: np.ndarray) -> RawFeatureVector:
     counts = good.reshape(BLOCK_ROWS, BLOCK, BLOCK_COLS, BLOCK).sum(axis=(1, 3))
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    return RawFeatureVector(means.ravel(), (counts > 0).ravel())
+    return freeze(means.ravel()), freeze((counts > 0).ravel())
 
 
 def _check_labels(y, min_per_class: int):
@@ -359,8 +340,10 @@ def _spin(wheel: tuple[np.ndarray, float], rng) -> int:
     return int(np.searchsorted(cum, rng.random() * total, side="right"))
 
 
-def match_pairs(features, first, second, chromosome: Chromosome, pool: FeaturePool) -> np.ndarray:
-    """Normalized city-block distance of each pair (features[first[k]], features[second[k]]).
+def match_pairs(values: np.ndarray, valid: np.ndarray, first, second,
+                chromosome: Chromosome, pool: FeaturePool) -> np.ndarray:
+    """Normalized city-block distance of each pair of rows (first[k], second[k])
+    of the (N, 672) ``values`` and ``valid``.
 
     It runs over the selected, jointly valid features; a pair with none gets
     NaN.  In place: only a few (pairs x selected) temporaries are alive at once.
@@ -368,8 +351,7 @@ def match_pairs(features, first, second, chromosome: Chromosome, pool: FeaturePo
     sel = chromosome.selected(pool)
     if len(sel) == 0:
         raise ValueError("chromosome selects no features")
-    values = np.stack([f.values[sel] for f in features])
-    valid = np.stack([f.valid[sel] for f in features])
+    values, valid = values[:, sel], valid[:, sel]
     joint = valid[first] & valid[second]
     dist = values[first]
     dist -= values[second]
@@ -379,10 +361,11 @@ def match_pairs(features, first, second, chromosome: Chromosome, pool: FeaturePo
         return dist.sum(axis=1) / joint.sum(axis=1) / 255.0
 
 
-def match_subset(a: RawFeatureVector, b: RawFeatureVector,
+def match_subset(values: np.ndarray, valid: np.ndarray,
                  chromosome: Chromosome, pool: FeaturePool) -> float:
-    """Normalized city-block distance over selected, jointly valid features."""
-    return float(comparable(match_pairs((a, b), [0], [1], chromosome, pool), INCOMPARABLE)[0])
+    """Normalized city-block distance between the two rows of ``values`` and
+    ``valid`` over the selected, jointly valid features."""
+    return float(comparable(match_pairs(values, valid, [0], [1], chromosome, pool), INCOMPARABLE)[0])
 
 
 @dataclass(frozen=True)

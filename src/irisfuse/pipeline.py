@@ -2,6 +2,10 @@
 the evaluation harness: segment, unwrap, enhance, and extract all three
 feature representations.
 
+``process_image`` returns one image's ``IrisFeatures``; ``process_images``
+returns one ``FeatureTable``, a row per image that segments, whose columns
+the trials, enrollment, the gallery file and GA training all read.
+
 Two robustness choices live here rather than in the feature modules.  The
 outermost polar rows sample within about a pixel of the detected circle
 boundaries, where 1 px Hough quantization lets pupil or sclera intensities
@@ -31,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import euler_code
-from .gasel import RawFeatureVector, extract_raw
+from .euler import MSB_PLANES, euler_code
+from .gasel import FEATURE_COUNT, extract_raw
 from .imaging import GrayImage, freeze
-from .normalization import enhance, rubber_sheet
+from .normalization import POLAR_HEIGHT, POLAR_WIDTH, enhance, rubber_sheet
 from .segmentation import SegmentationConfig, SegmentationError, SegmentationResult, segment
 from .zerocross import ZeroCrossTemplate, encode
 
@@ -55,7 +59,46 @@ class IrisFeatures:
     mask: np.ndarray                  # polar mask with the guard rows, 1 = invalid
     template: ZeroCrossTemplate
     own_code: np.ndarray              # Euler code under the image's own mask
-    raw: RawFeatureVector
+    values: np.ndarray                # (672,) block means
+    valid: np.ndarray                 # (672,) block validity
+
+
+_ROW_SHAPES = {"euler": (np.int64, (MSB_PLANES,)), "values": (np.float64, (FEATURE_COUNT,)),
+               "valid": (bool, (FEATURE_COUNT,)), "polar": (np.uint8, (POLAR_HEIGHT, POLAR_WIDTH))}
+
+
+@dataclass(frozen=True)
+class FeatureTable:
+    """One row per image: ``euler`` (N, 4) int64 own-mask codes, ``values``
+    (N, 672) float64 block means, ``valid`` (N, 672) bool, ``polar`` (N, 96,
+    448) uint8 or None.  The constructor stacks each column from rows (zero
+    rows too) and freezes every array it holds, each template's bits and
+    mask too, so a table pickled back from a worker is frozen."""
+
+    templates: tuple[ZeroCrossTemplate, ...]
+    euler: np.ndarray
+    values: np.ndarray
+    valid: np.ndarray
+    polar: np.ndarray | None = None   # read only by the union-mask Euler codes of run_trials
+
+    def __post_init__(self):
+        object.__setattr__(self, "templates", tuple(self.templates))
+        for name, (dtype, row) in _ROW_SHAPES.items():
+            if (column := getattr(self, name)) is not None:
+                object.__setattr__(self, name, freeze(np.asarray(column, dtype).reshape(-1, *row)))
+        for t in self.templates:
+            freeze(t.bits)
+            freeze(t.mask)
+
+    def __len__(self) -> int:
+        return len(self.templates)
+
+
+def concat(tables) -> FeatureTable:
+    """The rows of ``tables`` in order; with polar images only if every table has them."""
+    columns = {name: None if any(getattr(t, name) is None for t in tables)
+               else np.concatenate([getattr(t, name) for t in tables]) for name in _ROW_SHAPES}
+    return FeatureTable(sum((t.templates for t in tables), ()), **columns)
 
 
 def _guard_rows(mask: np.ndarray) -> np.ndarray:
@@ -74,36 +117,23 @@ def process_image(img: GrayImage, cfg: SegmentationConfig) -> IrisFeatures:
     polar, mask = rubber_sheet(img, seg)
     mask = _guard_rows(mask)
     enhanced = enhance(polar, mask)
-    return IrisFeatures(
-        segmentation=seg,
-        polar=polar,
-        enhanced=enhanced,
-        mask=mask,
-        template=encode(enhanced, mask),
-        own_code=euler_code(polar, mask),
-        raw=extract_raw(enhanced, mask),
-    )
+    return IrisFeatures(seg, polar, enhanced, mask, encode(enhanced, mask), euler_code(polar, mask),
+                        *extract_raw(enhanced, mask))
 
 
-def _process_share(images, cfg: SegmentationConfig) -> list[IrisFeatures | None]:
-    """``process_image`` of each image, None where segmentation fails."""
-    results = []
-    for img in images:
+def _process_share(images, cfg: SegmentationConfig, start: int = 0) -> tuple[FeatureTable, list[int]]:
+    """The table of the images that segment, and their indices counted from ``start``."""
+    features, kept = [], []
+    for k, img in enumerate(images, start):
         try:
-            results.append(process_image(img, cfg))
+            features.append(process_image(img, cfg))
         except SegmentationError:
-            results.append(None)
-    return results
-
-
-def _read_only(f: IrisFeatures | None) -> IrisFeatures | None:
-    """A worker's result with the write flags that pickling dropped put back;
-    pickling keeps ``template.mask is mask``."""
-    if f is not None:
-        for arr in (f.segmentation.noise_mask, f.polar, f.enhanced, f.mask,
-                    f.template.bits, f.own_code, f.raw.values, f.raw.valid):
-            freeze(arr)
-    return f
+            continue
+        kept.append(k)
+    table = FeatureTable(tuple(f.template for f in features), [f.own_code for f in features],
+                         [f.values for f in features], [f.valid for f in features],
+                         [f.polar for f in features])
+    return table, kept
 
 
 def _process_count(n_images: int) -> int:
@@ -112,26 +142,24 @@ def _process_count(n_images: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_images // MIN_IMAGES_PER_PROCESS)
 
 
-def process_images(images, cfg: SegmentationConfig) -> tuple[list[IrisFeatures], list[int]]:
-    """Features of every image that segments, and the indices of those images.
+def process_images(images, cfg: SegmentationConfig) -> tuple[FeatureTable, list[int]]:
+    """The table of every image that segments, and the indices of those images.
 
     An image whose boundary detection fails is skipped.  With more than one
     process (see the module docstring) the caller runs the first contiguous
-    share and forked workers the rest; the results are the same either way.
+    share and forked workers the rest, one table per chunk; the result is
+    the same either way.
     """
     images = list(images)
     processes = _process_count(len(images))
     if processes <= 1:
-        results = _process_share(images, cfg)
-    else:
-        share = -(-len(images) // processes)
-        rest = images[share:]
-        chunk = -(-len(rest) // (CHUNKS_PER_WORKER * (processes - 1)))
-        with ProcessPoolExecutor(processes - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_process_share, rest[i:i + chunk], cfg)
-                       for i in range(0, len(rest), chunk)]
-            results = _process_share(images[:share], cfg)
-            for future in futures:
-                results += map(_read_only, future.result())
-    kept = [k for k, f in enumerate(results) if f is not None]
-    return [results[k] for k in kept], kept
+        return _process_share(images, cfg)
+    share = -(-len(images) // processes)
+    rest = images[share:]
+    chunk = -(-len(rest) // (CHUNKS_PER_WORKER * (processes - 1)))
+    with ProcessPoolExecutor(processes - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_process_share, rest[i:i + chunk], cfg, share + i)
+                   for i in range(0, len(rest), chunk)]
+        shares = [_process_share(images[:share], cfg)] + [f.result() for f in futures]
+    tables, kept = zip(*shares)
+    return concat(tables), [k for chunk_kept in kept for k in chunk_kept]

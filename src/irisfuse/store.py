@@ -17,9 +17,9 @@ big-bit-first byte packing):
 
 Loading verifies magic, version, and checksum and rejects truncated or
 oversized payloads and any scale count other than the encoder's, so a
-corrupted gallery always fails loudly.  The
-in-memory gallery is immutable; enroll returns a new instance, and verify
-never mutates anything.
+corrupted gallery always fails loudly; so do non-finite feature values.
+In memory, record k is row k of one ``FeatureTable``.  The gallery is
+immutable; enroll returns a new instance, and verify never mutates anything.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ import numpy as np
 from .euler import CovarianceModel, calibrated_covariance, mahalanobis, mahalanobis_rows
 from .fusion import (ALGORITHMS, Decision, FusionPolicy, ScoreRange, decide, fit_ranges, fuse,
                      normalize_distances)
-from .gasel import (FEATURE_COUNT, Chromosome, FeaturePool, RawFeatureVector, default_selection,
-                    match_pairs, match_subset)
+from .gasel import FEATURE_COUNT, Chromosome, FeaturePool, default_selection, match_pairs, match_subset
 from .imaging import GrayImage
 from .normalization import POLAR_HEIGHT, POLAR_WIDTH
-from .pipeline import process_image, process_images
+from .pipeline import FeatureTable, concat, process_image, process_images
 from .segmentation import SegmentationConfig, SegmentationError
 from .zerocross import DEFAULT_SCALES, ZeroCrossTemplate, match as zc_match, match_pairs as zc_pairs
 
@@ -56,71 +55,64 @@ class GalleryFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class EnrollmentRecord:
-    identity: str
-    template: ZeroCrossTemplate
-    euler: np.ndarray  # read-only (4,) int64 Euler code
-    features: RawFeatureVector
-
-    def __post_init__(self):
-        if len(self.identity.encode("utf-8")) > MAX_ID_BYTES:
-            raise ValueError(f"identity id exceeds {MAX_ID_BYTES} UTF-8 bytes")
-
-
-@dataclass(frozen=True)
 class Gallery:
-    records: tuple[EnrollmentRecord, ...]
+    """The enrolled identities and their features, row k of ``table`` for
+    ``identities[k]``; the table holds no polar images."""
+
+    identities: tuple[str, ...]
+    table: FeatureTable
     covariance: CovarianceModel
     pool: FeaturePool
     chromosome: Chromosome
     score_ranges: dict[str, ScoreRange]
 
     def __post_init__(self):
-        ids = [r.identity for r in self.records]
-        if len(set(ids)) != len(ids):
+        if len(self.identities) != len(self.table):
+            raise ValueError(f"{len(self.identities)} identities for {len(self.table)} feature rows")
+        if len(set(self.identities)) != len(self.identities):
             raise ValueError("identity ids must be unique within a gallery")
+        if any(len(i.encode("utf-8")) > MAX_ID_BYTES for i in self.identities):
+            raise ValueError(f"identity id exceeds {MAX_ID_BYTES} UTF-8 bytes")
         if set(self.score_ranges) != set(ALGORITHMS):
             raise ValueError("score ranges must cover exactly the three algorithms")
         self.covariance.cholesky  # positive-definite gallery invariant
 
-    def lookup(self, identity: str) -> EnrollmentRecord:
-        for r in self.records:
-            if r.identity == identity:
-                return r
-        raise KeyError(f"identity {identity!r} is not enrolled")
-
-    def has(self, identity: str) -> bool:
-        return any(r.identity == identity for r in self.records)
+    def row(self, identity: str) -> int:
+        """The table row of an enrolled identity; KeyError if it is not enrolled."""
+        if identity not in self.identities:
+            raise KeyError(f"identity {identity!r} is not enrolled")
+        return self.identities.index(identity)
 
 
 def empty_gallery() -> Gallery:
     pool, chromosome = default_selection()
-    covariance, ranges = _recalibrate((), pool, chromosome)
-    return Gallery((), covariance, pool, chromosome, ranges)
+    table = FeatureTable((), (), (), ())
+    covariance, ranges = _recalibrate(table, pool, chromosome)
+    return Gallery((), table, covariance, pool, chromosome, ranges)
 
 
 _RANGE_PAIR_CAP = 300
 
 
 def _recalibrate(
-    records: tuple[EnrollmentRecord, ...], pool: FeaturePool, chromosome: Chromosome
+    table: FeatureTable, pool: FeaturePool, chromosome: Chromosome
 ) -> tuple[CovarianceModel, dict[str, ScoreRange]]:
     """Covariance, and ``fit_ranges`` over strided cross-identity pairs plus the genuine 0.
 
-    A genuine trial against a record's one stored template is a self-match.
+    A genuine trial against a row's one stored template is a self-match.
     """
-    if len(records) < 2:
+    if len(table) < 2:
         return CovarianceModel(np.eye(4), 1.0), fit_ranges(dict.fromkeys(ALGORITHMS, 0.0))
-    codes = np.array([r.euler for r in records], dtype=np.float64)
+    codes = table.euler.astype(np.float64)
     model = calibrated_covariance(codes)
 
-    first, second = np.triu_indices(len(records), k=1)
+    first, second = np.triu_indices(len(table), k=1)
     stride = -(-len(first) // _RANGE_PAIR_CAP)  # 1 up to the cap
     first, second = first[::stride], second[::stride]
     raw = {
-        "zerocross": zc_pairs([r.template for r in records], first, second),
+        "zerocross": zc_pairs(table.templates, first, second),
         "euler": mahalanobis_rows(codes[first] - codes[second], model),
-        "gasel": match_pairs([r.features for r in records], first, second, chromosome, pool),
+        "gasel": match_pairs(table.values, table.valid, first, second, chromosome, pool),
     }
     return model, fit_ranges({algo: np.append(d, 0.0) for algo, d in raw.items()})
 
@@ -138,37 +130,32 @@ def enroll(
     successful samples.  Covariance and score ranges are recomputed over
     the grown population.
     """
-    if gallery.has(identity):
+    if identity in gallery.identities:
         raise ValueError(f"identity {identity!r} is already enrolled")
     processed, _ = process_images(samples, segmentation or SegmentationConfig())
     if not processed:
         raise SegmentationError(f"no sample of {identity!r} segmented successfully")
 
-    values = np.stack([f.raw.values for f in processed])
-    valids = np.stack([f.raw.valid for f in processed])
-    counts = valids.sum(axis=0)
-    mean_values = np.where(counts > 0, (values * valids).sum(axis=0) / np.maximum(counts, 1), 0.0)
+    counts = processed.valid.sum(axis=0)
+    mean_values = np.where(counts > 0, (processed.values * processed.valid).sum(axis=0)
+                           / np.maximum(counts, 1), 0.0)
     # rounded to the f32 precision of the gallery file, so a save/load round
-    # trip reproduces the record exactly
+    # trip reproduces the row exactly
     mean_values = mean_values.astype(np.float32).astype(np.float64)
-    record = EnrollmentRecord(
-        identity=identity,
-        template=processed[0].template,
-        euler=processed[0].own_code,
-        features=RawFeatureVector(mean_values, counts > 0),
-    )
-    records = gallery.records + (record,)
-    covariance, ranges = _recalibrate(records, gallery.pool, gallery.chromosome)
-    return replace(gallery, records=records, covariance=covariance, score_ranges=ranges)
+    table = concat([gallery.table, FeatureTable(processed.templates[:1], processed.euler[:1],
+                                                mean_values, counts > 0)])
+    covariance, ranges = _recalibrate(table, gallery.pool, gallery.chromosome)
+    return replace(gallery, identities=gallery.identities + (identity,), table=table,
+                   covariance=covariance, score_ranges=ranges)
 
 
 def with_selection(gallery: Gallery, pool: FeaturePool, chromosome: Chromosome) -> Gallery:
     """The gallery with a new GA feature selection and its ranges refitted.
 
     The gasel range is the worst distance under the selection, so a new
-    pool or chromosome refits every range over the enrolled records.
+    pool or chromosome refits every range over the enrolled rows.
     """
-    covariance, ranges = _recalibrate(gallery.records, pool, chromosome)
+    covariance, ranges = _recalibrate(gallery.table, pool, chromosome)
     return replace(gallery, covariance=covariance, pool=pool, chromosome=chromosome,
                    score_ranges=ranges)
 
@@ -180,19 +167,21 @@ def verify(
     policy: FusionPolicy,
     segmentation: SegmentationConfig | None = None,
 ) -> tuple[Decision, dict[str, float], float]:
-    """Match a probe image against the claimed identity's record.
+    """Match a probe image against the claimed identity's row.
 
     Returns the decision, the raw per-algorithm distances, and the fused
     similarity.  Each distance is the one the gallery's covariance and
-    ranges were fitted on: the Euler codes of probe and record are both
+    ranges were fitted on: the Euler codes of probe and row are both
     taken under their own image's mask.
     """
-    record = gallery.lookup(claimed_id)
+    k, table = gallery.row(claimed_id), gallery.table
     feats = process_image(probe, segmentation or SegmentationConfig())
     raw = {
-        "zerocross": zc_match(feats.template, record.template),
-        "euler": mahalanobis(feats.own_code, record.euler, gallery.covariance),
-        "gasel": match_subset(feats.raw, record.features, gallery.chromosome, gallery.pool),
+        "zerocross": zc_match(feats.template, table.templates[k]),
+        "euler": mahalanobis(feats.own_code, table.euler[k], gallery.covariance),
+        "gasel": match_subset(np.stack([feats.values, table.values[k]]),
+                              np.stack([feats.valid, table.valid[k]]),
+                              gallery.chromosome, gallery.pool),
     }
     fused = fuse(normalize_distances(raw, gallery.score_ranges), policy)
     return decide(fused, policy.threshold), raw, fused
@@ -210,7 +199,7 @@ def to_bytes(gallery: Gallery) -> bytes:
     """Serialize to the canonical byte layout (same gallery, same bytes)."""
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<BI", FORMAT_VERSION, len(gallery.records))
+    out += struct.pack("<BI", FORMAT_VERSION, len(gallery.identities))
     out += gallery.covariance.S.astype("<f8").tobytes()
     out += struct.pack("<d", gallery.covariance.epsilon)
 
@@ -222,15 +211,16 @@ def to_bytes(gallery: Gallery) -> bytes:
         r = gallery.score_ranges[algo]
         out += struct.pack("<Bdd", _ALGO_IDS[algo], r.min, r.max)
 
-    for rec in gallery.records:
-        ident = rec.identity.encode("utf-8")
+    t = gallery.table
+    for k, identity in enumerate(gallery.identities):
+        ident = identity.encode("utf-8")
         out += struct.pack("<B", len(ident)) + ident
-        out += struct.pack("<B", rec.template.scale_count)
-        out += _pack_bits(rec.template.bits)
-        out += _pack_bits(rec.template.mask)
-        out += np.asarray(rec.euler, dtype="<i4").tobytes()
-        out += rec.features.values.astype("<f4").tobytes()
-        out += _pack_bits(rec.features.valid)
+        out += struct.pack("<B", t.templates[k].scale_count)
+        out += _pack_bits(t.templates[k].bits)
+        out += _pack_bits(t.templates[k].mask)
+        out += t.euler[k].astype("<i4").tobytes()
+        out += t.values[k].astype("<f4").tobytes()
+        out += _pack_bits(t.valid[k])
 
     out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
     return bytes(out)
@@ -330,7 +320,7 @@ def _parse(r: _Reader) -> Gallery:
         if lo != 0.0 or (algo != "euler" and hi > 1.0):
             raise ValueError(f"{algo} score range [{lo}, {hi}] is not [0, worst distance]")
 
-    records = []
+    identities, templates, euler, values, valid = [], [], [], [], []
     for _ in range(count):
         (id_len,) = r.unpack("<B")
         identity = r.take(id_len).decode("utf-8")
@@ -343,25 +333,15 @@ def _parse(r: _Reader) -> Gallery:
         mask = _unpack_bits(r.take(_PLANE_BYTES), POLAR_HEIGHT * POLAR_WIDTH).reshape(
             POLAR_HEIGHT, POLAR_WIDTH
         )
-        euler = np.frombuffer(r.take(16), dtype="<i4").astype(np.int64)
-        euler.setflags(write=False)
-        values = np.frombuffer(r.take(FEATURE_COUNT * 4), dtype="<f4").astype(np.float64)
-        valid = _unpack_bits(r.take((FEATURE_COUNT + 7) // 8), FEATURE_COUNT).astype(bool)
-        records.append(
-            EnrollmentRecord(
-                identity=identity,
-                template=ZeroCrossTemplate(bits, mask),
-                euler=euler,
-                features=RawFeatureVector(values, valid),
-            )
-        )
+        identities.append(identity)
+        templates.append(ZeroCrossTemplate(bits, mask))
+        euler.append(np.frombuffer(r.take(16), dtype="<i4"))
+        values.append(np.frombuffer(r.take(FEATURE_COUNT * 4), dtype="<f4"))
+        if not np.all(np.isfinite(values[-1])):
+            raise ValueError(f"record {identity!r}: feature values must be finite")
+        valid.append(_unpack_bits(r.take((FEATURE_COUNT + 7) // 8), FEATURE_COUNT))
     if r.pos != len(r.data):
         raise GalleryFormatError(f"{len(r.data) - r.pos} unexpected trailing bytes")
 
-    return Gallery(
-        records=tuple(records),
-        covariance=covariance,
-        pool=pool,
-        chromosome=chromosome,
-        score_ranges=ranges,
-    )
+    table = FeatureTable(templates, euler, values, valid)
+    return Gallery(tuple(identities), table, covariance, pool, chromosome, ranges)

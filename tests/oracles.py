@@ -55,9 +55,12 @@ that has none.  Each reference below names the kernel it checks.
 problem of the GA tests and of the benchmark's train-ga workload.  Nor is
 ``noise_segmentations``: it pins the geometries that leave the frame, which
 ``segment`` no longer returns, for the rubber-sheet and noise-mask references.
+Nor are ``gallery_with_rows`` and ``gallery_rows``, which build the edited
+galleries of the store, CLI and zerocross tests.
 """
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -76,6 +79,7 @@ from irisfuse.gasel import (
 )
 from irisfuse.imaging import GrayImage, gaussian_kernel
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError
+from irisfuse.pipeline import FeatureTable
 from irisfuse.segmentation import (
     EDGE_BIASES,
     MIN_CIRCLE_VOTES,
@@ -480,16 +484,16 @@ def euler_number_quads(b: np.ndarray) -> int:
     return int(quads_one - quads_three - 2 * quads_diag) // 4
 
 
-def match_subset_compressed(a, b, chromosome, pool) -> float:
-    """Normalized city-block distance over selected, jointly valid features."""
+def match_subset_compressed(values, valid, chromosome, pool) -> float:
+    """Normalized city-block distance between two rows over selected, jointly valid features."""
     sel = chromosome.selected(pool)
     if len(sel) == 0:
         raise ValueError("chromosome selects no features")
-    joint = a.valid[sel] & b.valid[sel]
+    joint = valid[0, sel] & valid[1, sel]
     if not joint.any():
         raise IncomparableError("no jointly valid features among the selected subset")
     use = sel[joint]
-    return float(np.mean(np.abs(a.values[use] - b.values[use])) / 255.0)
+    return float(np.mean(np.abs(values[0, use] - values[1, use])) / 255.0)
 
 
 def trial_ranges(raw):
@@ -506,7 +510,7 @@ def trial_ranges(raw):
 _RANGE_PAIR_CAP = 300
 
 
-def recalibrate_worst(records, pool, chromosome, max_shift):
+def recalibrate_worst(table, pool, chromosome, max_shift):
     """Covariance and score ranges over the enrolled population.
 
     A genuine trial against the gallery's single stored template is a
@@ -515,25 +519,40 @@ def recalibrate_worst(records, pool, chromosome, max_shift):
     at the shift budget verification uses.  Pair enumeration is stride-capped
     to keep repeated enrollment affordable.
     """
-    if len(records) < 2:
+    if len(table) < 2:
         return CovarianceModel(np.eye(4), 1.0), {a: ScoreRange(0.0, 1.0) for a in ALGORITHMS}
-    model = calibrated_covariance([r.euler for r in records])
+    model = calibrated_covariance(table.euler)
 
-    first, second = np.triu_indices(len(records), k=1)
+    first, second = np.triu_indices(len(table), k=1)
     stride = -(-len(first) // _RANGE_PAIR_CAP)  # 1 up to the cap
     first, second = first[::stride], second[::stride]
     zerocross = []
     for i, j in zip(first, second):
         try:
-            zerocross.append(zc_match(records[i].template, records[j].template, max_shift))
+            zerocross.append(zc_match(table.templates[i], table.templates[j], max_shift))
         except IncomparableError:
             zerocross.append(np.nan)
-    codes = np.array([r.euler for r in records], dtype=np.float64)
+    codes = table.euler.astype(np.float64)
     return model, worst_ranges({
         "zerocross": np.array(zerocross),
         "euler": mahalanobis_rows(codes[first] - codes[second], model),
-        "gasel": match_pairs([r.features for r in records], first, second, chromosome, pool),
+        "gasel": match_pairs(table.values, table.valid, first, second, chromosome, pool),
     })
+
+
+def gallery_with_rows(gallery, identities, templates, euler, values, valid):
+    """``gallery`` holding the given rows instead of its own; its covariance,
+    selection and score ranges are kept as they are."""
+    table = FeatureTable(templates, euler, values, valid)
+    return replace(gallery, identities=tuple(identities), table=table)
+
+
+def gallery_rows(gallery, rows):
+    """``gallery`` with the given rows of its own, in that order."""
+    rows, t = list(rows), gallery.table
+    return gallery_with_rows(gallery, [gallery.identities[k] for k in rows],
+                             [t.templates[k] for k in rows], t.euler[rows], t.values[rows],
+                             t.valid[rows])
 
 
 def worst_ranges(raw):

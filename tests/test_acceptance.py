@@ -261,13 +261,12 @@ def test_c11_persistence(tmp_path):
     p2 = tmp_path / "g2.irf"
     save(gallery, p1)
     back = load(p1)
-    for a, b in zip(gallery.records, back.records):
-        assert a.identity == b.identity
-        assert np.array_equal(a.template.bits, b.template.bits)
-        assert np.array_equal(a.template.mask, b.template.mask)
-        assert np.array_equal(a.euler, b.euler)
-        assert np.array_equal(a.features.values, b.features.values)
-        assert np.array_equal(a.features.valid, b.features.valid)
+    assert back.identities == gallery.identities
+    for a, b in zip(gallery.table.templates, back.table.templates):
+        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a.mask, b.mask)
+    for column in ("euler", "values", "valid"):
+        assert np.array_equal(getattr(gallery.table, column), getattr(back.table, column))
     save(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
 

@@ -153,7 +153,7 @@ class TestSegment:
 class TestEnrollVerify:
     def test_gallery_contents(self, gallery_path):
         gallery = store.load(gallery_path)
-        assert len(gallery.records) == 4
+        assert len(gallery.identities) == len(gallery.table) == 4
 
     def test_duplicate_enroll_exits_2(self, gallery_path, corpus_dir):
         image = str(next(corpus_dir.glob("eye_000_*.pgm")))
@@ -207,12 +207,13 @@ class TestEnrollVerify:
 
     def test_verify_with_nothing_jointly_valid_exits_1(self, gallery_path, corpus_dir, tmp_path, capsys):
         gallery = store.load(gallery_path)
-        records = []
-        for rec in gallery.records:
-            masked = np.ones_like(rec.template.mask)
-            records.append(replace(rec, template=ZeroCrossTemplate(rec.template.bits, masked)))
+        templates = []
+        for t in gallery.table.templates:
+            masked = np.ones_like(t.mask)
+            templates.append(ZeroCrossTemplate(t.bits, masked))
         path = tmp_path / "masked.irf"
-        path.write_bytes(store.to_bytes(replace(gallery, records=tuple(records))))
+        table = replace(gallery.table, templates=tuple(templates))
+        path.write_bytes(store.to_bytes(replace(gallery, table=table)))
         image = str(sorted(corpus_dir.glob("eye_002_*.pgm"))[1])
         rc = main(["verify", "--gallery", str(path), "--id", "person-2", image])
         assert rc == 1
@@ -254,9 +255,9 @@ class TestTrainGa:
                    "--generations", "2", "--seed", "5", "--out", str(tmp_path / "ga")])
         assert rc == 0
         after = store.load(gal)
-        assert [r.identity for r in after.records] == [r.identity for r in before.records]
+        assert after.identities == before.identities
         assert not np.array_equal(after.chromosome.genes, before.chromosome.genes)
-        _, refit = store._recalibrate(after.records, after.pool, after.chromosome)
+        _, refit = store._recalibrate(after.table, after.pool, after.chromosome)
         assert after.score_ranges == refit
         assert after.score_ranges["gasel"] != before.score_ranges["gasel"]
 

@@ -127,10 +127,9 @@ class TestEulerCode:
             euler_code(vals, np.zeros((4, 4), dtype=np.uint8))
 
     def test_codes_are_read_only_int64_arrays(self):
-        features, _ = process_images([r.image for r in build_corpus(2, 1, master_seed=2026).records],
-                                     SegmentationConfig())
-        f = features[0]
-        for code in (euler_code(f.polar, f.mask), f.own_code):
+        table, _ = process_images([r.image for r in build_corpus(2, 1, master_seed=2026).records],
+                                  SegmentationConfig())
+        for code in (euler_code(table.polar[0], table.templates[0].mask), table.euler[0]):
             assert code.dtype == np.int64 and code.shape == (4,)
             with pytest.raises(ValueError):
                 code[0] = 99

@@ -132,20 +132,21 @@ class TestRunTrials:
     def test_matches_one_pair_matchers(self, corpus, outcome):
         # all 160 cross pairs are under the cap, so the pairs are every
         # same-identity pair, then every cross pair, each in triu order
-        features, kept = process_images([r.image for r in corpus.records], SegmentationConfig())
+        table, kept = process_images([r.image for r in corpus.records], SegmentationConfig())
         assert len(kept) == len(corpus.records)
         ids = [r.identity for r in corpus.records]
         pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
         pairs = [p for p in pairs if ids[p[0]] == ids[p[1]]] + [p for p in pairs if ids[p[0]] != ids[p[1]]]
-        model = calibrated_covariance([f.own_code for f in features])
+        model = calibrated_covariance(table.euler)
         pool, chromosome = default_selection()
         raw = {algo: np.empty(len(pairs)) for algo in ALGORITHMS}
         for k, (i, j) in enumerate(pairs):
-            a, b = features[i], features[j]
+            a, b = table.templates[i], table.templates[j]
             cm = common_mask(a.mask, b.mask)
-            raw["zerocross"][k] = zc_match(a.template, b.template)
-            raw["euler"][k] = mahalanobis(euler_code(a.polar, cm), euler_code(b.polar, cm), model)
-            raw["gasel"][k] = match_subset(a.raw, b.raw, chromosome, pool)
+            raw["zerocross"][k] = zc_match(a, b)
+            raw["euler"][k] = mahalanobis(euler_code(table.polar[i], cm),
+                                          euler_code(table.polar[j], cm), model)
+            raw["gasel"][k] = match_subset(table.values[[i, j]], table.valid[[i, j]], chromosome, pool)
         ranges = {a: ScoreRange(raw[a].min(), raw[a].max()) for a in ALGORITHMS}
         scores = normalize_distances(raw, ranges)
         want = scores | {"fused": fuse(scores, FusionPolicy())}
@@ -162,8 +163,8 @@ class TestRunTrials:
         assert fused.tobytes() == fuse(streams, policy).tobytes()
 
     def test_pair_with_no_jointly_valid_feature_raises(self, corpus):
-        features, _ = process_images([r.image for r in corpus.records], SegmentationConfig())
-        valid = np.stack([f.raw.valid for f in features])
+        table, _ = process_images([r.image for r in corpus.records], SegmentationConfig())
+        valid = table.valid
         block = int(np.flatnonzero(~valid.all(axis=0))[0])  # masked in some image
         selection = (FeaturePool((block,)), Chromosome(np.ones(1, dtype=np.uint8)))
         with pytest.raises(IncomparableError, match="no jointly valid features"):

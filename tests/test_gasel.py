@@ -10,7 +10,6 @@ from irisfuse.gasel import (
     FEATURE_COUNT,
     FeaturePool,
     GaConfig,
-    RawFeatureVector,
     build_pool,
     extract_raw,
     fitness_cost,
@@ -69,27 +68,27 @@ def naive_block_means(values, mask):
 class TestExtractRaw:
     def test_constant_image(self):
         polar = polar_of(np.full((POLAR_HEIGHT, POLAR_WIDTH), 100, dtype=np.uint8))
-        fv = extract_raw(*polar)
-        assert np.allclose(fv.values, 100.0)
-        assert fv.valid.all()
+        values, valid = extract_raw(*polar)
+        assert np.allclose(values, 100.0)
+        assert valid.all()
 
     def test_fully_masked_block_flagged(self):
         vals = np.full((POLAR_HEIGHT, POLAR_WIDTH), 90, dtype=np.uint8)
         mask = np.zeros((POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         mask[0:8, 0:8] = 1  # block index 0
-        fv = extract_raw(*polar_of(vals, mask))
-        assert fv.values[0] == 0.0
-        assert not fv.valid[0]
-        assert fv.valid[1:].all()
+        values, valid = extract_raw(*polar_of(vals, mask))
+        assert values[0] == 0.0
+        assert not valid[0]
+        assert valid[1:].all()
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(3)
         vals = rng.integers(0, 256, size=(POLAR_HEIGHT, POLAR_WIDTH), dtype=np.uint8)
         mask = (rng.random((POLAR_HEIGHT, POLAR_WIDTH)) < 0.3).astype(np.uint8)
-        fv = extract_raw(*polar_of(vals, mask))
+        values, valid = extract_raw(*polar_of(vals, mask))
         expect_vals, expect_valid = naive_block_means(vals.astype(float), mask)
-        assert np.allclose(fv.values, expect_vals, atol=1e-9)
-        assert np.array_equal(fv.valid, expect_valid)
+        assert np.allclose(values, expect_vals, atol=1e-9)
+        assert np.array_equal(valid, expect_valid)
 
 
 class TestRankEntropy:
@@ -302,29 +301,26 @@ class TestRouletteSelect:
 
 class TestMatchSubset:
     def make_vectors(self, rng):
-        a = RawFeatureVector(rng.uniform(0, 255, FEATURE_COUNT), np.ones(FEATURE_COUNT, bool))
-        b = RawFeatureVector(rng.uniform(0, 255, FEATURE_COUNT), np.ones(FEATURE_COUNT, bool))
-        return a, b
+        """Two rows of values, every feature valid in both."""
+        return rng.uniform(0, 255, (2, FEATURE_COUNT)), np.ones((2, FEATURE_COUNT), bool)
 
     def test_identical_vectors_zero(self):
         rng = np.random.default_rng(0)
-        a, _ = self.make_vectors(rng)
+        values, valid = self.make_vectors(rng)
         pool = FeaturePool(tuple(range(20)))
         c = Chromosome(np.ones(20, dtype=np.uint8))
-        assert match_subset(a, a, c, pool) == 0.0
+        assert match_subset(values[[0, 0]], valid, c, pool) == 0.0
 
     def test_maximal_difference_is_one(self):
-        vals_a = np.zeros(FEATURE_COUNT)
-        vals_b = np.full(FEATURE_COUNT, 255.0)
-        a = RawFeatureVector(vals_a, np.ones(FEATURE_COUNT, bool))
-        b = RawFeatureVector(vals_b, np.ones(FEATURE_COUNT, bool))
+        values = np.stack([np.zeros(FEATURE_COUNT), np.full(FEATURE_COUNT, 255.0)])
         pool = FeaturePool(tuple(range(10)))
         c = Chromosome(np.ones(10, dtype=np.uint8))
-        assert match_subset(a, b, c, pool) == 1.0
+        assert match_subset(values, np.ones((2, FEATURE_COUNT), bool), c, pool) == 1.0
 
     def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(1)
-        a, b = self.make_vectors(rng)
+        values, valid = self.make_vectors(rng)
+        a, b = values
         pool = FeaturePool(tuple(range(0, 672, 3)))
         genes = rng.integers(0, 2, size=len(pool), dtype=np.uint8)
         genes[0] = 1
@@ -332,29 +328,26 @@ class TestMatchSubset:
         total, count = 0.0, 0
         for gi, idx in enumerate(pool.indices):
             if genes[gi]:
-                total += abs(a.values[idx] - b.values[idx])
+                total += abs(a[idx] - b[idx])
                 count += 1
         expect = total / count / 255.0
-        assert match_subset(a, b, c, pool) == pytest.approx(expect, abs=1e-12)
+        assert match_subset(values, valid, c, pool) == pytest.approx(expect, abs=1e-12)
 
     def test_empty_selection_rejected(self):
         rng = np.random.default_rng(2)
-        a, b = self.make_vectors(rng)
+        values, valid = self.make_vectors(rng)
         pool = FeaturePool(tuple(range(10)))
         with pytest.raises(ValueError):
-            match_subset(a, b, Chromosome(np.zeros(10, dtype=np.uint8)), pool)
+            match_subset(values, valid, Chromosome(np.zeros(10, dtype=np.uint8)), pool)
 
     def test_no_jointly_valid_rejected(self):
-        vals = np.zeros(FEATURE_COUNT)
-        valid_a = np.zeros(FEATURE_COUNT, bool)
-        valid_a[:5] = True
-        valid_b = np.zeros(FEATURE_COUNT, bool)
-        valid_b[5:10] = True
-        a = RawFeatureVector(vals, valid_a)
-        b = RawFeatureVector(vals, valid_b)
+        values = np.zeros((2, FEATURE_COUNT))
+        valid = np.zeros((2, FEATURE_COUNT), bool)
+        valid[0, :5] = True
+        valid[1, 5:10] = True
         pool = FeaturePool(tuple(range(10)))
         with pytest.raises(IncomparableError):
-            match_subset(a, b, Chromosome(np.ones(10, dtype=np.uint8)), pool)
+            match_subset(values, valid, Chromosome(np.ones(10, dtype=np.uint8)), pool)
 
 
 class TestMatchPairs:
@@ -362,30 +355,29 @@ class TestMatchPairs:
 
     def test_matches_compressed_oracle_and_match_subset(self):
         rng = np.random.default_rng(3)
-        feats = [
-            RawFeatureVector(rng.uniform(0, 255, FEATURE_COUNT),
-                             rng.random(FEATURE_COUNT) < rng.choice([0.02, 0.5, 0.9, 1.0]))
-            for _ in range(14)
-        ]
-        first, second = np.triu_indices(len(feats), k=1)
+        values = rng.uniform(0, 255, (14, FEATURE_COUNT))
+        valid = np.stack([rng.random(FEATURE_COUNT) < rng.choice([0.02, 0.5, 0.9, 1.0])
+                          for _ in range(14)])
+        first, second = np.triu_indices(len(values), k=1)
         incomparable = 0
         for size in (3, 40, FEATURE_COUNT):
             pool = FeaturePool(tuple(sorted(rng.choice(FEATURE_COUNT, size, replace=False))))
             genes = rng.integers(0, 2, size=size, dtype=np.uint8)
             genes[0] = 1
             c = Chromosome(genes)
-            got = match_pairs(feats, first, second, c, pool)
-            for k, (i, j) in enumerate(zip(first, second)):
+            got = match_pairs(values, valid, first, second, c, pool)
+            for k, pair in enumerate(zip(first, second)):
+                pair = list(pair)
                 try:
-                    want = match_subset_compressed(feats[i], feats[j], c, pool)
+                    want = match_subset_compressed(values[pair], valid[pair], c, pool)
                 except IncomparableError:
                     incomparable += 1
                     assert np.isnan(got[k])
                     with pytest.raises(IncomparableError):
-                        match_subset(feats[i], feats[j], c, pool)
+                        match_subset(values[pair], valid[pair], c, pool)
                     continue
                 assert got[k] == pytest.approx(want, abs=1e-12)
-                assert got[k] == match_subset(feats[i], feats[j], c, pool)
+                assert got[k] == match_subset(values[pair], valid[pair], c, pool)
         assert incomparable > 0
 
 
@@ -499,9 +491,8 @@ class TestRfeDowndateMatchesRebuild:
 
 def corpus_block_features(identities, samples, seed):
     corpus = build_corpus(identities, samples, seed)
-    features, kept = process_images([r.image for r in corpus.records], SegmentationConfig())
-    return (np.vstack([f.raw.values for f in features]),
-            np.asarray([corpus.records[k].identity for k in kept]))
+    table, kept = process_images([r.image for r in corpus.records], SegmentationConfig())
+    return table.values, np.asarray([corpus.records[k].identity for k in kept])
 
 
 def duplicated_columns_problem(seed):

@@ -22,11 +22,12 @@ def test_process_images_skips_failures_and_reports_kept_indices():
     blank = GrayImage(np.full((192, 256), 127, dtype=np.uint8))
     tiny = GrayImage(np.zeros((3, 3), dtype=np.uint8))
     cfg = SegmentationConfig()
-    features, kept = process_images([blank, good[0], tiny, good[1]], cfg)
+    table, kept = process_images([blank, good[0], tiny, good[1]], cfg)
     assert kept == [1, 3]
-    for f, img in zip(features, good):
-        assert np.array_equal(f.template.bits, process_image(img, cfg).template.bits)
-    assert process_images([blank, tiny], cfg) == ([], [])
+    for t, img in zip(table.templates, good):
+        assert np.array_equal(t.bits, process_image(img, cfg).template.bits)
+    empty, kept = process_images([blank, tiny], cfg)
+    assert len(empty) == 0 and kept == []
 
 
 class TestPinnedPipeline:
@@ -47,7 +48,7 @@ class TestPinnedPipeline:
         except SegmentationError as exc:
             digest.update(f"error: {exc}\n".encode())
             return
-        for arr in (f.polar, f.mask, f.template.bits, f.raw.values, f.raw.valid):
+        for arr in (f.polar, f.mask, f.template.bits, f.values, f.valid):
             digest.update(f"{arr.dtype.str} {arr.shape}\n".encode())
             digest.update(np.ascontiguousarray(arr).tobytes())
 
@@ -83,7 +84,7 @@ def test_masks_are_read_only_uint8_zero_one_arrays(tmp_path):
         (encode(f.enhanced, f.mask).mask, polar),
         (shifted(f.template, 5).mask, polar),
         (common_mask(f.mask, features[2].mask), polar),
-    ] + [(rec.template.mask, polar) for rec in loaded.records]
+    ] + [(t.mask, polar) for t in loaded.table.templates]
     for mask, shape in masks:
         assert mask.dtype == np.uint8 and mask.shape == shape
         assert set(np.unique(mask).tolist()) <= {0, 1}
@@ -91,26 +92,48 @@ def test_masks_are_read_only_uint8_zero_one_arrays(tmp_path):
             mask[0, 0] = 0
     assert f.mask[:4].all() and f.mask[-4:].all()  # the guard rows
     assert not f.mask.all()
-    for a, b in zip(gallery.records, loaded.records):
-        assert np.array_equal(a.template.mask, b.template.mask)
+    for a, b in zip(gallery.table.templates, loaded.table.templates):
+        assert np.array_equal(a.mask, b.mask)
 
 
-@pytest.mark.parametrize("source", ["process_image", "worker"])
-def test_polar_arrays_are_read_only_uint8_with_one_mask(source):
+def arrays_of(table):
+    """Every array a table holds: its array columns and each template's bits and mask."""
+    arrays = []
+    for field in dataclasses.fields(table):
+        value = getattr(table, field.name)
+        if field.name == "templates":
+            arrays += [arr for t in value for arr in (t.bits, t.mask)]
+        else:
+            assert isinstance(value, np.ndarray), field.name
+            arrays.append(value)
+    return arrays
+
+
+@pytest.mark.parametrize("source", ["process_image", "in-process", "worker"])
+def test_polar_arrays_are_read_only_uint8_with_one_mask(source, monkeypatch):
     images = [r.image for r in build_corpus(4, 2, 2026).records]
     if source == "process_image":
         f = process_image(images[0], SegmentationConfig())
-    else:
-        # the last of 8 images comes back pickled from a worker where the
-        # host has 2 CPUs; pickling drops numpy's write flag
-        f = process_images(images, SegmentationConfig())[0][-1]
-    for arr in (f.polar, f.enhanced, f.mask, f.template.mask):
-        assert arr.dtype == np.uint8 and arr.shape == (POLAR_HEIGHT, POLAR_WIDTH) == (96, 448)
+        for arr in (f.polar, f.enhanced, f.mask, f.template.mask):
+            assert arr.dtype == np.uint8 and arr.shape == (POLAR_HEIGHT, POLAR_WIDTH) == (96, 448)
+            assert not arr.flags.writeable
+        for arr in (f.segmentation.noise_mask, f.values, f.valid, f.own_code, f.template.bits):
+            assert not arr.flags.writeable
+        assert f.template.mask is f.mask
+        assert f.mask[:4].all() and f.mask[-4:].all()  # the 4 guard rows
+        return
+    if source == "in-process":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    # with 2 CPUs, the last 4 of the 8 images come back pickled from a
+    # worker; pickling drops numpy's write flag
+    table, kept = process_images(images, SegmentationConfig())
+    assert kept == list(range(8))
+    for arr in arrays_of(table):
         assert not arr.flags.writeable
-    for arr in (f.segmentation.noise_mask, f.raw.values, f.raw.valid, f.own_code, f.template.bits):
-        assert not arr.flags.writeable
-    assert f.template.mask is f.mask
-    assert f.mask[:4].all() and f.mask[-4:].all()  # the 4 guard rows
+    assert table.polar.dtype == np.uint8 and table.polar.shape == (8, POLAR_HEIGHT, POLAR_WIDTH)
+    for t in table.templates:
+        assert t.mask.dtype == np.uint8 and t.mask.shape == (POLAR_HEIGHT, POLAR_WIDTH)
+        assert t.mask[:4].all() and t.mask[-4:].all()  # the 4 guard rows
 
 
 def fields_of(value):
@@ -121,6 +144,15 @@ def fields_of(value):
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
     return repr(value)
+
+
+def rows_of(table):
+    """Each row of a table: its template's fields, then its row of every array column."""
+    columns = [f.name for f in dataclasses.fields(table)]
+    assert columns == ["templates", "euler", "values", "valid", "polar"]
+    return [[fields_of(table.templates[k])]
+            + [fields_of(getattr(table, name)[k]) for name in columns[1:]]
+            for k in range(len(table))]
 
 
 needs_two_cpus = pytest.mark.skipif(
@@ -141,16 +173,18 @@ class TestSplitEqualsInProcess:
 
     @pytest.fixture(scope="class")
     def expected(self, images):
-        kept, features = [], []
+        kept, rows = [], []
         for k, img in enumerate(images):
             try:
-                features.append(fields_of(process_image(img, SegmentationConfig())))
+                f = process_image(img, SegmentationConfig())
+                rows.append([fields_of(arr) for arr in
+                             (f.template, f.own_code, f.values, f.valid, f.polar)])
             except SegmentationError as exc:
                 assert "no pupil-sized dark region" in str(exc)
                 continue
             kept.append(k)
         assert kept == [0, 2, 3, 4, 5, 7]
-        return features, kept
+        return rows, kept
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -167,15 +201,16 @@ class TestSplitEqualsInProcess:
 
     @needs_two_cpus
     def test_split(self, images, expected, pools):
-        features, kept = process_images(images, SegmentationConfig())
+        # the worker's chunk of the blank image 6 is a table with no rows
+        table, kept = process_images(images, SegmentationConfig())
         assert pools == [1]
-        assert ([fields_of(f) for f in features], kept) == expected
+        assert (rows_of(table), kept) == expected
 
     def test_one_cpu_runs_in_process(self, images, expected, pools, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        features, kept = process_images(images, SegmentationConfig())
+        table, kept = process_images(images, SegmentationConfig())
         assert pools == []
-        assert ([fields_of(f) for f in features], kept) == expected
+        assert (rows_of(table), kept) == expected
 
     @needs_two_cpus
     def test_other_errors_in_a_worker_propagate(self, images, pools):

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from irisfuse.euler import mahalanobis
 from irisfuse.fusion import FUSION_RULES, FusionPolicy, ScoreRange, decide, fuse, normalize_distances
-from irisfuse.gasel import Chromosome, FeaturePool, RawFeatureVector, match_subset
+from irisfuse.gasel import Chromosome, FeaturePool, match_subset
 from irisfuse.segmentation import SegmentationConfig, SegmentationError
 from irisfuse.imaging import GrayImage
 from irisfuse.pipeline import process_image
 from irisfuse.store import (
     _RANGE_PAIR_CAP,
-    EnrollmentRecord,
     Gallery,
     GalleryFormatError,
     empty_gallery,
@@ -29,7 +28,7 @@ from irisfuse.store import (
 from irisfuse.synth import build_corpus
 from irisfuse.zerocross import DEFAULT_MAX_SHIFT, ZeroCrossTemplate, encode, match as zc_match, shifted
 
-from oracles import recalibrate_worst
+from oracles import gallery_rows, gallery_with_rows, recalibrate_worst
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +49,11 @@ def gallery(corpus):
 def two_identity_file(gallery, tmp_path_factory):
     """A saved two-identity gallery: its path, its payload without the CRC,
     and the length of the header plus the first record's id and scale count."""
-    small = replace(gallery, records=gallery.records[:2])
+    small = gallery_rows(gallery, range(2))
     path = tmp_path_factory.mktemp("fuzz") / "two.irf"
     save(small, path)
-    header = len(to_bytes(replace(small, records=()))) - 4
-    return path, path.read_bytes()[:-4], header + 2 + len(small.records[0].identity.encode())
+    header = len(to_bytes(gallery_rows(small, []))) - 4
+    return path, path.read_bytes()[:-4], header + 2 + len(small.identities[0].encode())
 
 
 def with_crc(payload) -> bytes:
@@ -64,15 +63,15 @@ def with_crc(payload) -> bytes:
 
 class TestEnroll:
     def test_round_trip_lookup(self, gallery):
-        rec = gallery.lookup("person-2")
-        assert rec.identity == "person-2"
-        assert rec.template.bits.shape[0] == 2
+        row = gallery.row("person-2")
+        assert gallery.identities[row] == "person-2"
+        assert gallery.table.templates[row].bits.shape[0] == 2
 
     def test_duplicate_id_rejected_and_gallery_unchanged(self, gallery, corpus):
         samples = [r.image for r in corpus.records if r.identity == 0]
         with pytest.raises(ValueError, match="already enrolled"):
             enroll(gallery, "person-0", samples)
-        assert len(gallery.records) == 4
+        assert len(gallery.identities) == len(gallery.table) == 4
 
     def test_second_identity_enables_covariance(self, corpus):
         g = empty_gallery()
@@ -91,46 +90,49 @@ class TestEnroll:
 
     def test_unknown_lookup(self, gallery):
         with pytest.raises(KeyError):
-            gallery.lookup("nobody")
+            gallery.row("nobody")
 
     def test_zerocross_range_uses_the_pipeline_shift_budget(self, corpus):
         g = empty_gallery()
         for ident in range(4):
             samples = [r.image for r in corpus.records if r.identity == ident][:1]
             g = enroll(g, f"person-{ident}", samples)
+        templates = g.table.templates
         worst = max(
-            zc_match(a.template, b.template, DEFAULT_MAX_SHIFT)
-            for i, a in enumerate(g.records) for b in g.records[i + 1:]
+            zc_match(a, b, DEFAULT_MAX_SHIFT)
+            for i, a in enumerate(templates) for b in templates[i + 1:]
         )
         assert g.score_ranges["zerocross"].max == worst
 
     def test_euler_and_gasel_ranges_are_the_worst_one_pair_distances(self, gallery):
-        pairs = [(a, b) for i, a in enumerate(gallery.records) for b in gallery.records[i + 1:]]
-        euler = max(mahalanobis(a.euler, b.euler, gallery.covariance) for a, b in pairs)
-        gasel = max(match_subset(a.features, b.features, gallery.chromosome, gallery.pool)
-                    for a, b in pairs)
+        t = gallery.table
+        pairs = [[i, j] for i in range(len(t)) for j in range(i + 1, len(t))]
+        euler = max(mahalanobis(t.euler[i], t.euler[j], gallery.covariance) for i, j in pairs)
+        gasel = max(match_subset(t.values[pair], t.valid[pair], gallery.chromosome, gallery.pool)
+                    for pair in pairs)
         assert gallery.score_ranges["euler"].max == euler
         assert gallery.score_ranges["gasel"].max == gasel
 
     def test_gasel_range_skips_pairs_with_nothing_jointly_valid(self, gallery):
-        first, *rest = gallery.records
-        assert all(r.features.valid[0] for r in rest)
-        valid = first.features.valid.copy()
-        valid[0] = False
-        first = replace(first, features=RawFeatureVector(first.features.values, valid))
-        g = with_selection(replace(gallery, records=(first, *rest)), FeaturePool((0,)),
+        t = gallery.table
+        assert t.valid[1:, 0].all()
+        valid = t.valid.copy()
+        valid[0, 0] = False
+        g = with_selection(replace(gallery, table=replace(t, valid=valid)), FeaturePool((0,)),
                            Chromosome(np.ones(1, dtype=np.uint8)))
-        gasel = max(match_subset(a.features, b.features, g.chromosome, g.pool)
-                    for i, a in enumerate(rest) for b in rest[i + 1:])
+        gasel = max(match_subset(t.values[[i, j]], t.valid[[i, j]], g.chromosome, g.pool)
+                    for i in range(1, len(t)) for j in range(i + 1, len(t)))
         assert g.score_ranges["gasel"].max == gasel
 
     def test_mismatched_template_shapes_are_not_skipped(self, gallery, corpus):
         # only incomparable masks are calibration noise; a gallery that mixes
         # scale counts is an error, as it is for verify
         f = process_image(corpus.records[0].image, SegmentationConfig())
-        one_scale = replace(gallery.records[0], identity="one-scale",
-                            template=encode(f.enhanced, f.mask, scales=(2,)))
-        mixed = replace(gallery, records=(*gallery.records, one_scale))
+        t = gallery.table
+        mixed = gallery_with_rows(gallery, (*gallery.identities, "one-scale"),
+                                  (*t.templates, encode(f.enhanced, f.mask, scales=(2,))),
+                                  t.euler[[*range(len(t)), 0]], t.values[[*range(len(t)), 0]],
+                                  t.valid[[*range(len(t)), 0]])
         with pytest.raises(ValueError, match="template shapes differ"):
             with_selection(mixed, gallery.pool, gallery.chromosome)
 
@@ -140,7 +142,7 @@ def range_bytes(ranges):
 
 
 def assert_oracle_fit(g: Gallery):
-    model, ranges = recalibrate_worst(g.records, g.pool, g.chromosome, DEFAULT_MAX_SHIFT)
+    model, ranges = recalibrate_worst(g.table, g.pool, g.chromosome, DEFAULT_MAX_SHIFT)
     assert range_bytes(g.score_ranges) == range_bytes(ranges)
     assert np.array_equal(g.covariance.S, model.S) and g.covariance.epsilon == model.epsilon
 
@@ -158,7 +160,7 @@ class TestRangesMatchTheFormerFit:
         return out
 
     def test_every_enrollment(self, galleries):
-        assert [len(g.records) for g in galleries] == list(range(7))
+        assert [len(g.table) for g in galleries] == list(range(7))
         for g in galleries:
             assert_oracle_fit(g)
 
@@ -171,35 +173,35 @@ class TestRangesMatchTheFormerFit:
 
     def test_strided_pairs_of_a_large_gallery(self, galleries):
         # 30 records give 435 cross pairs, past the 300-pair cap, so every
-        # second pair is fitted; each record is a base record with a shifted
+        # second pair is fitted; each row is a base row with a shifted
         # template, a rolled feature vector and an offset Euler code
-        base = galleries[-1].records
-        records = []
+        base = galleries[-1].table
+        rows = []
         for i in range(30):
-            rec = base[i % len(base)]
+            k = i % len(base)
             lap = i // len(base)
-            records.append(EnrollmentRecord(
-                f"copy-{i}", shifted(rec.template, 3 * lap),
-                rec.euler + lap * np.arange(1, 5),
-                RawFeatureVector(np.roll(rec.features.values, 5 * i), np.roll(rec.features.valid, 5 * i))))
-        g = replace(galleries[-1], records=tuple(records))
-        assert len(records) * (len(records) - 1) // 2 > _RANGE_PAIR_CAP
+            rows.append((f"copy-{i}", shifted(base.templates[k], 3 * lap),
+                         base.euler[k] + lap * np.arange(1, 5),
+                         np.roll(base.values[k], 5 * i), np.roll(base.valid[k], 5 * i)))
+        g = gallery_with_rows(galleries[-1], *zip(*rows))
+        assert len(rows) * (len(rows) - 1) // 2 > _RANGE_PAIR_CAP
         for selection in [(g.pool, g.chromosome), (FeaturePool((3, 9, 40)), Chromosome(np.ones(3, np.uint8)))]:
             assert_oracle_fit(with_selection(g, *selection))
 
     def test_incomparable_templates_and_features(self, galleries):
         # a fully masked template and a record with one valid feature make
         # zerocross and gasel pairs with nothing jointly valid
-        first, second, *rest = galleries[-1].records
-        full = np.ones_like(first.template.mask)
-        first = replace(first, template=ZeroCrossTemplate(first.template.bits, full))
-        valid = np.zeros_like(second.features.valid)
-        valid[0] = True
-        second = replace(second, features=RawFeatureVector(second.features.values, valid))
-        g = replace(galleries[-1], records=(first, second, *rest))
+        t = galleries[-1].table
+        first, *rest = t.templates
+        full = np.ones_like(first.mask)
+        valid = t.valid.copy()
+        valid[1] = False
+        valid[1, 0] = True
+        table = replace(t, templates=(ZeroCrossTemplate(first.bits, full), *rest), valid=valid)
+        g = replace(galleries[-1], table=table)
         for selection in [(g.pool, g.chromosome), (FeaturePool((1, 2)), Chromosome(np.ones(2, np.uint8)))]:
             assert_oracle_fit(with_selection(g, *selection))
-        pair = with_selection(replace(g, records=(first, second)), FeaturePool((1,)),
+        pair = with_selection(gallery_rows(g, range(2)), FeaturePool((1,)),
                               Chromosome(np.ones(1, np.uint8)))
         assert_oracle_fit(pair)
         for algo in ("zerocross", "gasel"):  # no comparable imposter pair
@@ -211,18 +213,18 @@ class TestPersistence:
         path = tmp_path / "gallery.irf"
         save(gallery, path)
         back = load(path)
-        assert len(back.records) == len(gallery.records)
-        for a, b in zip(gallery.records, back.records):
-            assert a.identity == b.identity
-            assert np.array_equal(a.template.bits, b.template.bits)
-            assert np.array_equal(a.template.mask, b.template.mask)
-            assert np.array_equal(a.euler, b.euler)
-            for code in (a.euler, b.euler):  # enrolled and loaded codes are read-only
-                assert code.dtype == np.int64 and code.shape == (4,)
-                with pytest.raises(ValueError):
-                    code[0] = 99
-            assert np.array_equal(a.features.values, b.features.values)
-            assert np.array_equal(a.features.valid, b.features.valid)
+        assert len(back.table) == len(gallery.table)
+        assert back.identities == gallery.identities
+        for a, b in zip(gallery.table.templates, back.table.templates):
+            assert np.array_equal(a.bits, b.bits)
+            assert np.array_equal(a.mask, b.mask)
+        assert np.array_equal(gallery.table.euler, back.table.euler)
+        for codes in (gallery.table.euler, back.table.euler):  # enrolled and loaded codes are read-only
+            assert codes.dtype == np.int64 and codes.shape == (len(gallery.table), 4)
+            with pytest.raises(ValueError):
+                codes[0, 0] = 99
+        assert np.array_equal(gallery.table.values, back.table.values)
+        assert np.array_equal(gallery.table.valid, back.table.valid)
         assert np.array_equal(back.covariance.S, gallery.covariance.S)
         assert back.covariance.epsilon == gallery.covariance.epsilon
         assert back.pool.indices == gallery.pool.indices
@@ -239,7 +241,7 @@ class TestPersistence:
 
     def test_failed_save_leaves_the_previous_file(self, gallery, tmp_path, monkeypatch):
         path = tmp_path / "gallery.irf"
-        save(replace(gallery, records=gallery.records[:1]), path)
+        save(gallery_rows(gallery, range(1)), path)
         before = path.read_bytes()
 
         def crash(src, dst):
@@ -331,8 +333,8 @@ class TestPersistence:
         pool = len(gallery.pool)
         ranges = covariance + 17 * 8 + 2 + 2 * pool + (pool + 7) // 8
         # the first record: id length u8, id, scale count u8, one packed plane per scale
-        scales = ranges + 3 * 17 + 1 + len(gallery.records[0].identity.encode())
-        plane = gallery.records[0].template.bits[0].size // 8
+        scales = ranges + 3 * 17 + 1 + len(gallery.identities[0].encode())
+        plane = gallery.table.templates[0].bits[0].size // 8
         assert data[scales] == 2
         if mutation == "non-PD covariance":
             data[covariance:covariance + 8] = struct.pack("<d", -5.0)  # S[0, 0]
@@ -357,9 +359,9 @@ class TestPersistence:
             data[scales] = 1
             del data[scales + 1 + plane:scales + 1 + 2 * plane]
         elif mutation == "uniform one-scale records":  # every record keeps its first scale
-            records = tuple(replace(r, template=ZeroCrossTemplate(r.template.bits[:1], r.template.mask))
-                            for r in gallery.records)
-            data = bytearray(to_bytes(replace(gallery, records=records))[:-4])
+            templates = tuple(ZeroCrossTemplate(t.bits[:1], t.mask) for t in gallery.table.templates)
+            table = replace(gallery.table, templates=templates)
+            data = bytearray(to_bytes(replace(gallery, table=table))[:-4])
         elif mutation == "bad UTF-8 id":
             data[data.find(b"person-0")] = 0xFF
         elif mutation == "65-byte id":
@@ -429,9 +431,9 @@ class TestVerify:
         # the gallery fits its covariance and Euler range on own-mask codes
         for r in corpus.records[::3]:
             probe = process_image(r.image, SegmentationConfig()).own_code
-            for record in gallery.records:
-                _, raw, _ = verify(gallery, record.identity, r.image, FusionPolicy())
-                assert raw["euler"] == mahalanobis(probe, record.euler, gallery.covariance)
+            for identity, code in zip(gallery.identities, gallery.table.euler):
+                _, raw, _ = verify(gallery, identity, r.image, FusionPolicy())
+                assert raw["euler"] == mahalanobis(probe, code, gallery.covariance)
 
     def test_unknown_id_rejected(self, gallery, corpus):
         with pytest.raises(KeyError):
@@ -457,10 +459,10 @@ class TestVerify:
 
 class TestGalleryInvariants:
     def test_unique_ids_enforced(self, gallery):
-        rec = gallery.records[0]
         with pytest.raises(ValueError, match="unique"):
             Gallery(
-                records=(rec, rec),
+                identities=("person-0", "person-0"),
+                table=gallery_rows(gallery, [0, 0]).table,
                 covariance=gallery.covariance,
                 pool=gallery.pool,
                 chromosome=gallery.chromosome,
@@ -468,6 +470,5 @@ class TestGalleryInvariants:
             )
 
     def test_identity_length_capped(self, gallery):
-        rec = gallery.records[0]
         with pytest.raises(ValueError, match="UTF-8"):
-            EnrollmentRecord("x" * 65, rec.template, rec.euler, rec.features)
+            replace(gallery_rows(gallery, [0]), identities=("x" * 65,))

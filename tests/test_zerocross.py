@@ -1,10 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from irisfuse import store
-from irisfuse.gasel import FEATURE_COUNT, RawFeatureVector
+from irisfuse.gasel import FEATURE_COUNT
 from irisfuse.normalization import POLAR_HEIGHT, POLAR_WIDTH, IncomparableError
 from irisfuse.pipeline import process_image, process_images
 from irisfuse.segmentation import SegmentationConfig, SegmentationError
@@ -19,7 +17,7 @@ from irisfuse.zerocross import (
     _smoothing_kernel,
 )
 
-from oracles import encode_inline, zerocross_match_rolled
+from oracles import encode_inline, gallery_with_rows, zerocross_match_rolled
 
 
 def oracle_transform(signal, s):
@@ -353,14 +351,14 @@ class TestMatchMatchesRolledOracle:
             assert_matches_oracle(a, b, k)
 
     def test_words_rebuilt_after_gallery_round_trip(self, corpus_templates, tmp_path):
-        features = RawFeatureVector(np.zeros(FEATURE_COUNT), np.ones(FEATURE_COUNT, dtype=bool))
-        records = []
-        for i, t in enumerate(corpus_templates[:4]):
+        templates = corpus_templates[:4]
+        for t in templates:
             match(t, t)  # fill the cached words before the save
-            records.append(store.EnrollmentRecord(f"id-{i}", t, np.zeros(4, dtype=np.int64), features))
         path = tmp_path / "g.irf"
-        store.save(replace(store.empty_gallery(), records=tuple(records)), path)
-        loaded = [r.template for r in store.load(path).records]
+        store.save(gallery_with_rows(store.empty_gallery(), [f"id-{i}" for i in range(4)], templates,
+                                     np.zeros((4, 4)), np.zeros((4, FEATURE_COUNT)),
+                                     np.ones((4, FEATURE_COUNT))), path)
+        loaded = store.load(path).table.templates
         for before, after in zip(corpus_templates, loaded):
             assert "words" not in vars(after)
             for w_before, w_after in zip(before.words, after.words):
@@ -376,12 +374,12 @@ class TestMatchPairs:
 
     @pytest.fixture(scope="class")
     def templates(self):
-        features, kept = process_images([r.image for r in build_corpus(4, 2, 2026).records],
-                                        SegmentationConfig())
+        table, kept = process_images([r.image for r in build_corpus(4, 2, 2026).records],
+                                     SegmentationConfig())
         assert len(kept) == 8
-        t = features[0].template
+        t = table.templates[0]
         full = np.ones_like(t.mask)
-        return [f.template for f in features] + [ZeroCrossTemplate(t.bits, full)]
+        return [*table.templates, ZeroCrossTemplate(t.bits, full)]
 
     @pytest.mark.parametrize("max_shift", [0, 8])
     def test_every_pair_equals_match_and_nan_where_it_raises(self, templates, max_shift):
