@@ -82,7 +82,6 @@ class FeatureTable:
     polar: np.ndarray | None = None   # read only by the union-mask Euler codes of run_trials
 
     def __post_init__(self):
-        object.__setattr__(self, "templates", tuple(self.templates))
         for name, (dtype, row) in _ROW_SHAPES.items():
             if (column := getattr(self, name)) is not None:
                 object.__setattr__(self, name, freeze(np.asarray(column, dtype).reshape(-1, *row)))

@@ -343,5 +343,5 @@ def _parse(r: _Reader) -> Gallery:
     if r.pos != len(r.data):
         raise GalleryFormatError(f"{len(r.data) - r.pos} unexpected trailing bytes")
 
-    table = FeatureTable(templates, euler, values, valid)
+    table = FeatureTable(tuple(templates), euler, values, valid)
     return Gallery(tuple(identities), table, covariance, pool, chromosome, ranges)

@@ -543,7 +543,7 @@ def recalibrate_worst(table, pool, chromosome, max_shift):
 def gallery_with_rows(gallery, identities, templates, euler, values, valid):
     """``gallery`` holding the given rows instead of its own; its covariance,
     selection and score ranges are kept as they are."""
-    table = FeatureTable(templates, euler, values, valid)
+    table = FeatureTable(tuple(templates), euler, values, valid)
     return replace(gallery, identities=tuple(identities), table=table)
 
 
